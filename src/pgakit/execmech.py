@@ -2,7 +2,7 @@
 
 One fixed finite-state thread per instruction alphabet drives any program
 over that alphabet through two services: a program service (holding the
-remaining instruction sequence, with head-equality queries and a drop) and
+sequence and a position in it, with head-equality queries and a drop) and
 a counter (tracking pending skips).  Hiding the service traffic leaves the
 program's own behaviour, equal to direct extraction (run_exec vs
 extract_pgajs).
@@ -37,12 +37,10 @@ from .syntax import (
     RESERVED_FOCI,
     Shift,
     basics_of,
-    drop_head,
-    head,
+    instruction_at,
     instruction_text,
     is_pgajs0,
     parse_instruction,
-    print_program,
 )
 from .threads import (
     DEADLOCK,
@@ -71,6 +69,9 @@ class Alphabet:
     basic instruction; only #0 jumps are allowed."""
 
     instructions: Tuple[Instruction, ...]
+    _members: frozenset = field(init=False, repr=False, compare=False)
+    # hdeq text -> member, for the members whose text parses back to them
+    _by_text: Dict[str, Instruction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -100,6 +101,16 @@ class Alphabet:
                 raise AlphabetError(
                     f"alphabet must contain {instruction_text(required)}"
                 )
+        by_text: Dict[str, Instruction] = {}
+        for u in self.instructions:
+            text = instruction_text(u)
+            try:
+                if parse_instruction(text) == u:
+                    by_text[text] = u
+            except ProgramSyntaxError:
+                pass
+        object.__setattr__(self, "_members", frozenset(seen))
+        object.__setattr__(self, "_by_text", by_text)
 
     @property
     def basics(self) -> frozenset:
@@ -108,7 +119,7 @@ class Alphabet:
         )
 
     def __contains__(self, u: Instruction) -> bool:
-        return u in self.instructions
+        return u in self._members
 
     @staticmethod
     def from_basics(basics) -> "Alphabet":
@@ -126,44 +137,55 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class PgsService(Service):
-    """Service view of a stored instruction sequence.  `hdeq:u` answers
-    whether the head instruction is exactly u (no state change); `drop`
-    removes the head (False once empty).  An alphabet, when given, bounds
-    the u accepted by hdeq; anything else wedges the service."""
+    """Service view of a stored instruction sequence and a position in it.
+    `hdeq:u` answers whether the instruction at the position is exactly u
+    (no state change); `drop` moves the position one on (False once past
+    the end of a finite sequence).  On a periodic sequence the position
+    wraps back into the period, so distinct positions hold distinct
+    remaining sequences and the key can name the position alone.  An
+    alphabet, when given, bounds the u accepted by hdeq; anything else
+    wedges the service."""
 
-    sequence: Optional[InstructionSequence]
+    sequence: InstructionSequence
     alphabet: Optional[Alphabet] = field(default=None, compare=False)
+    position: int = 0
     undefined: bool = False
+
+    def _wedged(self) -> Tuple["PgsService", Reply]:
+        wedged = PgsService(self.sequence, self.alphabet, self.position, True)
+        return wedged, Reply.BLOCKED
 
     def apply(self, method: str) -> Tuple["PgsService", Reply]:
         if self.undefined:
             return self, Reply.BLOCKED
+        s = self.sequence
         if method == "drop":
-            if self.sequence is None:
+            pos = self.position + 1
+            if pos > len(s):
                 return self, Reply.FALSE
-            return (
-                PgsService(drop_head(self.sequence), self.alphabet),
-                Reply.TRUE,
-            )
+            if pos == len(s) and s.period:
+                pos = len(s.prefix)
+            return PgsService(s, self.alphabet, pos), Reply.TRUE
         if method.startswith("hdeq:"):
-            try:
-                u = parse_instruction(method[len("hdeq:"):])
-            except ProgramSyntaxError:
-                return PgsService(None, self.alphabet, True), Reply.BLOCKED
-            if self.alphabet is not None and u not in self.alphabet:
-                return PgsService(None, self.alphabet, True), Reply.BLOCKED
-            if self.sequence is None:
-                return self, Reply.FALSE
-            got = head(self.sequence) == u
+            text = method[len("hdeq:"):]
+            u = None if self.alphabet is None else self.alphabet._by_text.get(text)
+            if u is None:
+                try:
+                    u = parse_instruction(text)
+                except ProgramSyntaxError:
+                    return self._wedged()
+                if self.alphabet is not None and u not in self.alphabet:
+                    return self._wedged()
+            got = instruction_at(s, self.position) == u
             return self, Reply.TRUE if got else Reply.FALSE
-        return PgsService(None, self.alphabet, True), Reply.BLOCKED
+        return self._wedged()
 
     def key(self) -> str:
         if self.undefined:
             return "pgs:undef"
-        if self.sequence is None:
+        if self.position == len(self.sequence):
             return "pgs:eps"
-        return "pgs:" + print_program(self.sequence)
+        return f"pgs:{self.position}"
 
 
 def pgs_new(

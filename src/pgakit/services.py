@@ -10,8 +10,9 @@ over a non-negative content.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .threads import (
     DEADLOCK,
@@ -113,8 +114,7 @@ def compose(
     if budget is None:
         budget = Budget()
 
-    pairs: Dict[Tuple[str, str], Tuple[str, Service]] = {}
-    order: List[Tuple[str, str]] = []
+    pairs: Dict[Tuple[str, str], Tuple[str, Service]] = {}  # in discovery order
 
     def visit(sid: str, service: Service) -> Tuple[str, str]:
         key = (sid, service.key())
@@ -124,16 +124,15 @@ def compose(
                     f"service product exceeded {budget.max_states} states"
                 )
             pairs[key] = (sid, service)
-            order.append(key)
             queue.append(key)
         return key
 
     # discovery pass
     transitions: Dict[Tuple[str, str], tuple] = {}
-    queue: List[Tuple[str, str]] = []
+    queue: Deque[Tuple[str, str]] = deque()
     root_key = visit(spec.root, svc)
     while queue:
-        key = queue.pop(0)
+        key = queue.popleft()
         sid, service = pairs[key]
         body = spec.states[sid]
         if not isinstance(body, Post):
@@ -158,26 +157,9 @@ def compose(
             else:
                 transitions[key] = ("tau", visit(body.else_, nxt))
 
-    # naming pass: keep the original state name where unambiguous
-    per_sid: Dict[str, int] = {}
-    for sid, _ in pairs.values():
-        per_sid[sid] = per_sid.get(sid, 0) + 1
-    taken = set()
-    names: Dict[Tuple[str, str], str] = {}
-    for key in order:
-        sid = pairs[key][0]
-        if per_sid[sid] == 1 and sid not in taken:
-            name = sid
-        else:
-            n = 1
-            while f"{sid}_{n}" in taken or f"{sid}_{n}" in per_sid:
-                n += 1
-            name = f"{sid}_{n}"
-        taken.add(name)
-        names[key] = name
-
+    names = dict(zip(pairs, _state_names([sid for sid, _ in pairs.values()])))
     states: Dict[str, Body] = {}
-    for key in order:
+    for key in pairs:
         t = transitions[key]
         if t[0] == "leaf":
             states[names[key]] = t[1]
@@ -187,6 +169,31 @@ def compose(
             _, action, then_key, else_key = t
             states[names[key]] = Post(action, names[then_key], names[else_key])
     return validate(ThreadSpec(states, names[root_key]))
+
+
+def _state_names(sids: List[str]) -> List[str]:
+    """Names for product states, given the original state of each in
+    discovery order.  A state with one copy keeps its name; copies are
+    numbered sid_1, sid_2, ... skipping names in use.  Each state keeps its
+    next free suffix, so numbering never starts over from 1."""
+    per_sid: Dict[str, int] = {}
+    for sid in sids:
+        per_sid[sid] = per_sid.get(sid, 0) + 1
+    taken = set()
+    next_suffix: Dict[str, int] = {}
+    names: List[str] = []
+    for sid in sids:
+        if per_sid[sid] == 1 and sid not in taken:
+            name = sid
+        else:
+            n = next_suffix.get(sid, 1)
+            while f"{sid}_{n}" in taken or f"{sid}_{n}" in per_sid:
+                n += 1
+            next_suffix[sid] = n + 1
+            name = f"{sid}_{n}"
+        taken.add(name)
+        names.append(name)
+    return names
 
 
 def collapse_counter_divergence(spec: ThreadSpec, focus: str = "cnt") -> ThreadSpec:

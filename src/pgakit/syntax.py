@@ -44,22 +44,22 @@ class ShiftPresentError(ProgramError):
 # === instructions ===
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plain:
     basic: Basic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosTest:
     basic: Basic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NegTest:
     basic: Basic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Jump:
     offset: int
 
@@ -70,12 +70,12 @@ class Jump:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Halt:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shift:
     pass
 
@@ -103,18 +103,18 @@ def instruction_text(u: Instruction) -> str:
 # === terms ===
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instr:
     instruction: Instruction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Repeat:
     body: "Term"
 
@@ -133,7 +133,7 @@ def _primitive(period: Tuple[Instruction, ...]) -> Tuple[Instruction, ...]:
     return period
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstructionSequence:
     """Canonical form: a finite prefix and an optional repeating period.
 

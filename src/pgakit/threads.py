@@ -9,6 +9,7 @@ silent action tau ignores the reply, so tau bodies carry a single successor
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Mapping, Union
 
@@ -25,7 +26,7 @@ class DanglingStateError(ThreadError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tau:
     def __str__(self) -> str:
         return "tau"
@@ -34,7 +35,7 @@ class Tau:
 TAU = Tau()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Basic:
     """A focus.method pair, used both as a thread action and as the payload
     of basic program instructions."""
@@ -49,12 +50,12 @@ class Basic:
 Action = Union[Tau, Basic]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deadlock:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stop:
     pass
 
@@ -63,7 +64,7 @@ DEADLOCK = Deadlock()
 STOP = Stop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
     """Perform an action, then continue as `then` on a True reply and as
     `else_` on False.  A tau action never branches: else_ is forced to then."""
@@ -80,7 +81,7 @@ class Post:
 Body = Union[Deadlock, Stop, Post]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """Node of a finite projection tree.  Leaves reuse Deadlock and Stop."""
 
@@ -96,7 +97,7 @@ class Branch:
 FiniteThread = Union[Deadlock, Stop, Branch]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThreadSpec:
     states: Mapping[str, Body]
     root: str
@@ -136,9 +137,9 @@ def relabel(spec: ThreadSpec, prefix: str = "X") -> ThreadSpec:
     order from the root.  Deterministic, so printed output is reproducible."""
     spec = validate(spec)
     names: Dict[str, str] = {spec.root: f"{prefix}0"}
-    queue = [spec.root]
+    queue = deque([spec.root])
     while queue:
-        body = spec.states[queue.pop(0)]
+        body = spec.states[queue.popleft()]
         if isinstance(body, Post):
             for target in (body.then, body.else_):
                 if target not in names:
@@ -272,23 +273,29 @@ def bisimilar(a: ThreadSpec, b: ThreadSpec) -> bool:
 def abstract_tau(spec: ThreadSpec) -> ThreadSpec:
     """Remove tau steps by chasing each state through its tau chain to the
     first non-tau body.  A chain that revisits a state performs tau forever,
-    which is indistinguishable from deadlock."""
+    which is indistinguishable from deadlock.  Each chain is walked once:
+    every state on it takes the body the walk resolves to."""
     spec = validate(spec)
-
-    def resolve(name: str) -> Body:
-        seen = set()
-        cur = name
+    resolved: Dict[str, Body] = {}
+    for start in spec.states:
+        chain: Dict[str, None] = {}  # tau states walked from start, in order
+        cur = start
         while True:
-            if cur in seen:
-                return DEADLOCK
-            seen.add(cur)
+            if cur in resolved:
+                body = resolved[cur]
+                break
+            if cur in chain:
+                body = DEADLOCK
+                break
             body = spec.states[cur]
-            if isinstance(body, Post) and isinstance(body.action, Tau):
-                cur = body.then
-            else:
-                return body
-
-    states = {name: resolve(name) for name in spec.states}
+            if not (isinstance(body, Post) and isinstance(body.action, Tau)):
+                resolved[cur] = body
+                break
+            chain[cur] = None
+            cur = body.then
+        for name in chain:
+            resolved[name] = body
+    states = {name: resolved[name] for name in spec.states}
     return validate(ThreadSpec(states, spec.root))
 
 

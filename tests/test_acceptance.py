@@ -259,3 +259,15 @@ def test_criterion_8_witness_stress():
         assert bisimilar(extract_pgajs(p), w)
         assert bisimilar(behaviour_via_counter(p), w)
     _report("criterion-8 witness stress n=1..3", started, limit=30.0)
+
+
+# --- stress family through the execution mechanism ---------------------------
+
+def test_witness_exec_n4_to_6():
+    started = time.monotonic()
+    for n in (4, 5, 6):
+        w = theorem3_witness(n)
+        p = corollary1_pipeline(w)
+        assert bisimilar(run_exec(p), w)
+        assert bisimilar(behaviour_via_counter(p), w)
+    _report("witness-exec n=4..6", started, limit=30.0)

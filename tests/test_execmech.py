@@ -128,6 +128,22 @@ def test_pgs_key_tracks_residue():
     assert svc.key() != svc2.key()
 
 
+def test_pgs_key_names_the_position():
+    svc = pgs_new(P("f.a; (f.b; !)*"))
+    keys = []
+    for _ in range(5):
+        keys.append(svc.key())
+        svc, _ = service_apply(svc, "drop")
+    # a periodic sequence wraps back into its period
+    assert keys == ["pgs:0", "pgs:1", "pgs:2", "pgs:1", "pgs:2"]
+    fin = pgs_new(P("f.a; !"))
+    fin, _ = service_apply(fin, "drop")
+    fin, _ = service_apply(fin, "drop")
+    assert fin.key() == "pgs:eps"
+    wedged, _ = service_apply(fin, "frob")
+    assert wedged.key() == "pgs:undef"
+
+
 # the mechanism
 def test_mechanism_size_formula():
     for m in (1, 2, 3):

@@ -1,0 +1,186 @@
+"""The layered service pipeline against its earlier, quadratic algorithms.
+
+The copies below are the algorithms that `abstract_tau`, the program
+service and the naming pass of `compose` used before they were made
+linear: a tau walk from every state, a program service keyed by its printed
+remaining sequence, and suffix numbering from 1 for every copy.  They build
+the same states under the same names, so results must be equal (`==`) and
+print identically, not just bisimilar.
+"""
+
+import random
+from dataclasses import dataclass, field
+from typing import Optional
+
+from pgakit import (
+    DEADLOCK,
+    Alphabet,
+    Basic,
+    InstructionSequence,
+    Post,
+    Reply,
+    Service,
+    Tau,
+    ThreadSpec,
+    abstract_tau,
+    build_exec_mechanism,
+    collapse_counter_divergence,
+    compose,
+    corollary1_pipeline,
+    counter_new,
+    parse_instruction,
+    pgs_new,
+    print_thread,
+    run_exec,
+    theorem3_witness,
+    validate,
+)
+from pgakit.corpus import random_program, random_spec
+from pgakit.services import _state_names
+from pgakit.syntax import ProgramSyntaxError, drop_head, head, print_program
+
+
+def _old_abstract_tau(spec):
+    spec = validate(spec)
+
+    def resolve(name):
+        seen = set()
+        cur = name
+        while True:
+            if cur in seen:
+                return DEADLOCK
+            seen.add(cur)
+            body = spec.states[cur]
+            if isinstance(body, Post) and isinstance(body.action, Tau):
+                cur = body.then
+            else:
+                return body
+
+    states = {name: resolve(name) for name in spec.states}
+    return validate(ThreadSpec(states, spec.root))
+
+
+@dataclass(frozen=True)
+class _OldPgsService(Service):
+    sequence: Optional[InstructionSequence]
+    alphabet: Optional[Alphabet] = field(default=None, compare=False)
+    undefined: bool = False
+
+    def apply(self, method):
+        if self.undefined:
+            return self, Reply.BLOCKED
+        if method == "drop":
+            if self.sequence is None:
+                return self, Reply.FALSE
+            return _OldPgsService(drop_head(self.sequence), self.alphabet), Reply.TRUE
+        if method.startswith("hdeq:"):
+            try:
+                u = parse_instruction(method[len("hdeq:"):])
+            except ProgramSyntaxError:
+                return _OldPgsService(None, self.alphabet, True), Reply.BLOCKED
+            if self.alphabet is not None and u not in self.alphabet.instructions:
+                return _OldPgsService(None, self.alphabet, True), Reply.BLOCKED
+            if self.sequence is None:
+                return self, Reply.FALSE
+            return self, Reply.TRUE if head(self.sequence) == u else Reply.FALSE
+        return _OldPgsService(None, self.alphabet, True), Reply.BLOCKED
+
+    def key(self):
+        if self.undefined:
+            return "pgs:undef"
+        if self.sequence is None:
+            return "pgs:eps"
+        return "pgs:" + print_program(self.sequence)
+
+
+def _old_state_names(sids):
+    per_sid = {}
+    for sid in sids:
+        per_sid[sid] = per_sid.get(sid, 0) + 1
+    taken = set()
+    names = []
+    for sid in sids:
+        if per_sid[sid] == 1 and sid not in taken:
+            name = sid
+        else:
+            n = 1
+            while f"{sid}_{n}" in taken or f"{sid}_{n}" in per_sid:
+                n += 1
+            name = f"{sid}_{n}"
+        taken.add(name)
+        names.append(name)
+    return names
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert print_thread(got) == print_thread(want)
+
+
+def _programs():
+    rng = random.Random(2031)
+    corpus = [
+        random_program(rng, max_len=16, allow_shift=True, pgajs0=True)
+        for _ in range(150)
+    ]
+    corpus += [corollary1_pipeline(theorem3_witness(n)) for n in (1, 2)]
+    return corpus
+
+
+def test_abstract_tau_matches_per_state_walk():
+    rng = random.Random(2032)
+    for _ in range(500):
+        spec = random_spec(rng, max_states=10, allow_tau=True, tau_prob=0.5)
+        _assert_same(abstract_tau(spec), _old_abstract_tau(spec))
+
+
+def test_state_names_match_counting_from_one():
+    rng = random.Random(2033)
+    pool = ["x", "x_1", "x_2", "x_1_1", "y", "y_3", "q0"]
+    for _ in range(500):
+        sids = [rng.choice(pool) for _ in range(rng.randint(1, 20))]
+        assert _state_names(sids) == _old_state_names(sids)
+
+
+def test_program_service_matches_residual_service():
+    # every reply agrees, and the two keys identify the same service states
+    rng = random.Random(2034)
+    odd = Basic("f", "a b")  # admitted by an alphabet, but not parseable
+    queries = ["hdeq:f.a", "hdeq:+f.b", "hdeq:-f.a", "hdeq:#0", "hdeq:!",
+               "hdeq:~", "hdeq: f.a"]
+    # outside the alphabet, odd spellings, unknown methods: these may wedge
+    rare = ["hdeq:#1", "hdeq:g.m", "hdeq:f.a b", "hdeq:(", "frob"]
+    for _ in range(200):
+        p = random_program(rng, max_len=10, allow_shift=True, pgajs0=True)
+        for alphabet in (None, Alphabet.from_sequence(p),
+                         Alphabet.from_basics({odd, Basic("f", "a"), Basic("f", "b")})):
+            new, old = pgs_new(p, alphabet), _OldPgsService(p, alphabet)
+            new_of_old = {old.key(): new.key()}
+            for _ in range(30):
+                roll = rng.random()
+                if roll < 0.4:
+                    method = "drop"
+                elif roll < 0.45:
+                    method = rng.choice(rare)
+                else:
+                    method = rng.choice(queries)
+                new, got = new.apply(method)
+                old, want = old.apply(method)
+                assert got == want, (print_program(p), method)
+                assert new_of_old.setdefault(old.key(), new.key()) == new.key()
+            assert len(set(new_of_old.values())) == len(new_of_old)
+
+
+def test_service_pipeline_matches_old_route():
+    for p in _programs():
+        alphabet = Alphabet.from_sequence(p)
+        mech = build_exec_mechanism(alphabet)
+        inner = compose(mech, "pgs", pgs_new(p, alphabet))
+        old_inner = compose(mech, "pgs", _OldPgsService(p, alphabet))
+        _assert_same(inner, old_inner)
+        product = compose(collapse_counter_divergence(inner), "cnt", counter_new(0))
+        _assert_same(abstract_tau(product), _old_abstract_tau(product))
+        old_route = _old_abstract_tau(
+            compose(collapse_counter_divergence(old_inner), "cnt", counter_new(0))
+        )
+        _assert_same(run_exec(p), old_route)
