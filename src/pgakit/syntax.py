@@ -225,20 +225,25 @@ def basics_of(s: InstructionSequence) -> set:
 
 
 def _flatten(term: Term) -> Tuple[List[Instruction], List[Instruction]]:
-    if isinstance(term, Instr):
-        return [term.instruction], []
-    if isinstance(term, Concat):
+    """Prefix and period lists of a term.  A `;`-list is a right-nested
+    Concat chain, so the chain is walked in a loop that appends into one
+    prefix; recursion only enters left operands and starred bodies."""
+    prefix: List[Instruction] = []
+    while isinstance(term, Concat):
         lp, lq = _flatten(term.left)
+        prefix += lp
         if lq:
             # anything after an infinite iteration is unreachable
-            return lp, lq
-        rp, rq = _flatten(term.right)
-        return lp + rp, rq
+            return prefix, lq
+        term = term.right
+    if isinstance(term, Instr):
+        prefix.append(term.instruction)
+        return prefix, []
     body_p, body_q = _flatten(term.body)
     if body_q:
         # iterating a term that already ends in a loop keeps that loop
-        return body_p, body_q
-    return [], body_p
+        return prefix + body_p, body_q
+    return prefix, body_p
 
 
 def to_canonical(term: Term) -> InstructionSequence:

@@ -197,74 +197,78 @@ def project(spec: ThreadSpec, depth: int, state: str | None = None) -> FiniteThr
 def projections_agree(a: ThreadSpec, b: ThreadSpec, depth: int) -> bool:
     """Whether the depth-n projections of the two roots coincide for every
     n <= depth.  Checking the largest depth suffices: projecting a deeper
-    approximation yields the shallower one."""
+    approximation yields the shallower one.  The projections agree iff
+    every (state of a, state of b, remaining depth) reached from the roots
+    with depth left has bodies of the same kind, and Posts of the same
+    action; the walk visits each such triple once."""
     a = validate(a)
     b = validate(b)
-    memo: Dict[tuple, bool] = {}
-
-    def agree(sa: str, sb: str, n: int) -> bool:
+    seen = {(a.root, b.root, depth)}
+    stack = [(a.root, b.root, depth)]
+    while stack:
+        sa, sb, n = stack.pop()
         if n == 0:
-            return True
-        key = (sa, sb, n)
-        got = memo.get(key)
-        if got is not None:
-            return got
+            continue
         ba = a.states[sa]
         bb = b.states[sb]
-        if isinstance(ba, Post) and isinstance(bb, Post):
-            result = (
-                ba.action == bb.action
-                and agree(ba.then, bb.then, n - 1)
-                and agree(ba.else_, bb.else_, n - 1)
-            )
-        else:
-            result = type(ba) is type(bb)
-        memo[key] = result
-        return result
-
-    return agree(a.root, b.root, depth)
+        if type(ba) is not type(bb):
+            return False
+        if not isinstance(ba, Post):
+            continue
+        if ba.action != bb.action:
+            return False
+        for key in ((ba.then, bb.then, n - 1), (ba.else_, bb.else_, n - 1)):
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return True
 
 
 # === bisimilarity ===
 
 
 def bisimilar(a: ThreadSpec, b: ThreadSpec) -> bool:
-    """Partition refinement over the disjoint union of both state sets.
-    Blocks split on body kind, action, and the blocks of both successors,
-    until stable; the roots are bisimilar iff they share a block."""
+    """Whether the two roots are bisimilar.  Threads are deterministic (one
+    action and one successor per reply), so this is equivalence of
+    deterministic automata, decided by Hopcroft & Karp's union-find pair
+    walk (1971): merge the classes of the roots, then of every pair of
+    successors reached through matching bodies.  The roots are bisimilar
+    iff no merged pair differs in body kind or action.  With path
+    compression this takes O(n log n) for n states in both specs."""
     a = validate(a)
     b = validate(b)
-    bodies: Dict[tuple, tuple] = {}
-    for tag, spec in (("a", a), ("b", b)):
-        for name, body in spec.states.items():
-            bodies[(tag, name)] = (tag, body)
-    block = dict.fromkeys(bodies, 0)
-    nblocks = 1
-    while True:
-        sigs: Dict[tuple, int] = {}
-        new: Dict[tuple, int] = {}
-        for key, (tag, body) in bodies.items():
-            if isinstance(body, Post):
-                sig = (
-                    block[key],
-                    "post",
-                    body.action,
-                    block[(tag, body.then)],
-                    block[(tag, body.else_)],
-                )
-            elif isinstance(body, Stop):
-                sig = (block[key], "stop")
-            else:
-                sig = (block[key], "dead")
-            idx = sigs.get(sig)
-            if idx is None:
-                idx = len(sigs)
-                sigs[sig] = idx
-            new[key] = idx
-        if len(sigs) == nblocks:
-            return new[("a", a.root)] == new[("b", b.root)]
-        block = new
-        nblocks = len(sigs)
+    # states of a are 0..len(a)-1, states of b follow, since names may clash
+    ids_a = {name: i for i, name in enumerate(a.states)}
+    ids_b = {name: i + len(ids_a) for i, name in enumerate(b.states)}
+    parent = list(range(len(ids_a) + len(ids_b)))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    parent[ids_a[a.root]] = ids_b[b.root]
+    stack = [(a.root, b.root)]
+    while stack:
+        sa, sb = stack.pop()
+        ba = a.states[sa]
+        bb = b.states[sb]
+        if type(ba) is not type(bb):
+            return False
+        if not isinstance(ba, Post):
+            continue
+        if ba.action != bb.action:
+            return False
+        for ta, tb in ((ba.then, bb.then), (ba.else_, bb.else_)):
+            ra = find(ids_a[ta])
+            rb = find(ids_b[tb])
+            if ra != rb:
+                parent[ra] = rb
+                stack.append((ta, tb))
+    return True
 
 
 # === tau abstraction ===

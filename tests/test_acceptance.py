@@ -42,6 +42,7 @@ from pgakit import (
 )
 from pgakit.execmech import Alphabet
 from pgakit.corpus import random_program, random_spec, spec_pair
+from strategies import chain_spec
 
 P = parse_program
 T = parse_thread
@@ -247,6 +248,20 @@ def test_criterion_7_oracle_agreement():
         depth = len(s1.states) * len(s2.states) + 1
         assert bisimilar(s1, s2) == projections_agree(s1, s2, depth)
     _report("criterion-7 oracle agreement 300 pairs", started)
+
+
+# --- bisimilarity at scale ---------------------------------------------------
+
+def test_bisimilar_chains_of_100k_states():
+    rng = random.Random(2039)
+    labels = [rng.choice((a, b)) for _ in range(10**5 - 1)]
+    base = chain_spec(labels, STOP, "c")
+    renamed = chain_spec(labels, STOP, "e")
+    other_tail = chain_spec(labels, DEADLOCK, "d")
+    started = time.monotonic()
+    assert not bisimilar(base, other_tail)
+    assert bisimilar(base, renamed)
+    _report("bisimilar 100k-state chains", started, limit=10.0)
 
 
 # --- criterion 8: stress family ----------------------------------------------

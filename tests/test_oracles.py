@@ -1,11 +1,12 @@
-"""The layered service pipeline against its earlier, quadratic algorithms.
+"""Library layers against their earlier, quadratic algorithms.
 
 The copies below are the algorithms that `abstract_tau`, the program
-service and the naming pass of `compose` used before they were made
-linear: a tau walk from every state, a program service keyed by its printed
-remaining sequence, and suffix numbering from 1 for every copy.  They build
-the same states under the same names, so results must be equal (`==`) and
-print identically, not just bisimilar.
+service, the naming pass of `compose` and `bisimilar` used before they were
+made linear: a tau walk from every state, a program service keyed by its
+printed remaining sequence, suffix numbering from 1 for every copy, and
+partition refinement in full passes.  The first three build the same states
+under the same names, so results must be equal (`==`) and print
+identically, not just bisimilar; the refinement must give the same verdict.
 """
 
 import random
@@ -14,30 +15,36 @@ from typing import Optional
 
 from pgakit import (
     DEADLOCK,
+    STOP,
     Alphabet,
     Basic,
     InstructionSequence,
     Post,
     Reply,
     Service,
+    Stop,
     Tau,
     ThreadSpec,
     abstract_tau,
+    bisimilar,
     build_exec_mechanism,
     collapse_counter_divergence,
     compose,
     corollary1_pipeline,
     counter_new,
+    extract_pgajs,
     parse_instruction,
     pgs_new,
     print_thread,
+    relabel,
     run_exec,
     theorem3_witness,
     validate,
 )
-from pgakit.corpus import random_program, random_spec
+from pgakit.corpus import random_program, random_spec, spec_pair
 from pgakit.services import _state_names
 from pgakit.syntax import ProgramSyntaxError, drop_head, head, print_program
+from strategies import BASICS, chain_spec, deep_spec, renamed_copy
 
 
 def _old_abstract_tau(spec):
@@ -112,6 +119,42 @@ def _old_state_names(sids):
     return names
 
 
+def _refinement_bisimilar(a, b):
+    a = validate(a)
+    b = validate(b)
+    bodies = {}
+    for tag, spec in (("a", a), ("b", b)):
+        for name, body in spec.states.items():
+            bodies[(tag, name)] = (tag, body)
+    block = dict.fromkeys(bodies, 0)
+    nblocks = 1
+    while True:
+        sigs = {}
+        new = {}
+        for key, (tag, body) in bodies.items():
+            if isinstance(body, Post):
+                sig = (
+                    block[key],
+                    "post",
+                    body.action,
+                    block[(tag, body.then)],
+                    block[(tag, body.else_)],
+                )
+            elif isinstance(body, Stop):
+                sig = (block[key], "stop")
+            else:
+                sig = (block[key], "dead")
+            idx = sigs.get(sig)
+            if idx is None:
+                idx = len(sigs)
+                sigs[sig] = idx
+            new[key] = idx
+        if len(sigs) == nblocks:
+            return new[("a", a.root)] == new[("b", b.root)]
+        block = new
+        nblocks = len(sigs)
+
+
 def _assert_same(got, want):
     assert got == want
     assert print_thread(got) == print_thread(want)
@@ -184,3 +227,52 @@ def test_service_pipeline_matches_old_route():
             compose(collapse_counter_divergence(old_inner), "cnt", counter_new(0))
         )
         _assert_same(run_exec(p), old_route)
+
+
+def _assert_same_verdict(pairs):
+    verdicts = []
+    for a, b in pairs:
+        want = _refinement_bisimilar(a, b)
+        assert bisimilar(a, b) == want, (print_thread(a), print_thread(b))
+        verdicts.append(want)
+    return verdicts
+
+
+def test_bisimilar_matches_refinement_on_spec_pairs():
+    rng = random.Random(2035)
+    pairs = [spec_pair(rng, max_states=m) for m in (3, 6, 12) for _ in range(800)]
+    verdicts = _assert_same_verdict(pairs)
+    assert 0.3 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_bisimilar_matches_refinement_with_tau():
+    rng = random.Random(2036)
+    pairs = []
+    for _ in range(150):
+        p = random_program(rng, max_len=10, allow_shift=True, pgajs0=True)
+        pairs.append((run_exec(p), extract_pgajs(p)))
+        pairs.append((extract_pgajs(p), random_spec(rng, max_states=6, allow_tau=True)))
+    # tau is an ordinary action: a tau spec against itself renamed, against
+    # another tau spec, and against its abstraction
+    for _ in range(300):
+        s = random_spec(rng, max_states=8, allow_tau=True, tau_prob=0.5)
+        pairs.append((s, relabel(s)))
+        pairs.append((s, random_spec(rng, max_states=8, allow_tau=True, tau_prob=0.5)))
+        pairs.append((s, abstract_tau(s)))
+    verdicts = _assert_same_verdict(pairs)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_bisimilar_matches_refinement_on_large_families():
+    rng = random.Random(2037)
+    pairs = []
+    for n in (2, 5, 20, 60):
+        labels = [rng.choice(BASICS) for _ in range(n - 1)]
+        base = chain_spec(labels, STOP, "c")
+        pairs.append((base, chain_spec(labels, STOP, "e")))
+        pairs.append((base, chain_spec(labels, DEADLOCK, "d")))
+    for n in (3, 10, 40, 100):
+        base = deep_spec(rng, n)
+        pairs.append((base, renamed_copy(rng, base, "u")))
+        pairs.append((base, renamed_copy(rng, base, "v", flip=f"s{n // 2}")))
+    assert _assert_same_verdict(pairs) == [True, False] * 8

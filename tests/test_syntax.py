@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,11 @@ from pgakit import (
     ProgramSyntaxError,
     ReservedFocusError,
     SHIFT,
+    STOP,
     Shift,
     ShiftPresentError,
+    compile_spec,
+    corollary1_pipeline,
     instruction_at,
     is_pgajs0,
     normalize_shifts,
@@ -29,7 +34,7 @@ from pgakit import (
 )
 from pgakit.syntax import JUMP_LIMIT, Concat, Instr, Repeat, contains_shift, drop_head, head
 
-from strategies import programs
+from strategies import BASICS, chain_spec, deep_spec, programs
 
 P = parse_program
 
@@ -129,6 +134,16 @@ def test_parse_instruction_single():
 @given(programs(max_len=10, with_shift=True))
 def test_print_parse_roundtrip(s):
     assert P(print_program(s)) == s
+
+
+def test_print_parse_roundtrip_long_programs():
+    # a 1,000-state chain with jumps expanded, and a 3,000-state deep spec
+    rng = random.Random(2038)
+    chain = chain_spec([rng.choice(BASICS) for _ in range(999)], STOP)
+    long_programs = [corollary1_pipeline(chain), compile_spec(deep_spec(rng, 3000))]
+    assert [len(p) for p in long_programs] == [5997, 9000]
+    for p in long_programs:
+        assert P(print_program(p)) == p
 
 
 @given(programs(max_len=10, with_shift=True))

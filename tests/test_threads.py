@@ -27,7 +27,7 @@ from pgakit import (
 )
 from pgakit.threads import Branch
 
-from strategies import specs
+from strategies import chain_spec, specs
 
 a = Basic("f", "a")
 b = Basic("f", "b")
@@ -114,6 +114,15 @@ def _truncate(ft, n):
     if not isinstance(ft, Branch):
         return ft
     return Branch(ft.action, _truncate(ft.then, n - 1), _truncate(ft.else_, n - 1))
+
+
+def test_projections_agree_at_depth_ten_thousand():
+    # the tails of 10,000-state chains first differ at the deepest level
+    labels = [a, a, b] * 3333
+    base = chain_spec(labels, STOP, "c")
+    assert projections_agree(base, chain_spec(labels, STOP, "e"), 10**4)
+    assert not projections_agree(base, chain_spec(labels, DEADLOCK, "d"), 10**4)
+    assert projections_agree(base, chain_spec(labels, DEADLOCK, "d"), 10**4 - 1)
 
 
 def test_unfolding_one_step_is_bisimilar():
