@@ -8,83 +8,10 @@ summary line; exit status is nonzero if any case fails.
 """
 
 import argparse
-import random
 import sys
 import time
 
-from pgakit import (
-    CounterService,
-    behaviour_via_counter,
-    bisimilar,
-    collapse_counter_divergence,
-    compose,
-    corollary1_pipeline,
-    extract,
-    extract_alt,
-    extract_pgajs,
-    print_program,
-    run_exec,
-    transform_to_pgajs0,
-    verify_theorem2,
-)
-from pgakit.corpus import random_program, random_spec
-
-
-class _PeakCounter(CounterService):
-    """Counter that records the largest content it ever holds."""
-
-    def __init__(self, content, sink):
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "sink", sink)
-
-    def apply(self, method):
-        nxt, reply = super().apply(method)
-        if nxt.content is not None:
-            self.sink[0] = max(self.sink[0], nxt.content)
-        return _PeakCounter(nxt.content, self.sink), reply
-
-
-def check_transform(rng, count, max_len):
-    failures = []
-    for _ in range(count):
-        p = random_program(rng, max_len=max_len)
-        q = transform_to_pgajs0(p)
-        if not bisimilar(extract(p), extract_pgajs(q)):
-            failures.append(print_program(p))
-    return failures, ""
-
-
-def check_counter(rng, count, max_len):
-    failures = []
-    peak = [0]
-    for _ in range(count):
-        p = random_program(rng, max_len=max_len, allow_shift=True, pgajs0=True)
-        if not verify_theorem2(p):
-            failures.append(print_program(p))
-            continue
-        inner = collapse_counter_divergence(extract_alt(p))
-        compose(inner, "cnt", _PeakCounter(0, peak))
-    return failures, f"peak counter {peak[0]} (bound {max_len + 2})"
-
-
-def check_exec(rng, count, max_len):
-    failures = []
-    for _ in range(count):
-        p = random_program(rng, max_len=max_len, allow_shift=True, pgajs0=True)
-        if not bisimilar(run_exec(p), extract_pgajs(p)):
-            failures.append(print_program(p))
-    return failures, ""
-
-
-def check_roundtrip(rng, count, max_states):
-    failures = []
-    for _ in range(count):
-        s = random_spec(rng, max_states=max_states)
-        p = corollary1_pipeline(s)
-        ok = bisimilar(extract_pgajs(p), s) and bisimilar(behaviour_via_counter(p), s)
-        if not ok:
-            failures.append(print_program(p))
-    return failures, ""
+from pgakit.properties import PROPERTIES, counter_peak, draw_cases
 
 
 def main(argv=None):
@@ -96,26 +23,28 @@ def main(argv=None):
     ap.add_argument(
         "--props",
         nargs="*",
-        default=["transform", "counter", "exec", "roundtrip"],
-        choices=["transform", "counter", "exec", "roundtrip"],
+        default=list(PROPERTIES),
+        choices=list(PROPERTIES),
     )
     args = ap.parse_args(argv)
 
     bad = 0
     for name in args.props:
-        rng = random.Random(args.seed)
+        prop = PROPERTIES[name]
+        size = args.max_states if name == "roundtrip" else args.max_len
         started = time.monotonic()
-        if name == "transform":
-            failures, note = check_transform(rng, args.count, args.max_len)
-        elif name == "counter":
-            failures, note = check_counter(rng, args.count, args.max_len)
-        elif name == "exec":
-            failures, note = check_exec(rng, args.count, args.max_len)
-        else:
-            failures, note = check_roundtrip(rng, args.count, args.max_states)
+        failures = []
+        peak = 0
+        for case in draw_cases(prop, args.seed, args.count, size):
+            if not prop.check(case):
+                failures.append(prop.show(case))
+            elif name == "counter":
+                peak = max(peak, counter_peak(case))
         elapsed = time.monotonic() - started
         passed = args.count - len(failures)
-        tail = f"  [{note}]" if note else ""
+        tail = ""
+        if name == "counter":
+            tail = f"  [peak counter {peak} (bound {size + 2})]"
         print(f"{name:10s} {passed}/{args.count} pass in {elapsed:.2f}s{tail}")
         for text in failures[:5]:
             print(f"  FAIL {text}")

@@ -28,7 +28,6 @@ from .threads import (
     project,
     projections_agree,
     relabel,
-    residual_count,
     to_dot,
     validate,
 )
@@ -54,7 +53,6 @@ from .syntax import (
     parse_program,
     parse_term,
     print_program,
-    sequences_equal,
     to_canonical,
     transform_to_pgajs0,
 )
@@ -68,7 +66,6 @@ from .services import (
     collapse_counter_divergence,
     compose,
     counter_new,
-    service_apply,
 )
 from .altsem import (
     NotPgajs0Error,

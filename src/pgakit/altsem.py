@@ -14,6 +14,12 @@ in the guarded reading increments once.  While skipping, a jump-shift that
 is flown over costs nothing (the decrement is restored), but landing
 exactly on one re-enters the guarded reading there so the shift run ahead
 is re-accumulated onto the counter.
+
+These equations are written once, as a table of steps per instruction
+kind, where a `pgs.drop` step moves on to the next position.  `extract_alt`
+lays the table out per position, each drop leading to the next position's
+states; `execmech.build_exec_mechanism` lays it out per alphabet entry and
+performs each drop on the program service.
 """
 
 from __future__ import annotations
@@ -50,6 +56,77 @@ _CLR = Basic("cnt", "clr")
 _INC = Basic("cnt", "inc")
 _DEC = Basic("cnt", "dec")
 _ISZ = Basic("cnt", "isz")
+_DROP = Basic("pgs", "drop")
+_BASIC = "basic"  # stands for the instruction's own basic action
+
+# A step is (action, target on True, target on False).  A target is the
+# following step (_NEXT), or it leaves the chain: to the guarded reading
+# (_READ) or the skipping reading (_SKIP) at the position reached, or to
+# deadlock (_DEAD).
+_NEXT, _READ, _SKIP, _DEAD = "next", "read", "skip", "dead"
+
+_PERFORM = ((_DROP, _NEXT, _NEXT), (_CLR, _NEXT, _NEXT))
+_SKIP_ONE = ((_INC, _NEXT, _NEXT), (_INC, _SKIP, _SKIP))  # on a failed test
+
+# Guarded mode, per instruction kind.  A halt has no steps: it stops.
+_GUARDED = {
+    Halt: (),
+    Shift: ((_DROP, _NEXT, _NEXT), (_INC, _READ, _READ)),
+    Jump: ((_ISZ, _DEAD, _NEXT), (_DROP, _SKIP, _SKIP)),
+    Plain: _PERFORM + ((_BASIC, _READ, _READ),),
+    PosTest: _PERFORM + ((_BASIC, _READ, _NEXT),) + _SKIP_ONE,
+    NegTest: _PERFORM + ((_BASIC, _NEXT, _READ),) + _SKIP_ONE,
+}
+
+# Skipping mode, at every position: count down, and land where the count
+# is zero; otherwise move on.  Flying over a jump-shift restores the
+# decrement.
+_COUNTDOWN = ((_DEC, _NEXT, _NEXT), (_ISZ, _READ, _NEXT))
+_MOVE_ON = ((_DROP, _SKIP, _SKIP),)
+_FLY_OVER = ((_INC, _NEXT, _NEXT),) + _MOVE_ON
+
+
+def _lay_out(steps, names, exits, moved=None):
+    """Lay a chain of steps out as a tuple of (name, action, then, else) in
+    step order, the k-th named names[k].  A target that leaves the chain is
+    looked up in `exits`; exits[_NEXT], if given, follows the last step.
+    With `moved` given, a drop is no state of its own but moves the
+    position, and targets after it are looked up in `moved`."""
+    chain = []
+    where = exits
+    names = iter(names)
+    for action, then, else_ in steps:
+        if action is _DROP and moved is not None:
+            where = moved
+            chain.append((None, action, where, then, else_))
+        else:
+            chain.append((next(names), action, where, then, else_))
+    out = []
+    follow = exits.get(_NEXT)
+    for name, action, where, then, else_ in reversed(chain):
+        then = follow if then is _NEXT else where[then]
+        else_ = follow if else_ is _NEXT else where[else_]
+        if name is None:
+            follow = then
+        else:
+            out.append((name, action, then, else_))
+            follow = name
+    return tuple(reversed(out))
+
+
+# extract_alt names the states at one position by index into: g{i} and its
+# chain g{i}a..c (0-3), s{i} and its chain s{i}a..b (4-6), the guarded and
+# skipping states of the next position (7, 8), and the deadlock (9).  Each
+# kind is laid out once, over these indices.
+def _alt_layout(kind):
+    skipping = _COUNTDOWN + (_FLY_OVER if kind is Shift else _MOVE_ON)
+    exits, moved = {_READ: 0, _SKIP: 4, _DEAD: 9}, {_READ: 7, _SKIP: 8, _DEAD: 9}
+    return _lay_out(_GUARDED[kind], (0, 1, 2, 3), exits, moved) + _lay_out(
+        skipping, (4, 5, 6), exits, moved
+    )
+
+
+_ALT_LAYOUT = {kind: _alt_layout(kind) for kind in _GUARDED}
 
 
 class NotPgajs0Error(ProgramError):
@@ -85,35 +162,15 @@ def extract_alt(s: InstructionSequence) -> ThreadSpec:
     states: Dict[str, Body] = {}
     for i in range(total):
         u = instr(i)
-        g = f"g{i}"
-        nxt = f"g{succ(i)}"
-        if isinstance(u, Halt):
+        g, k, n = f"g{i}", f"s{i}", succ(i)
+        here = (g, g + "a", g + "b", g + "c", k, k + "a", k + "b",
+                f"g{n}", f"s{n}", "dd")
+        if not _GUARDED[type(u)]:
             states[g] = STOP
-        elif isinstance(u, Shift):
-            states[g] = Post(_INC, nxt, nxt)
-        elif isinstance(u, Jump):
-            states[g] = Post(_ISZ, "dd", f"s{succ(i)}")
-        elif isinstance(u, Plain):
-            states[g] = Post(_CLR, f"{g}a", f"{g}a")
-            states[f"{g}a"] = Post(u.basic, nxt, nxt)
-        elif isinstance(u, PosTest):
-            states[g] = Post(_CLR, f"{g}a", f"{g}a")
-            states[f"{g}a"] = Post(u.basic, nxt, f"{g}b")
-            states[f"{g}b"] = Post(_INC, f"{g}c", f"{g}c")
-            states[f"{g}c"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
-        else:
-            assert isinstance(u, NegTest)
-            states[g] = Post(_CLR, f"{g}a", f"{g}a")
-            states[f"{g}a"] = Post(u.basic, f"{g}b", nxt)
-            states[f"{g}b"] = Post(_INC, f"{g}c", f"{g}c")
-            states[f"{g}c"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
-        states[f"s{i}"] = Post(_DEC, f"s{i}a", f"s{i}a")
-        if isinstance(u, Shift):
-            # flying over a shift is free: restore the counter and move on
-            states[f"s{i}a"] = Post(_ISZ, g, f"s{i}b")
-            states[f"s{i}b"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
-        else:
-            states[f"s{i}a"] = Post(_ISZ, g, f"s{succ(i)}")
+        for name, action, then, else_ in _ALT_LAYOUT[type(u)]:
+            if action is _BASIC:
+                action = u.basic
+            states[here[name]] = Post(action, here[then], here[else_])
     states["dd"] = DEADLOCK
     return validate(ThreadSpec(states, "g0"))
 

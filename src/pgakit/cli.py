@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes are stable: 0 success or bisimilar, 1 not-bisimilar or property
-failure, 2 parse or configuration error, 3 jump-offset overflow, 4 violated
-precondition (shift present, non-#0 jump, alphabet mismatch), 5 state
-budget exceeded, 6 uncompilable thread input.
+failure, 2 parse or configuration error, or a stdout closed by its reader,
+3 jump-offset overflow, 4 violated precondition (shift present, non-#0 jump,
+alphabet mismatch), 5 state budget exceeded, 6 uncompilable thread input.
 """
 
 from __future__ import annotations
@@ -11,31 +11,29 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import List, Optional
 
-from .altsem import NotPgajs0Error, behaviour_via_counter, extract_alt, verify_theorem2
+from .altsem import NotPgajs0Error, behaviour_via_counter, extract_alt
 from .compiler import CompileError, compile_spec, corollary1_pipeline
-from .corpus import random_program, random_spec
-from .execmech import AlphabetError, AlphabetMismatchError, run_exec
-from .extraction import extract, extract_pgajs
+from .execmech import AlphabetMismatchError
+from .extraction import extract_pgajs
+from .properties import PROPERTIES, draw_cases
 from .services import BudgetExceededError
 from .syntax import (
     JumpOverflowError,
     ProgramError,
-    ProgramSyntaxError,
     ShiftPresentError,
     normalize_shifts,
     parse_program,
     print_program,
-    transform_to_pgajs0,
 )
 from .threads import (
     ThreadError,
     bisimilar,
     parse_thread,
     print_thread,
+    relabel,
     to_dot,
 )
 
@@ -87,6 +85,7 @@ def cmd_extract(args) -> int:
         spec = behaviour_via_counter(p)
     else:
         spec = extract_pgajs(p)
+    spec = relabel(spec)
     print(to_dot(spec) if args.dot else print_thread(spec))
     return EXIT_OK
 
@@ -115,102 +114,35 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _verify_case(theorem: str, rng: random.Random, max_len: Optional[int]):
-    """One generated case: returns (display text, pass/fail)."""
-    if theorem == "1":
-        p = random_program(rng, max_len or 12)
-        ok = bisimilar(extract(p), extract_pgajs(transform_to_pgajs0(p)))
-        return print_program(p), ok
-    if theorem == "2":
-        p = random_program(rng, max_len or 16, allow_shift=True, pgajs0=True)
-        return print_program(p), verify_theorem2(p)
-    if theorem == "exec":
-        p = random_program(rng, max_len or 16, allow_shift=True, pgajs0=True)
-        ok = bisimilar(run_exec(p), extract_pgajs(p))
-        return print_program(p), ok
-    spec = random_spec(rng, max_len or 8)
-    compiled = corollary1_pipeline(spec)
-    ok = bisimilar(extract_pgajs(compiled), spec) and bisimilar(
-        behaviour_via_counter(compiled), spec
-    )
-    return print_program(compiled), ok
-
-
-def _verify_single(theorem: str, text: str) -> bool:
-    if theorem == "1":
-        p = parse_program(text)
-        return bisimilar(extract(p), extract_pgajs(transform_to_pgajs0(p)))
-    if theorem == "2":
-        return verify_theorem2(parse_program(text))
-    if theorem == "exec":
-        p = parse_program(text)
-        return bisimilar(run_exec(p), extract_pgajs(p))
-    spec = parse_thread(text)
-    compiled = corollary1_pipeline(spec)
-    return bisimilar(extract_pgajs(compiled), spec) and bisimilar(
-        behaviour_via_counter(compiled), spec
-    )
+# `--theorem` values and the properties they name
+_THEOREMS = {"1": "transform", "2": "counter", "exec": "exec", "roundtrip": "roundtrip"}
 
 
 def cmd_verify(args) -> int:
+    prop = PROPERTIES[_THEOREMS[args.theorem]]
     if args.in_ is not None:
-        text = _read_input(args.in_)
-        ok = _verify_single(args.theorem, text)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "theorem": args.theorem,
-                        "cases": [
-                            {
-                                "case": 0,
-                                "verdict": "pass" if ok else "fail",
-                                "program": text.strip(),
-                                "seed": None,
-                            }
-                        ],
-                        "passed": int(ok),
-                        "total": 1,
-                    }
-                )
-            )
-        else:
-            print("pass" if ok else f"fail: {text.strip()}")
-        return EXIT_OK if ok else EXIT_FAIL
-
-    rng = random.Random(args.seed)
-    cases = []
-    passed = 0
-    first_failure = None
-    for i in range(args.count):
-        program, ok = _verify_case(args.theorem, rng, args.max_len)
-        passed += ok
-        if not ok and first_failure is None:
-            first_failure = program
-        cases.append(
-            {
-                "case": i,
-                "verdict": "pass" if ok else "fail",
-                "program": program,
-                "seed": args.seed,
-            }
-        )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "theorem": args.theorem,
-                    "cases": cases,
-                    "passed": passed,
-                    "total": args.count,
-                }
-            )
-        )
+        text = _read_input(args.in_).strip()
+        seed, results = None, [(text, prop.check(prop.read(text)))]
     else:
-        print(f"{passed}/{args.count} pass")
-        if first_failure is not None:
-            print(f"first failure: {first_failure}")
-    return EXIT_OK if passed == args.count else EXIT_FAIL
+        drawn = draw_cases(prop, args.seed, args.count, args.max_len)
+        seed, results = args.seed, [(prop.show(c), prop.check(c)) for c in drawn]
+    passed = sum(ok for _, ok in results)
+    failures = [text for text, ok in results if not ok]
+    if args.json:
+        cases = [
+            {"case": i, "verdict": "pass" if ok else "fail", "program": t, "seed": seed}
+            for i, (t, ok) in enumerate(results)
+        ]
+        total = len(results)
+        print(json.dumps({"theorem": args.theorem, "cases": cases,
+                          "passed": passed, "total": total}))
+    elif args.in_ is not None:
+        print(f"fail: {failures[0]}" if failures else "pass")
+    else:
+        print(f"{passed}/{len(results)} pass")
+        if failures:
+            print(f"first failure: {failures[0]}")
+    return EXIT_FAIL if failures else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -226,9 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="print the canonical form")
     add_input(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--shifts", action="store_true", help="fold jump-shifts away")
-    mode.add_argument("--canonical", action="store_true", help="default mode")
+    p.add_argument("--shifts", action="store_true", help="fold jump-shifts away")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("extract", help="print the extracted thread")
@@ -266,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("--theorem", required=True, choices=["1", "2", "exec", "roundtrip"])
+    p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -281,29 +211,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# The exit code of each error a command raises; the first match counts.
+_ERROR_EXITS = (
+    (JumpOverflowError, EXIT_OVERFLOW),
+    ((NotPgajs0Error, ShiftPresentError, AlphabetMismatchError), EXIT_PRECONDITION),
+    (BudgetExceededError, EXIT_BUDGET),
+    (CompileError, EXIT_COMPILE),
+    ((ProgramError, ThreadError, ConfigError), EXIT_PARSE),
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (JumpOverflowError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except (NotPgajs0Error, ShiftPresentError, AlphabetMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CompileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPILE
-    except (ProgramSyntaxError, ThreadError, ConfigError, AlphabetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point the descriptor at devnull, so
+        # that the flush at interpreter exit does not fail again.
+        if sys.stdout is sys.__stdout__:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_PARSE
-    except ProgramError as exc:
+    except (ProgramError, ThreadError, ConfigError, BudgetExceededError,
+            CompileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kinds, code in _ERROR_EXITS if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

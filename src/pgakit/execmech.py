@@ -6,6 +6,10 @@ sequence and a position in it, with head-equality queries and a drop) and
 a counter (tracking pending skips).  Hiding the service traffic leaves the
 program's own behaviour, equal to direct extraction (run_exec vs
 extract_pgajs).
+
+The thread finds the instruction at the head by `hdeq` queries and enacts
+it by the two-mode equations, laid out from the table in `altsem` that
+`extract_alt` reads too; its `pgs.drop` steps move the program service on.
 """
 
 from __future__ import annotations
@@ -13,7 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .altsem import NotPgajs0Error
+from .altsem import (
+    _BASIC,
+    _COUNTDOWN,
+    _DEAD,
+    _FLY_OVER,
+    _GUARDED,
+    _MOVE_ON,
+    _NEXT,
+    _READ,
+    _SKIP,
+    NotPgajs0Error,
+    _lay_out,
+)
 from .services import (
     Budget,
     Reply,
@@ -25,7 +41,6 @@ from .services import (
 from .syntax import (
     HALT,
     SHIFT,
-    Halt,
     InstructionSequence,
     Instruction,
     Jump,
@@ -35,7 +50,6 @@ from .syntax import (
     ProgramError,
     ProgramSyntaxError,
     RESERVED_FOCI,
-    Shift,
     basics_of,
     instruction_at,
     instruction_text,
@@ -196,66 +210,43 @@ def pgs_new(
 
 def build_exec_mechanism(alphabet: Alphabet) -> ThreadSpec:
     """The dispatch thread: query the head against each alphabet entry in
-    order and enact the matched instruction, mirroring the two-mode
-    extraction equations; an exhausted program behaves like a trailing #0.
-    State count is 16m + 16 for m admitted basics, independent of any
-    program."""
+    order and enact the matched instruction; an exhausted program behaves
+    like a trailing #0.  State count is 16m + 16 for m admitted basics,
+    independent of any program."""
     states: Dict[str, Body] = {}
     units = alphabet.instructions
+    exits = {_READ: "q0", _SKIP: "sq", _DEAD: "dead"}
 
     def hdeq(u: Instruction) -> Basic:
         return Basic("pgs", "hdeq:" + instruction_text(u))
 
-    drop = Basic("pgs", "drop")
-    clr = Basic("cnt", "clr")
-    inc = Basic("cnt", "inc")
-    dec = Basic("cnt", "dec")
-    isz = Basic("cnt", "isz")
+    def lay_out(steps, names, basic=None, ends=exits, moved=None):
+        for name, action, then, else_ in _lay_out(steps, names, ends, moved):
+            states[name] = Post(basic if action is _BASIC else action, then, else_)
 
-    # guarded-mode dispatch chain
+    # guarded-mode dispatch chain; an exhausted program reads as a #0 with
+    # no head to drop
     for i, u in enumerate(units):
         nxt = f"q{i + 1}" if i + 1 < len(units) else "gend"
         states[f"q{i}"] = Post(hdeq(u), f"e{i}", nxt)
-    states["gend"] = Post(isz, "dead", "sq")
+    lay_out(_GUARDED[Jump], ("gend",), moved=exits)
     states["dead"] = DEADLOCK
 
     # skipping-mode loop: count down at every head, land by re-dispatching
-    # the same head, and restore the counter when flying over a shift
-    states["sq"] = Post(dec, "sisz", "sisz")
-    states["sisz"] = Post(isz, "q0", "schk")
+    # the same head, and fly over a shift
+    lay_out(_COUNTDOWN, ("sq", "sisz"), ends={**exits, _NEXT: "schk"})
     states["schk"] = Post(hdeq(SHIFT), "sshr", "sdrop")
-    states["sshr"] = Post(inc, "sshd", "sshd")
-    states["sshd"] = Post(drop, "sq", "sq")
-    states["sdrop"] = Post(drop, "sq", "sq")
+    lay_out(_FLY_OVER, ("sshr", "sshd"))
+    lay_out(_MOVE_ON, ("sdrop",))
 
     # per-instruction enactments
     for i, u in enumerate(units):
         e = f"e{i}"
-        if isinstance(u, Halt):
+        steps = _GUARDED[type(u)]
+        if not steps:
             states[e] = STOP
-        elif isinstance(u, Shift):
-            states[e] = Post(drop, f"{e}b", f"{e}b")
-            states[f"{e}b"] = Post(inc, "q0", "q0")
-        elif isinstance(u, Jump):
-            states[e] = Post(isz, "dead", f"{e}b")
-            states[f"{e}b"] = Post(drop, "sq", "sq")
-        elif isinstance(u, Plain):
-            states[e] = Post(drop, f"{e}b", f"{e}b")
-            states[f"{e}b"] = Post(clr, f"{e}c", f"{e}c")
-            states[f"{e}c"] = Post(u.basic, "q0", "q0")
-        elif isinstance(u, PosTest):
-            states[e] = Post(drop, f"{e}b", f"{e}b")
-            states[f"{e}b"] = Post(clr, f"{e}c", f"{e}c")
-            states[f"{e}c"] = Post(u.basic, "q0", f"{e}d")
-            states[f"{e}d"] = Post(inc, f"{e}f", f"{e}f")
-            states[f"{e}f"] = Post(inc, "sq", "sq")
-        else:
-            assert isinstance(u, NegTest)
-            states[e] = Post(drop, f"{e}b", f"{e}b")
-            states[f"{e}b"] = Post(clr, f"{e}c", f"{e}c")
-            states[f"{e}c"] = Post(u.basic, f"{e}d", "q0")
-            states[f"{e}d"] = Post(inc, f"{e}f", f"{e}f")
-            states[f"{e}f"] = Post(inc, "sq", "sq")
+        names = (e, e + "b", e + "c", e + "d", e + "f")
+        lay_out(steps, names, getattr(u, "basic", None))
     return validate(ThreadSpec(states, "q0"))
 
 

@@ -51,10 +51,6 @@ class Service:
         raise NotImplementedError
 
 
-def service_apply(svc: Service, method: str) -> Tuple[Service, Reply]:
-    return svc.apply(method)
-
-
 @dataclass(frozen=True)
 class CounterService(Service):
     """Natural-number counter.  clr zeroes, inc adds one, dec subtracts one

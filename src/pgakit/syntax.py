@@ -167,10 +167,6 @@ class InstructionSequence:
         return len(self.prefix) + len(self.period)
 
 
-def sequences_equal(a: InstructionSequence, b: InstructionSequence) -> bool:
-    return a == b
-
-
 def instruction_at(s: InstructionSequence, i: int) -> Optional[Instruction]:
     """Instruction at unfolded position i, or None past the end of a finite
     sequence."""

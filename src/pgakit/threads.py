@@ -128,10 +128,6 @@ def validate(spec: ThreadSpec) -> ThreadSpec:
     return ThreadSpec(states, spec.root)
 
 
-def residual_count(spec: ThreadSpec) -> int:
-    return len(validate(spec).states)
-
-
 def relabel(spec: ThreadSpec, prefix: str = "X") -> ThreadSpec:
     """Rename states to prefix0, prefix1, ... in breadth-first discovery
     order from the root.  Deterministic, so printed output is reproducible."""

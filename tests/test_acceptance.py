@@ -11,7 +11,6 @@ from functools import lru_cache
 from pgakit import (
     Basic,
     Branch,
-    CounterService,
     DEADLOCK,
     Post,
     STOP,
@@ -21,12 +20,10 @@ from pgakit import (
     behaviour_via_counter,
     bisimilar,
     build_exec_mechanism,
-    collapse_counter_divergence,
     compose,
     corollary1_pipeline,
     counter_new,
     extract,
-    extract_alt,
     extract_pgajs,
     normalize_shifts,
     parse_program,
@@ -36,12 +33,11 @@ from pgakit import (
     projections_agree,
     run_exec,
     theorem3_witness,
-    transform_to_pgajs0,
     validate,
-    verify_theorem2,
 )
 from pgakit.execmech import Alphabet
-from pgakit.corpus import random_program, random_spec, spec_pair
+from pgakit.corpus import spec_pair
+from pgakit.properties import PROPERTIES, counter_peak, draw_cases
 from strategies import chain_spec
 
 P = parse_program
@@ -148,13 +144,15 @@ def test_criterion_1_axiom_instances():
 
 # --- criterion 2: jump-free transformation preserves behaviour --------------
 
+def _assert_holds(name, cases):
+    prop = PROPERTIES[name]
+    for case in cases:
+        assert prop.check(case), prop.show(case)
+
+
 def test_criterion_2_transform_property():
     started = time.monotonic()
-    rng = random.Random(2024)
-    for _ in range(1000):
-        p = random_program(rng, max_len=12)
-        q = transform_to_pgajs0(p)
-        assert bisimilar(extract(p), extract_pgajs(q)), print_program(p)
+    _assert_holds("transform", draw_cases(PROPERTIES["transform"], 2024, 1000))
     _report("criterion-2 jump-expansion 1000 programs", started, limit=60.0)
 
 
@@ -162,34 +160,14 @@ def test_criterion_2_transform_property():
 
 @lru_cache(maxsize=1)
 def _zero_jump_corpus():
-    rng = random.Random(2025)
-    return tuple(
-        random_program(rng, max_len=16, allow_shift=True, pgajs0=True)
-        for _ in range(500)
-    )
-
-
-class _RecordingCounter(CounterService):
-    def __init__(self, content, sink):
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "sink", sink)
-
-    def apply(self, method):
-        nxt, reply = super().apply(method)
-        if nxt.content is not None:
-            self.sink.append(nxt.content)
-        return _RecordingCounter(nxt.content, self.sink), reply
+    return tuple(draw_cases(PROPERTIES["counter"], 2025, 500))
 
 
 def test_criterion_3_counter_extraction_property():
     started = time.monotonic()
+    _assert_holds("counter", _zero_jump_corpus())
     for p in _zero_jump_corpus():
-        assert verify_theorem2(p), print_program(p)
-        seen = []
-        inner = collapse_counter_divergence(extract_alt(p))
-        compose(inner, "cnt", _RecordingCounter(0, seen))
-        bound = len(p.prefix) + len(p.period) + 2
-        assert max(seen, default=0) <= bound, print_program(p)
+        assert counter_peak(p) <= len(p) + 2, print_program(p)
     _report("criterion-3 counter-driven extraction 500 programs", started, limit=120.0)
 
 
@@ -197,8 +175,7 @@ def test_criterion_3_counter_extraction_property():
 
 def test_criterion_4_execution_mechanism():
     started = time.monotonic()
-    for p in _zero_jump_corpus():
-        assert bisimilar(run_exec(p), extract_pgajs(p)), print_program(p)
+    _assert_holds("exec", _zero_jump_corpus())
     # the mechanism depends on the alphabet alone
     one = build_exec_mechanism(Alphabet.from_sequence(P("f.a; +f.b; !")))
     other = build_exec_mechanism(Alphabet.from_sequence(P("(-f.b; ~; #0; f.a)*")))
@@ -216,12 +193,7 @@ def test_criterion_4_execution_mechanism():
 
 def test_criterion_5_compile_roundtrip():
     started = time.monotonic()
-    rng = random.Random(2026)
-    for _ in range(200):
-        spec = random_spec(rng, max_states=8)
-        out = corollary1_pipeline(spec)
-        assert bisimilar(extract_pgajs(out), spec)
-        assert bisimilar(behaviour_via_counter(out), spec)
+    _assert_holds("roundtrip", draw_cases(PROPERTIES["roundtrip"], 2026, 200))
     _report("criterion-5 compile roundtrip 200 specs", started, limit=60.0)
 
 

@@ -3,21 +3,19 @@ from hypothesis import given, settings
 
 from pgakit import (
     Basic,
-    CounterService,
     NotPgajs0Error,
     Post,
     STOP,
     abstract_tau,
     behaviour_via_counter,
     bisimilar,
-    collapse_counter_divergence,
-    compose,
     extract_alt,
     extract_pgajs,
     parse_program,
     parse_thread,
     verify_theorem2,
 )
+from pgakit.properties import counter_peak
 
 from strategies import programs
 
@@ -94,35 +92,21 @@ def test_counter_driven_extraction_matches_direct(s):
     assert verify_theorem2(s)
 
 
-class RecordingCounter(CounterService):
-    """Counter that reports every content value it reaches."""
-
-    def __init__(self, content, sink):
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "sink", sink)
-
-    def apply(self, method):
-        nxt, reply = super().apply(method)
-        if nxt.content is not None:
-            self.sink.append(nxt.content)
-        return RecordingCounter(nxt.content, self.sink), reply
-
-
-def observed_counter_peak(s):
-    seen = []
-    inner = collapse_counter_divergence(extract_alt(s))
-    compose(inner, "cnt", RecordingCounter(0, seen))
-    return max(seen, default=0)
+def test_counter_peak_is_the_largest_content():
+    # each shift of a run adds one; a failed test adds two
+    assert counter_peak(P("~; ~; ~; #0; !")) == 3
+    assert counter_peak(P("+f.a; f.b; !")) == 2
+    assert counter_peak(P("f.a; !")) == 0
 
 
 def test_counter_stays_small():
     s = P("(+f.b; ~; ~; ~; ~; ~; #0; ~; #0; !; !; !)*")
     total = len(s.prefix) + len(s.period)
-    assert observed_counter_peak(s) <= total + 2
+    assert counter_peak(s) <= total + 2
 
 
 @given(programs(max_len=10, with_shift=True, only_zero_jump=True))
 @settings(max_examples=150, deadline=None)
 def test_counter_bound_holds_generally(s):
     total = len(s.prefix) + len(s.period)
-    assert observed_counter_peak(s) <= total + 2
+    assert counter_peak(s) <= total + 2

@@ -1,8 +1,10 @@
+import io
 import json
+import sys
 
 import pytest
 
-from pgakit.cli import main
+from pgakit.cli import EXIT_PARSE, main
 
 
 def run(capsys, *argv):
@@ -43,6 +45,13 @@ def test_extract_dot(capsys):
     code, out, _ = run(capsys, "extract", "--dot", "f.a; !")
     assert code == 0
     assert out.startswith("digraph")
+
+
+def test_extract_modes_share_state_names(capsys):
+    for mode in ("--alt", "--via-counter"):
+        code, out, _ = run(capsys, "extract", mode, "+f.a; ~; #0; !")
+        assert code == 0
+        assert out.startswith("X0 = "), mode
 
 
 def test_extract_via_counter(capsys):
@@ -147,3 +156,24 @@ def test_verify_json_single(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] == 1
+
+
+@pytest.mark.parametrize("theorem", ["1", "2", "exec", "roundtrip"])
+def test_verify_prints_cases_it_can_read_back(capsys, theorem):
+    code, out, _ = run(
+        capsys, "verify", "--theorem", theorem, "--count", "1", "--seed", "3", "--json"
+    )
+    case = json.loads(out)["cases"][0]
+    again, out, _ = run(capsys, "verify", "--theorem", theorem, "--in", case["program"], "--json")
+    assert again == code
+    assert json.loads(out)["cases"][0]["verdict"] == case["verdict"]
+
+
+def test_closed_stdout_is_a_documented_exit(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["verify", "--theorem", "1", "--count", "30", "--json"]) == EXIT_PARSE
+    assert main(["normalize", "f.a; !"]) == EXIT_PARSE

@@ -20,7 +20,6 @@ from pgakit import (
     parse_program,
     pgs_new,
     run_exec,
-    service_apply,
     theorem3_witness,
     corollary1_pipeline,
     behaviour_via_counter,
@@ -71,60 +70,60 @@ def test_alphabet_membership():
 # program service
 def test_pgs_head_queries():
     svc = pgs_new(P("+f.a; !"))
-    _, r = service_apply(svc, "hdeq:+f.a")
+    _, r = svc.apply("hdeq:+f.a")
     assert r == Reply.TRUE
-    _, r = service_apply(svc, "hdeq:!")
+    _, r = svc.apply("hdeq:!")
     assert r == Reply.FALSE
-    _, r = service_apply(svc, "hdeq:~")
+    _, r = svc.apply("hdeq:~")
     assert r == Reply.FALSE
 
 
 def test_pgs_drop_advances():
     svc = pgs_new(P("f.a; !"))
-    svc, r = service_apply(svc, "drop")
+    svc, r = svc.apply("drop")
     assert r == Reply.TRUE
-    _, r = service_apply(svc, "hdeq:!")
+    _, r = svc.apply("hdeq:!")
     assert r == Reply.TRUE
 
 
 def test_pgs_empty_program_replies_false():
     svc = pgs_new(P("f.a"))
-    svc, r = service_apply(svc, "drop")
+    svc, r = svc.apply("drop")
     assert r == Reply.TRUE
-    svc, r = service_apply(svc, "drop")
+    svc, r = svc.apply("drop")
     assert r == Reply.FALSE
-    _, r = service_apply(svc, "hdeq:f.a")
+    _, r = svc.apply("hdeq:f.a")
     assert r == Reply.FALSE
 
 
 def test_pgs_periodic_never_exhausts():
     svc = pgs_new(P("(f.a; f.b)*"))
     for expect in ("hdeq:f.a", "hdeq:f.b", "hdeq:f.a"):
-        _, r = service_apply(svc, expect)
+        _, r = svc.apply(expect)
         assert r == Reply.TRUE
-        svc, _ = service_apply(svc, "drop")
+        svc, _ = svc.apply("drop")
 
 
 def test_pgs_blocks_outside_alphabet():
     # unbounded service answers any well-formed query
     free = pgs_new(P("f.a; !"))
-    _, r = service_apply(free, "hdeq:g.m")
+    _, r = free.apply("hdeq:g.m")
     assert r == Reply.FALSE
     # alphabet-bounded service wedges on queries it does not admit
     svc = pgs_new(P("f.a; !"), Alphabet.from_basics([fa]))
-    _, r = service_apply(svc, "hdeq:g.m")
+    _, r = svc.apply("hdeq:g.m")
     assert r == Reply.BLOCKED
-    _, r = service_apply(svc, "hdeq:not an instruction")
+    _, r = svc.apply("hdeq:not an instruction")
     assert r == Reply.BLOCKED
-    bad, r = service_apply(svc, "frob")
+    bad, r = svc.apply("frob")
     assert r == Reply.BLOCKED
-    _, r = service_apply(bad, "drop")
+    _, r = bad.apply("drop")
     assert r == Reply.BLOCKED
 
 
 def test_pgs_key_tracks_residue():
     svc = pgs_new(P("f.a; !"))
-    svc2, _ = service_apply(svc, "drop")
+    svc2, _ = svc.apply("drop")
     assert svc.key() != svc2.key()
 
 
@@ -133,14 +132,14 @@ def test_pgs_key_names_the_position():
     keys = []
     for _ in range(5):
         keys.append(svc.key())
-        svc, _ = service_apply(svc, "drop")
+        svc, _ = svc.apply("drop")
     # a periodic sequence wraps back into its period
     assert keys == ["pgs:0", "pgs:1", "pgs:2", "pgs:1", "pgs:2"]
     fin = pgs_new(P("f.a; !"))
-    fin, _ = service_apply(fin, "drop")
-    fin, _ = service_apply(fin, "drop")
+    fin, _ = fin.apply("drop")
+    fin, _ = fin.apply("drop")
     assert fin.key() == "pgs:eps"
-    wedged, _ = service_apply(fin, "frob")
+    wedged, _ = fin.apply("frob")
     assert wedged.key() == "pgs:undef"
 
 

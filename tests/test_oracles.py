@@ -1,4 +1,4 @@
-"""Library layers against their earlier, quadratic algorithms.
+"""Library layers against their earlier algorithms.
 
 The copies below are the algorithms that `abstract_tau`, the program
 service, the naming pass of `compose` and `bisimilar` used before they were
@@ -7,6 +7,11 @@ printed remaining sequence, suffix numbering from 1 for every copy, and
 partition refinement in full passes.  The first three build the same states
 under the same names, so results must be equal (`==`) and print
 identically, not just bisimilar; the refinement must give the same verdict.
+
+`_old_extract_alt` and `_old_build_exec_mechanism` are the two builders as
+they were written before both read one table of the two-mode equations:
+one hand-written enactment per instruction kind.  The table-driven builders
+must give the same states under the same names.
 """
 
 import random
@@ -15,13 +20,20 @@ from typing import Optional
 
 from pgakit import (
     DEADLOCK,
+    SHIFT,
     STOP,
     Alphabet,
     Basic,
+    Halt,
     InstructionSequence,
+    Jump,
+    NegTest,
+    Plain,
+    PosTest,
     Post,
     Reply,
     Service,
+    Shift,
     Stop,
     Tau,
     ThreadSpec,
@@ -32,6 +44,7 @@ from pgakit import (
     compose,
     corollary1_pipeline,
     counter_new,
+    extract_alt,
     extract_pgajs,
     parse_instruction,
     pgs_new,
@@ -43,7 +56,13 @@ from pgakit import (
 )
 from pgakit.corpus import random_program, random_spec, spec_pair
 from pgakit.services import _state_names
-from pgakit.syntax import ProgramSyntaxError, drop_head, head, print_program
+from pgakit.syntax import (
+    ProgramSyntaxError,
+    drop_head,
+    head,
+    instruction_text,
+    print_program,
+)
 from strategies import BASICS, chain_spec, deep_spec, renamed_copy
 
 
@@ -153,6 +172,114 @@ def _refinement_bisimilar(a, b):
             return new[("a", a.root)] == new[("b", b.root)]
         block = new
         nblocks = len(sigs)
+
+
+_CLR = Basic("cnt", "clr")
+_INC = Basic("cnt", "inc")
+_DEC = Basic("cnt", "dec")
+_ISZ = Basic("cnt", "isz")
+
+
+def _old_extract_alt(s):
+    p = len(s.prefix)
+    q = len(s.period)
+    finite = q == 0
+    total = p + q + (1 if finite else 0)
+
+    def instr(i):
+        if finite and i == p + q:
+            return Jump(0)
+        if i < p:
+            return s.prefix[i]
+        return s.period[i - p]
+
+    def succ(i):
+        if finite:
+            return min(i + 1, total - 1)
+        return i + 1 if i + 1 < total else p
+
+    states = {}
+    for i in range(total):
+        u = instr(i)
+        g = f"g{i}"
+        nxt = f"g{succ(i)}"
+        if isinstance(u, Halt):
+            states[g] = STOP
+        elif isinstance(u, Shift):
+            states[g] = Post(_INC, nxt, nxt)
+        elif isinstance(u, Jump):
+            states[g] = Post(_ISZ, "dd", f"s{succ(i)}")
+        elif isinstance(u, Plain):
+            states[g] = Post(_CLR, f"{g}a", f"{g}a")
+            states[f"{g}a"] = Post(u.basic, nxt, nxt)
+        elif isinstance(u, PosTest):
+            states[g] = Post(_CLR, f"{g}a", f"{g}a")
+            states[f"{g}a"] = Post(u.basic, nxt, f"{g}b")
+            states[f"{g}b"] = Post(_INC, f"{g}c", f"{g}c")
+            states[f"{g}c"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
+        else:
+            assert isinstance(u, NegTest)
+            states[g] = Post(_CLR, f"{g}a", f"{g}a")
+            states[f"{g}a"] = Post(u.basic, f"{g}b", nxt)
+            states[f"{g}b"] = Post(_INC, f"{g}c", f"{g}c")
+            states[f"{g}c"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
+        states[f"s{i}"] = Post(_DEC, f"s{i}a", f"s{i}a")
+        if isinstance(u, Shift):
+            states[f"s{i}a"] = Post(_ISZ, g, f"s{i}b")
+            states[f"s{i}b"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
+        else:
+            states[f"s{i}a"] = Post(_ISZ, g, f"s{succ(i)}")
+    states["dd"] = DEADLOCK
+    return validate(ThreadSpec(states, "g0"))
+
+
+def _old_build_exec_mechanism(alphabet):
+    states = {}
+    units = alphabet.instructions
+
+    def hdeq(u):
+        return Basic("pgs", "hdeq:" + instruction_text(u))
+
+    drop = Basic("pgs", "drop")
+    for i, u in enumerate(units):
+        nxt = f"q{i + 1}" if i + 1 < len(units) else "gend"
+        states[f"q{i}"] = Post(hdeq(u), f"e{i}", nxt)
+    states["gend"] = Post(_ISZ, "dead", "sq")
+    states["dead"] = DEADLOCK
+    states["sq"] = Post(_DEC, "sisz", "sisz")
+    states["sisz"] = Post(_ISZ, "q0", "schk")
+    states["schk"] = Post(hdeq(SHIFT), "sshr", "sdrop")
+    states["sshr"] = Post(_INC, "sshd", "sshd")
+    states["sshd"] = Post(drop, "sq", "sq")
+    states["sdrop"] = Post(drop, "sq", "sq")
+    for i, u in enumerate(units):
+        e = f"e{i}"
+        if isinstance(u, Halt):
+            states[e] = STOP
+        elif isinstance(u, Shift):
+            states[e] = Post(drop, f"{e}b", f"{e}b")
+            states[f"{e}b"] = Post(_INC, "q0", "q0")
+        elif isinstance(u, Jump):
+            states[e] = Post(_ISZ, "dead", f"{e}b")
+            states[f"{e}b"] = Post(drop, "sq", "sq")
+        elif isinstance(u, Plain):
+            states[e] = Post(drop, f"{e}b", f"{e}b")
+            states[f"{e}b"] = Post(_CLR, f"{e}c", f"{e}c")
+            states[f"{e}c"] = Post(u.basic, "q0", "q0")
+        elif isinstance(u, PosTest):
+            states[e] = Post(drop, f"{e}b", f"{e}b")
+            states[f"{e}b"] = Post(_CLR, f"{e}c", f"{e}c")
+            states[f"{e}c"] = Post(u.basic, "q0", f"{e}d")
+            states[f"{e}d"] = Post(_INC, f"{e}f", f"{e}f")
+            states[f"{e}f"] = Post(_INC, "sq", "sq")
+        else:
+            assert isinstance(u, NegTest)
+            states[e] = Post(drop, f"{e}b", f"{e}b")
+            states[f"{e}b"] = Post(_CLR, f"{e}c", f"{e}c")
+            states[f"{e}c"] = Post(u.basic, f"{e}d", "q0")
+            states[f"{e}d"] = Post(_INC, f"{e}f", f"{e}f")
+            states[f"{e}f"] = Post(_INC, "sq", "sq")
+    return validate(ThreadSpec(states, "q0"))
 
 
 def _assert_same(got, want):
@@ -276,3 +403,24 @@ def test_bisimilar_matches_refinement_on_large_families():
         pairs.append((base, renamed_copy(rng, base, "u")))
         pairs.append((base, renamed_copy(rng, base, "v", flip=f"s{n // 2}")))
     assert _assert_same_verdict(pairs) == [True, False] * 8
+
+
+def test_two_mode_builders_match_hand_written_equations():
+    rng = random.Random(2038)
+    corpus = [
+        random_program(rng, max_len=16, allow_shift=True, pgajs0=True)
+        for _ in range(300)
+    ]
+    # runs of shifts ending a finite program, and inside a period
+    corpus += [InstructionSequence((SHIFT,) * k + (Jump(0),), ()) for k in range(4)]
+    corpus += [InstructionSequence((), (SHIFT,) * k + (Jump(0), Halt()))
+               for k in range(1, 4)]
+    corpus += [corollary1_pipeline(theorem3_witness(n)) for n in (1, 2, 3)]
+    assert any(not p.period for p in corpus) and any(p.period for p in corpus)
+    for p in corpus:
+        _assert_same(extract_alt(p), _old_extract_alt(p))
+        alphabet = Alphabet.from_sequence(p)
+        _assert_same(build_exec_mechanism(alphabet), _old_build_exec_mechanism(alphabet))
+    for m in (1, 2, 3, 4):
+        alphabet = Alphabet.from_basics(Basic("f", chr(ord("a") + i)) for i in range(m))
+        _assert_same(build_exec_mechanism(alphabet), _old_build_exec_mechanism(alphabet))

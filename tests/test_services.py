@@ -19,7 +19,6 @@ from pgakit import (
     compose,
     counter_new,
     parse_thread,
-    service_apply,
     validate,
 )
 
@@ -48,17 +47,17 @@ fa = Basic("f", "a")
     ],
 )
 def test_counter_table(start, method, content, reply):
-    nxt, got = service_apply(counter_new(start), method)
+    nxt, got = counter_new(start).apply(method)
     assert got == reply
     assert nxt.content == content
 
 
 def test_counter_unknown_method_wedges():
-    bad, reply = service_apply(counter_new(0), "frob")
+    bad, reply = counter_new(0).apply("frob")
     assert reply == Reply.BLOCKED
     assert bad.content is None
     # once wedged, always wedged
-    worse, reply2 = service_apply(bad, "inc")
+    worse, reply2 = bad.apply("inc")
     assert reply2 == Reply.BLOCKED and worse.content is None
 
 
@@ -77,7 +76,7 @@ def test_counter_content_tracks_history(start, methods):
     svc = counter_new(start)
     model = start
     for m in methods:
-        svc, reply = service_apply(svc, m)
+        svc, reply = svc.apply(m)
         if m == "clr":
             model = 0
         elif m == "inc":

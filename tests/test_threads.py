@@ -21,7 +21,6 @@ from pgakit import (
     project,
     projections_agree,
     relabel,
-    residual_count,
     to_dot,
     validate,
 )
@@ -67,11 +66,6 @@ def test_relabel_is_breadth_first():
     assert out.states["X0"] == Post(a, "X1", "X2")
     assert out.states["X1"] == DEADLOCK
     assert out.states["X2"] == STOP
-
-
-def test_residual_count():
-    spec = validate(ThreadSpec({"x": Post(a, "y", "y"), "y": STOP}, "x"))
-    assert residual_count(spec) == 2
 
 
 def test_actions_of():
