@@ -51,7 +51,6 @@ from .syntax import (
     normalize_shifts,
     parse_instruction,
     parse_program,
-    parse_term,
     print_program,
     to_canonical,
     transform_to_pgajs0,

@@ -47,13 +47,19 @@ EXIT_COMPILE = 6
 
 
 def _read_input(value: str) -> str:
-    """Input resolution: `-` reads stdin, an existing path reads the file,
+    """Input resolution: `-` reads stdin, the path of a file reads the file,
     anything else is taken literally."""
-    if value == "-":
-        return sys.stdin.read()
-    if os.path.exists(value):
-        with open(value, "r", encoding="utf-8") as fh:
-            return fh.read()
+    if not isinstance(value, str):
+        # argparse reads `--in=--` as an empty list of values
+        raise ConfigError("'--' is not an input")
+    try:
+        if value == "-":
+            return sys.stdin.read()
+        if os.path.isfile(value):
+            with open(value, "r", encoding="utf-8") as fh:
+                return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {value!r}: {exc}") from exc
     return value
 
 
@@ -119,6 +125,10 @@ _THEOREMS = {"1": "transform", "2": "counter", "exec": "exec", "roundtrip": "rou
 
 
 def cmd_verify(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"--count must be at least 0, not {args.count}")
+    if args.max_len is not None and args.max_len < 1:
+        raise ConfigError(f"--max-len must be at least 1, not {args.max_len}")
     prop = PROPERTIES[_THEOREMS[args.theorem]]
     if args.in_ is not None:
         text = _read_input(args.in_).strip()

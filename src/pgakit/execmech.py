@@ -126,12 +126,6 @@ class Alphabet:
         object.__setattr__(self, "_members", frozenset(seen))
         object.__setattr__(self, "_by_text", by_text)
 
-    @property
-    def basics(self) -> frozenset:
-        return frozenset(
-            u.basic for u in self.instructions if isinstance(u, Plain)
-        )
-
     def __contains__(self, u: Instruction) -> bool:
         return u in self._members
 

@@ -8,6 +8,7 @@ behaviour under unfolding means structural equality of the dataclass.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -218,233 +219,247 @@ def basics_of(s: InstructionSequence) -> set:
 
 
 # === term -> sequence ===
+#
+# A `;`-list is read into a prefix list and, once one of its factors loops,
+# that loop; what follows a loop in the same list is unreachable.  The lists
+# of the stars still open wait on an explicit stack, so neither the parser
+# nor `to_canonical` recurses once per nesting level.
 
 
-def _flatten(term: Term) -> Tuple[List[Instruction], List[Instruction]]:
-    """Prefix and period lists of a term.  A `;`-list is a right-nested
-    Concat chain, so the chain is walked in a loop that appends into one
-    prefix; recursion only enters left operands and starred bodies."""
-    prefix: List[Instruction] = []
-    while isinstance(term, Concat):
-        lp, lq = _flatten(term.left)
-        prefix += lp
-        if lq:
-            # anything after an infinite iteration is unreachable
-            return prefix, lq
-        term = term.right
-    if isinstance(term, Instr):
-        prefix.append(term.instruction)
-        return prefix, []
-    body_p, body_q = _flatten(term.body)
-    if body_q:
-        # iterating a term that already ends in a loop keeps that loop
-        return prefix + body_p, body_q
-    return prefix, body_p
+def _close_star(stack: list, prefix: List[Instruction], period):
+    """Leave a starred list and add it as a factor to the enclosing list,
+    which is popped from `stack` and returned as (prefix, period)."""
+    if period is None:
+        body_prefix, body_period = [], prefix
+    else:
+        # iterating a list that already ends in a loop keeps that loop
+        body_prefix, body_period = prefix, period
+    prefix, period = stack.pop()
+    if period is None:
+        prefix += body_prefix
+        period = body_period
+    return prefix, period
 
 
 def to_canonical(term: Term) -> InstructionSequence:
-    prefix, period = _flatten(term)
-    return InstructionSequence(tuple(prefix), tuple(period))
+    prefix: List[Instruction] = []
+    period = None
+    stack: list = []
+    todo: list = [term]  # terms still to read, next one last; None ends a star
+    while todo:
+        t = todo.pop()
+        if t is None:
+            prefix, period = _close_star(stack, prefix, period)
+        elif isinstance(t, Concat):
+            todo += (t.right, t.left)
+        elif isinstance(t, Repeat):
+            stack.append((prefix, period))
+            prefix, period = [], None
+            todo += (None, t.body)
+        elif period is None:
+            prefix.append(t.instruction)
+    return InstructionSequence(tuple(prefix), tuple(period or ()))
 
 
 # === parser ===
+#
+#   program     := factor (";" factor)*
+#   factor      := "(" program ")" "*" | instruction
+#   instruction := "!" | "~" | "#" NAT | "+" basic | "-" basic | basic
+#   basic       := IDENT "." name ("." name)*        name := IDENT | NAT
+#
+# Between two `;` there is always a piece of the form "("*, an instruction,
+# then (")" "*")*, so `parse_program` splits the text at `;` and reads each
+# distinct piece once.  The text is checked for unexpected characters
+# before any other error is reported, and `//` comments count as
+# whitespace, except that end of input is placed where a comment on the
+# last line begins.
 
-_PUNCT = {";", "(", ")", "*", "!", "~", "#", "+", "-", "."}
+_PUNCT = frozenset(";()*!~#+-.")
+_COMMENT = re.compile(r"//[^\n]*")
+
+# kind, text and offset of a token; the kind of a punctuation mark is itself
+_Token = Tuple[str, str, int]
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
+def _blank_comments(text: str) -> Tuple[str, int]:
+    """The text with every comment turned into spaces, which keeps all
+    offsets, lines and columns, and the offset at which end of input is
+    reported: where a comment on the last line begins, else the end."""
+    if "//" not in text:
+        return text, len(text)
+    comment = text.find("//", text.rfind("\n") + 1)
+    src = _COMMENT.sub(lambda m: " " * len(m.group()), text)
+    return src, comment if comment >= 0 else len(text)
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+
+def _error(src: str, offset: int, message: str, kind=ProgramSyntaxError):
+    line = src.count("\n", 0, offset) + 1
+    return kind(message, line, offset - src.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
+def _unexpected(src: str, tok: _Token, expected: str) -> ProgramSyntaxError:
+    return _error(src, tok[2], f"expected {expected}, found {tok[1] or 'end of input'!r}")
+
+
+def _tokens(src: str, start: int, end: int, eof: int) -> List[_Token]:
+    """The tokens of src[start:end], then the token after them: the `;` at
+    `end`, or end of input."""
+    toks: List[_Token] = []
+    i = start
+    while i < end:
+        c = src[i]
+        j = i + 1
+        if c in " \t\r\n":
+            i = j
             continue
         if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+            while j < end and src[j].isdigit():
                 j += 1
-            tokens.append(_Token("NAT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            kind = "NAT"
+        elif c.isalpha() or c == "_":
+            while j < end and (src[j].isalnum() or src[j] == "_"):
                 j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(c, c, line, col))
+            kind = "IDENT"
+        elif c in _PUNCT:
+            kind = c
+        else:
+            raise _error(src, i, f"unexpected character {c!r}")
+        toks.append((kind, src[i:j], i))
+        i = j
+    toks.append((";", ";", end) if end < len(src) else ("EOF", "", eof))
+    return toks
+
+
+def _jump(src: str, tok: _Token) -> Jump:
+    digits = tok[1]
+    if not digits.isdecimal():
+        raise _error(src, tok[2], f"jump offset {digits!r} is not a decimal number")
+    # only zeros may stand before the last `width` digits; int() refuses
+    # strings of thousands of digits
+    width = len(str(JUMP_LIMIT))
+    if any(int(d) for d in digits[:-width]):
+        raise JumpOverflowError(f"jump offset {digits} outside [0, {JUMP_LIMIT}]")
+    return Jump(int(digits[-width:]))
+
+
+def _basic(src: str, toks: List[_Token], i: int) -> Tuple[Basic, int]:
+    focus = toks[i]
+    if focus[0] != "IDENT":
+        raise _unexpected(src, focus, "'IDENT'")
+    if toks[i + 1][0] != ".":
+        raise _unexpected(src, toks[i + 1], "'.'")
+    i += 2
+    names = []
+    while True:
+        name = toks[i]
+        if name[0] not in ("IDENT", "NAT"):
+            raise _unexpected(src, name, "method name")
+        names.append(name[1])
+        if toks[i + 1][0] != ".":
+            break
+        i += 2
+    if focus[1] in RESERVED_FOCI:
+        raise _error(src, focus[2], f"focus {focus[1]!r} is reserved", ReservedFocusError)
+    return Basic(focus[1], ".".join(names)), i + 1
+
+
+def _instruction(src: str, toks: List[_Token], i: int) -> Tuple[Instruction, int]:
+    """The instruction that starts at toks[i], and the index after it."""
+    kind = toks[i][0]
+    if kind == "!":
+        return HALT, i + 1
+    if kind == "~":
+        return SHIFT, i + 1
+    if kind == "#":
+        if toks[i + 1][0] != "NAT":
+            raise _unexpected(src, toks[i + 1], "'NAT'")
+        return _jump(src, toks[i + 1]), i + 2
+    if kind == "+":
+        b, i = _basic(src, toks, i + 1)
+        return PosTest(b), i
+    if kind == "-":
+        b, i = _basic(src, toks, i + 1)
+        return NegTest(b), i
+    if kind == "IDENT":
+        b, i = _basic(src, toks, i)
+        return Plain(b), i
+    raise _unexpected(src, toks[i], "an instruction")
+
+
+def _read_piece(
+    src: str, eof: int, start: int, end: int, depth: int
+) -> Tuple[int, Instruction, int]:
+    """Read the piece src[start:end] inside `depth` open stars: the number
+    of stars it opens, its instruction, and the number it closes."""
+    try:
+        toks = _tokens(src, start, end, eof)
+        i = 0
+        while toks[i][0] == "(":
             i += 1
-            col += 1
-            continue
-        raise ProgramSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise ProgramSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        self.pos += 1
-        return tok
-
-    def term(self) -> Term:
-        factors = [self.factor()]
-        while self.peek().kind == ";":
-            self.take(";")
-            factors.append(self.factor())
-        node = factors[-1]
-        for f in reversed(factors[:-1]):
-            node = Concat(f, node)
-        return node
-
-    def factor(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take("(")
-            inner = self.term()
-            self.take(")")
-            self.take("*")
-            return Repeat(inner)
-        return Instr(self.instruction())
-
-    def basic(self) -> Basic:
-        focus_tok = self.take("IDENT")
-        self.take(".")
-        m = self.peek()
-        if m.kind not in ("IDENT", "NAT"):
-            raise ProgramSyntaxError(
-                f"expected method name, found {m.text!r}", m.line, m.col
-            )
-        self.pos += 1
-        method = m.text
-        # method names may continue with dots, e.g. f.m.n
-        while self.peek().kind == ".":
-            self.take(".")
-            part = self.peek()
-            if part.kind not in ("IDENT", "NAT"):
-                raise ProgramSyntaxError(
-                    f"expected method name, found {part.text!r}",
-                    part.line,
-                    part.col,
-                )
-            self.pos += 1
-            method += "." + part.text
-        if focus_tok.text in RESERVED_FOCI:
-            raise ReservedFocusError(
-                f"focus {focus_tok.text!r} is reserved",
-                focus_tok.line,
-                focus_tok.col,
-            )
-        return Basic(focus_tok.text, method)
-
-    def instruction(self) -> Instruction:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.take("!")
-            return HALT
-        if tok.kind == "~":
-            self.take("~")
-            return SHIFT
-        if tok.kind == "#":
-            self.take("#")
-            nat = self.take("NAT")
-            return Jump(int(nat.text))
-        if tok.kind == "+":
-            self.take("+")
-            return PosTest(self.basic())
-        if tok.kind == "-":
-            self.take("-")
-            return NegTest(self.basic())
-        if tok.kind == "IDENT":
-            return Plain(self.basic())
-        raise ProgramSyntaxError(
-            f"expected an instruction, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
-
-
-def parse_term(text: str) -> Term:
-    parser = _Parser(_tokenize(text))
-    term = parser.term()
-    parser.take("EOF")
-    return term
+        opens = i
+        depth += opens
+        u, i = _instruction(src, toks, i)
+        closes = 0
+        while toks[i][0] == ")" and closes < depth:
+            if toks[i + 1][0] != "*":
+                raise _unexpected(src, toks[i + 1], "'*'")
+            i += 2
+            closes += 1
+        if i != len(toks) - 1:
+            raise _unexpected(src, toks[i], "')'" if closes < depth else "'EOF'")
+        return opens, u, closes
+    except ProgramError as exc:
+        error = exc
+    # an unexpected character further on is reported first
+    _tokens(src, start, len(src), eof)
+    raise error
 
 
 def parse_program(text: str) -> InstructionSequence:
-    return to_canonical(parse_term(text))
+    """The canonical sequence of a program text, read in one pass."""
+    src, eof = _blank_comments(text)
+    read: dict = {}  # piece -> (stars opened, instruction, stars closed)
+    prefix: List[Instruction] = []
+    period = None
+    stack: list = []
+    start = 0
+    for piece in src.split(";"):
+        r = read.get(piece)
+        if r is None or r[2] > r[0] + len(stack):
+            r = read[piece] = _read_piece(src, eof, start, start + len(piece), len(stack))
+        opens, u, closes = r
+        while opens:
+            stack.append((prefix, period))
+            prefix, period = [], None
+            opens -= 1
+        if period is None:
+            prefix.append(u)
+        while closes:
+            prefix, period = _close_star(stack, prefix, period)
+            closes -= 1
+        start += len(piece) + 1
+    if stack:
+        raise _unexpected(src, ("EOF", "", eof), "')'")
+    return InstructionSequence(tuple(prefix), tuple(period or ()))
 
 
 def parse_instruction(text: str) -> Instruction:
-    parser = _Parser(_tokenize(text))
-    u = parser.instruction()
-    parser.take("EOF")
+    src, eof = _blank_comments(text)
+    toks = _tokens(src, 0, len(src), eof)
+    u, i = _instruction(src, toks, 0)
+    if i != len(toks) - 1:
+        raise _unexpected(src, toks[i], "'EOF'")
     return u
 
 
 # === printing ===
 
 
-def _term_factors(term: Term) -> Iterable[Term]:
-    while isinstance(term, Concat):
-        yield from _term_factors(term.left)
-        term = term.right
-    yield term
-
-
-def print_program(p: Union[Term, InstructionSequence]) -> str:
-    if isinstance(p, InstructionSequence):
-        parts = [instruction_text(u) for u in p.prefix]
-        if p.period:
-            parts.append("(" + "; ".join(instruction_text(u) for u in p.period) + ")*")
-        return "; ".join(parts)
-    parts = []
-    for f in _term_factors(p):
-        if isinstance(f, Instr):
-            parts.append(instruction_text(f.instruction))
-        else:
-            assert isinstance(f, Repeat)
-            parts.append("(" + print_program(f.body) + ")*")
+def print_program(p: InstructionSequence) -> str:
+    parts = [instruction_text(u) for u in p.prefix]
+    if p.period:
+        parts.append("(" + "; ".join(instruction_text(u) for u in p.period) + ")*")
     return "; ".join(parts)
 
 

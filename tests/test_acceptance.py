@@ -8,11 +8,14 @@ import random
 import time
 from functools import lru_cache
 
+import pytest
+
 from pgakit import (
     Basic,
     Branch,
     DEADLOCK,
     Post,
+    ProgramSyntaxError,
     STOP,
     TAU,
     ThreadSpec,
@@ -234,6 +237,31 @@ def test_bisimilar_chains_of_100k_states():
     assert not bisimilar(base, other_tail)
     assert bisimilar(base, renamed)
     _report("bisimilar 100k-state chains", started, limit=10.0)
+
+
+# --- the text front end at scale ---------------------------------------------
+
+def test_stars_nested_ten_thousand_deep():
+    from pgakit.syntax import Instr, Plain, Repeat, to_canonical
+
+    n = 10**4
+    term = Instr(Plain(a))
+    for _ in range(n):
+        term = Repeat(term)
+    started = time.monotonic()
+    assert P("(" * n + "f.a" + ")*" * n) == P("(f.a)*")
+    assert to_canonical(term) == P("(f.a)*")
+    with pytest.raises(ProgramSyntaxError):
+        P("(" * n + "f.a" + ")*" * (n - 1))
+    _report("stars nested 10^4 deep", started, limit=2.0)
+
+
+def test_print_parse_roundtrip_of_100k_instructions():
+    p = corollary1_pipeline(theorem3_witness(30))
+    assert len(p) == 105786
+    started = time.monotonic()
+    assert P(print_program(p)) == p
+    _report("print-parse round trip 105,786 instructions", started, limit=2.0)
 
 
 # --- criterion 8: stress family ----------------------------------------------

@@ -1,8 +1,11 @@
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgakit.cli import EXIT_PARSE, main
 
@@ -31,6 +34,17 @@ def test_normalize_reads_file(tmp_path, capsys):
     code, out, _ = run(capsys, "normalize", str(f))
     assert code == 0
     assert out.strip() == "f.a; !"
+
+
+def test_unreadable_input_is_config_error(tmp_path, capsys):
+    # a directory is taken as program text; a file that is not UTF-8 fails,
+    # and so does `--in=--`, which argparse reads as no value
+    assert run(capsys, "normalize", str(tmp_path))[0] == EXIT_PARSE
+    assert run(capsys, "normalize", "--in=--")[0] == EXIT_PARSE
+    f = tmp_path / "prog.bin"
+    f.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "normalize", str(f))
+    assert code == EXIT_PARSE and err.startswith("error: cannot read")
 
 
 def test_extract_prints_thread(capsys):
@@ -177,3 +191,40 @@ def test_closed_stdout_is_a_documented_exit(monkeypatch):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["verify", "--theorem", "1", "--count", "30", "--json"]) == EXIT_PARSE
     assert main(["normalize", "f.a; !"]) == EXIT_PARSE
+
+
+def test_verify_rejects_max_len_below_one(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "1", "--max-len", "-3")
+    assert code == EXIT_PARSE
+    assert out == "" and err.startswith("error: --max-len")
+
+
+def test_verify_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "1", "--count", "-4")
+    assert code == EXIT_PARSE
+    assert out == "" and err.startswith("error: --count")
+
+
+# Program text as a user may type it, and any text at all.
+_TEXTS = st.text(alphabet=st.sampled_from(list("f.ab;()*!~#+-019 \n/=<>SD")), max_size=40) | st.text(
+    max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS, _TEXTS)
+def test_any_text_ends_in_a_documented_exit(a, b):
+    for argv in (
+        ["normalize", f"--in={a}"],
+        ["normalize", "--shifts", f"--in={a}"],
+        ["extract", f"--in={a}"],
+        ["extract", "--alt", f"--in={a}"],
+        ["extract", "--via-counter", f"--in={a}"],
+        ["compile", f"--in={a}"],
+        ["compile", "--pgajs0", "--abstract", f"--in={a}"],
+        ["bisim", "--programs", "--", a, b],
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "stdin", io.StringIO(b))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in range(7)

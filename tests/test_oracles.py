@@ -12,6 +12,12 @@ identically, not just bisimilar; the refinement must give the same verdict.
 they were written before both read one table of the two-mode equations:
 one hand-written enactment per instruction kind.  The table-driven builders
 must give the same states under the same names.
+
+`_old_parse_program` is the parser as it was before it read programs in
+one pass: a tokenizer, a recursive-descent parser building a `Term`, and a
+recursive flattening.  On every input the one-pass parser must give an
+equal sequence, or raise the same exception class at the same line and
+column.
 """
 
 import random
@@ -47,6 +53,7 @@ from pgakit import (
     extract_alt,
     extract_pgajs,
     parse_instruction,
+    parse_program,
     pgs_new,
     print_thread,
     relabel,
@@ -57,7 +64,17 @@ from pgakit import (
 from pgakit.corpus import random_program, random_spec, spec_pair
 from pgakit.services import _state_names
 from pgakit.syntax import (
+    HALT,
+    JUMP_LIMIT,
+    Concat,
+    Instr,
+    JumpOverflowError,
+    ProgramError,
     ProgramSyntaxError,
+    RESERVED_FOCI,
+    Repeat,
+    ReservedFocusError,
+    to_canonical,
     drop_head,
     head,
     instruction_text,
@@ -424,3 +441,302 @@ def test_two_mode_builders_match_hand_written_equations():
     for m in (1, 2, 3, 4):
         alphabet = Alphabet.from_basics(Basic("f", chr(ord("a") + i)) for i in range(m))
         _assert_same(build_exec_mechanism(alphabet), _old_build_exec_mechanism(alphabet))
+
+
+# --- the parser before the one-pass reader -----------------------------------
+
+_OLD_PUNCT = {";", "(", ")", "*", "!", "~", "#", "+", "-", "."}
+
+
+class _OldToken:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _old_tokenize(text):
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(_OldToken("NAT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_OldToken("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in _OLD_PUNCT:
+            tokens.append(_OldToken(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ProgramSyntaxError(f"unexpected character {c!r}", line, col)
+    tokens.append(_OldToken("EOF", "", line, col))
+    return tokens
+
+
+class _OldParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            raise ProgramSyntaxError(
+                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+                tok.line,
+                tok.col,
+            )
+        self.pos += 1
+        return tok
+
+    def term(self):
+        factors = [self.factor()]
+        while self.peek().kind == ";":
+            self.take(";")
+            factors.append(self.factor())
+        node = factors[-1]
+        for f in reversed(factors[:-1]):
+            node = Concat(f, node)
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok.kind == "(":
+            self.take("(")
+            inner = self.term()
+            self.take(")")
+            self.take("*")
+            return Repeat(inner)
+        return Instr(self.instruction())
+
+    def basic(self):
+        focus_tok = self.take("IDENT")
+        self.take(".")
+        m = self.peek()
+        if m.kind not in ("IDENT", "NAT"):
+            raise ProgramSyntaxError(
+                f"expected method name, found {m.text!r}", m.line, m.col
+            )
+        self.pos += 1
+        method = m.text
+        # method names may continue with dots, e.g. f.m.n
+        while self.peek().kind == ".":
+            self.take(".")
+            part = self.peek()
+            if part.kind not in ("IDENT", "NAT"):
+                raise ProgramSyntaxError(
+                    f"expected method name, found {part.text!r}",
+                    part.line,
+                    part.col,
+                )
+            self.pos += 1
+            method += "." + part.text
+        if focus_tok.text in RESERVED_FOCI:
+            raise ReservedFocusError(
+                f"focus {focus_tok.text!r} is reserved",
+                focus_tok.line,
+                focus_tok.col,
+            )
+        return Basic(focus_tok.text, method)
+
+    def instruction(self):
+        tok = self.peek()
+        if tok.kind == "!":
+            self.take("!")
+            return HALT
+        if tok.kind == "~":
+            self.take("~")
+            return SHIFT
+        if tok.kind == "#":
+            self.take("#")
+            nat = self.take("NAT")
+            return Jump(int(nat.text))
+        if tok.kind == "+":
+            self.take("+")
+            return PosTest(self.basic())
+        if tok.kind == "-":
+            self.take("-")
+            return NegTest(self.basic())
+        if tok.kind == "IDENT":
+            return Plain(self.basic())
+        raise ProgramSyntaxError(
+            f"expected an instruction, found {tok.text or 'end of input'!r}",
+            tok.line,
+            tok.col,
+        )
+
+
+def _old_parse_term(text):
+    parser = _OldParser(_old_tokenize(text))
+    term = parser.term()
+    parser.take("EOF")
+    return term
+
+
+def _old_flatten(term):
+    """Prefix and period lists of a term.  A `;`-list is a right-nested
+    Concat chain, so the chain is walked in a loop that appends into one
+    prefix; recursion only enters left operands and starred bodies."""
+    prefix = []
+    while isinstance(term, Concat):
+        lp, lq = _old_flatten(term.left)
+        prefix += lp
+        if lq:
+            # anything after an infinite iteration is unreachable
+            return prefix, lq
+        term = term.right
+    if isinstance(term, Instr):
+        prefix.append(term.instruction)
+        return prefix, []
+    body_p, body_q = _old_flatten(term.body)
+    if body_q:
+        # iterating a term that already ends in a loop keeps that loop
+        return prefix + body_p, body_q
+    return prefix, body_p
+
+
+def _old_parse_program(text):
+    prefix, period = _old_flatten(_old_parse_term(text))
+    return InstructionSequence(tuple(prefix), tuple(period))
+
+
+def _old_parse_instruction(text):
+    parser = _OldParser(_old_tokenize(text))
+    u = parser.instruction()
+    parser.take("EOF")
+    return u
+
+
+# instruction spellings for nested-star texts: dotted and numeric method
+# names, a reserved focus, and a jump just past the limit
+_SPELLINGS = (
+    ["f.a", "+f.b", "-f.a", "g.m.n", "+h.0", "#0", "#2", "#7", "!", "~"] * 4
+    + ["cnt.inc", f"#{JUMP_LIMIT + 1}"]
+)
+# characters inserted by single-character edits: punctuation, names,
+# whitespace, comment and foreign characters, a letter and a fraction
+# outside ASCII, and a decimal digit of another script
+_EDIT_CHARS = ";;;(()))***!~##+-..  \n\tfab019_/$\u00e9\u00bd\u0661"
+
+
+def _nested_text(rng, depth):
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        if depth and rng.random() < 0.35:
+            factors.append("(" + _nested_text(rng, depth - 1) + ")*")
+        else:
+            factors.append(rng.choice(_SPELLINGS))
+    return "; ".join(factors)
+
+
+def _respace(rng, text):
+    spaces = (" ", "", "\n", "\t ", "\r\n", "  \n ")
+    return "".join(c + (rng.choice(spaces) if rng.random() < 0.2 else "") for c in text)
+
+
+def _comment(rng, text):
+    notes = ("// note\n", "// a; b\n", "// (f.a)*; !\n", "//\n", "/// ;(\n")
+    cuts = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+    out = text[: cuts[0]] + rng.choice(notes) + text[cuts[0]: cuts[1]] + rng.choice(notes)
+    out += text[cuts[1]:]
+    return out + rng.choice(("", " // end; (", "\n// end"))
+
+
+def _edits(rng, text, count):
+    """Single-character insertions and deletions, and copies of one
+    `;`-separated piece to another place, where it may close more stars
+    than are open."""
+    pieces = text.split(";")
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        yield text[:i] + rng.choice(_EDIT_CHARS) + text[i:]
+        if text:
+            i = rng.randrange(len(text))
+            yield text[:i] + text[i + 1:]
+        i = rng.randrange(len(pieces) + 1)
+        yield ";".join(pieces[:i] + [rng.choice(pieces)] + pieces[i:])
+
+
+def _parser_corpus():
+    rng = random.Random(2040)
+    basics = BASICS + (Basic("g", "m.n"), Basic("h", "0"))
+    base = []
+    for i in range(240):
+        flags = [{}, {"allow_shift": True}, {"pgajs0": True}][i % 3]
+        p = random_program(rng, max_len=12, basics=basics, **flags)
+        base.append(print_program(p))
+    base += [_nested_text(rng, 4) for _ in range(120)]
+    texts = []
+    for t in base:
+        texts += [t, _respace(rng, t), _comment(rng, t)]
+    return texts + [e for t in texts for e in _edits(rng, t, 3)]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ProgramError as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def test_parser_matches_recursive_descent():
+    outcomes = []
+    for text in _parser_corpus():
+        got = _outcome(parse_program, text)
+        assert got == _outcome(_old_parse_program, text), text
+        assert _outcome(parse_instruction, text) == _outcome(_old_parse_instruction, text), text
+        outcomes.append(got if isinstance(got, tuple) else InstructionSequence)
+    kinds = {o[0] if isinstance(o, tuple) else o for o in outcomes}
+    assert kinds == {InstructionSequence, ProgramSyntaxError, ReservedFocusError, JumpOverflowError}
+    assert sum(o is InstructionSequence for o in outcomes) > len(outcomes) // 3
+
+
+def _random_term(rng, depth):
+    roll = rng.random() if depth else 1.0
+    if roll < 0.3:
+        return Repeat(_random_term(rng, depth - 1))
+    if roll < 0.7:
+        return Concat(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
+    return Instr(rng.choice((Plain(BASICS[0]), NegTest(BASICS[1]), Jump(2), HALT, SHIFT)))
+
+
+def test_to_canonical_matches_recursive_flattening():
+    rng = random.Random(2041)
+    for _ in range(500):
+        term = _random_term(rng, 6)
+        prefix, period = _old_flatten(term)
+        assert to_canonical(term) == InstructionSequence(tuple(prefix), tuple(period))

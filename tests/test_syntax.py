@@ -26,7 +26,6 @@ from pgakit import (
     normalize_shifts,
     parse_instruction,
     parse_program,
-    parse_term,
     print_program,
     to_canonical,
     transform_to_pgajs0,
@@ -122,6 +121,16 @@ def test_jump_overflow():
         Jump(JUMP_LIMIT + 1)
     with pytest.raises(JumpOverflowError):
         P(f"#{JUMP_LIMIT + 1}")
+
+
+def test_jump_offsets_are_decimal_numbers():
+    assert P("#\u0661\u0662") == seq(Jump(12))
+    assert P("#" + "0" * 5000 + "7") == seq(Jump(7))
+    with pytest.raises(JumpOverflowError):
+        P("#" + "9" * 5000)
+    with pytest.raises(ProgramSyntaxError) as e:
+        P("f.a;\n #\u00b2")
+    assert (e.value.line, e.value.col) == (2, 3)
 
 
 def test_parse_instruction_single():
