@@ -21,7 +21,6 @@ from .threads import (
     ThreadSpec,
     ThreadSyntaxError,
     abstract_tau,
-    actions_of,
     bisimilar,
     parse_thread,
     print_thread,

@@ -9,15 +9,18 @@ lean on.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .syntax import (
     HALT,
     InstructionSequence,
     Instruction,
     Jump,
+    Plain,
     PosTest,
+    ProgramError,
     RESERVED_FOCI,
+    parse_instruction,
     transform_to_pgajs0,
 )
 from .threads import (
@@ -25,6 +28,7 @@ from .threads import (
     Stop,
     Tau,
     ThreadSpec,
+    _breadth_first,
     abstract_tau,
     validate,
 )
@@ -42,21 +46,6 @@ class ReservedFocusActionError(CompileError):
     pass
 
 
-def _block_order(spec: ThreadSpec) -> List[str]:
-    order = [spec.root]
-    index = {spec.root}
-    i = 0
-    while i < len(order):
-        body = spec.states[order[i]]
-        i += 1
-        if isinstance(body, Post):
-            for target in (body.then, body.else_):
-                if target not in index:
-                    index.add(target)
-                    order.append(target)
-    return order
-
-
 def compile_spec(spec: ThreadSpec, auto_abstract: bool = False) -> InstructionSequence:
     """Translate a silent-step-free thread into a pure-period sequence of
     3-instruction state blocks.  Jump offsets are forward distances in the
@@ -72,23 +61,29 @@ def compile_spec(spec: ThreadSpec, auto_abstract: bool = False) -> InstructionSe
                 "silent steps cannot be compiled; abstract them first"
             )
         spec = abstract_tau(spec)
-    for body in spec.states.values():
-        if isinstance(body, Post) and not isinstance(body.action, Tau):
-            if body.action.focus in RESERVED_FOCI:
-                raise ReservedFocusActionError(
-                    f"cannot compile action with reserved focus"
-                    f" {body.action.focus!r}"
-                )
+    actions = dict.fromkeys(b.action for b in spec.states.values() if isinstance(b, Post))
+    for action in actions:
+        if action.focus in RESERVED_FOCI:
+            raise ReservedFocusActionError(
+                f"cannot compile action with reserved focus {action.focus!r}"
+            )
+        # the program must print as text that parses back to it
+        try:
+            reads_back = parse_instruction(str(action)) == Plain(action)
+        except ProgramError:
+            reads_back = False
+        if not reads_back:
+            raise CompileError(f"action {str(action)!r} is not a program basic")
 
-    order = _block_order(spec)
-    index = {name: i for i, name in enumerate(order)}
-    size = 3 * len(order)
+    # blocks are laid out in relabel's breadth-first order
+    index = _breadth_first(spec)
+    size = 3 * len(index)
 
     def offset(at: int, target: int) -> int:
         return ((target - at) % size) or size
 
     units: List[Instruction] = []
-    for i, name in enumerate(order):
+    for name, i in index.items():
         body = spec.states[name]
         base = 3 * i
         if isinstance(body, Stop):

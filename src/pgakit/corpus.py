@@ -10,7 +10,7 @@ finite.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .syntax import (
     HALT,
@@ -38,13 +38,9 @@ def random_program(
     rng: random.Random,
     max_len: int = 12,
     basics: Sequence[Basic] = DEFAULT_BASICS,
-    jump_bound: Optional[int] = None,
     allow_shift: bool = False,
     pgajs0: bool = False,
-    periodic_prob: float = 0.5,
 ) -> InstructionSequence:
-    if jump_bound is None:
-        jump_bound = max_len + 2
     kinds = ["plain", "pos", "neg", "jump", "halt"]
     if allow_shift or pgajs0:
         kinds.append("shift")
@@ -59,12 +55,12 @@ def random_program(
         elif kind == "neg":
             units.append(NegTest(rng.choice(list(basics))))
         elif kind == "jump":
-            units.append(Jump(0 if pgajs0 else rng.randint(0, jump_bound)))
+            units.append(Jump(0 if pgajs0 else rng.randint(0, max_len + 2)))
         elif kind == "halt":
             units.append(HALT)
         else:
             units.append(SHIFT)
-    if rng.random() < periodic_prob:
+    if rng.random() < 0.5:
         cut = rng.randint(0, length - 1)
         return InstructionSequence(tuple(units[:cut]), tuple(units[cut:]))
     return InstructionSequence(tuple(units), ())

@@ -48,13 +48,11 @@ from .syntax import (
     Plain,
     PosTest,
     ProgramError,
-    ProgramSyntaxError,
     RESERVED_FOCI,
     basics_of,
     instruction_at,
     instruction_text,
     is_pgajs0,
-    parse_instruction,
 )
 from .threads import (
     DEADLOCK,
@@ -78,65 +76,36 @@ class AlphabetMismatchError(AlphabetError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite instruction set the mechanism dispatches over.  Must
-    contain halt, #0, the jump-shift, and all three forms of every admitted
-    basic instruction; only #0 jumps are allowed."""
+    """The basic instructions a mechanism dispatches over, in dispatch
+    order; `from_basics` and `from_sequence` sort them by (focus, method).
+    The instructions are the plain and both test forms of each basic, then
+    #0, halt and the jump-shift.  Each instruction's text names it in
+    `hdeq` queries, so no two may print alike."""
 
-    instructions: Tuple[Instruction, ...]
-    _members: frozenset = field(init=False, repr=False, compare=False)
-    # hdeq text -> member, for the members whose text parses back to them
+    basics: Tuple[Basic, ...]
+    instructions: Tuple[Instruction, ...] = field(init=False, repr=False, compare=False)
+    # hdeq text -> instruction
     _by_text: Dict[str, Instruction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        basics = {"plain": set(), "pos": set(), "neg": set()}
-        for u in self.instructions:
-            if u in seen:
-                raise AlphabetError(f"duplicate instruction {instruction_text(u)}")
-            seen.add(u)
-            if isinstance(u, Jump) and u.offset != 0:
-                raise AlphabetError("alphabet jumps must have offset zero")
-            if isinstance(u, Plain):
-                basics["plain"].add(u.basic)
-            elif isinstance(u, PosTest):
-                basics["pos"].add(u.basic)
-            elif isinstance(u, NegTest):
-                basics["neg"].add(u.basic)
-        for kind in ("plain", "pos", "neg"):
-            for b in basics[kind]:
-                if b.focus in RESERVED_FOCI:
-                    raise AlphabetError(f"focus {b.focus!r} is reserved")
-        if basics["plain"] != basics["pos"] or basics["plain"] != basics["neg"]:
-            raise AlphabetError(
-                "each admitted basic needs its plain and both test forms"
-            )
-        for required in (HALT, Jump(0), SHIFT):
-            if required not in seen:
-                raise AlphabetError(
-                    f"alphabet must contain {instruction_text(required)}"
-                )
+        instructions = []
+        for b in self.basics:
+            if b.focus in RESERVED_FOCI:
+                raise AlphabetError(f"focus {b.focus!r} is reserved")
+            instructions.extend([Plain(b), PosTest(b), NegTest(b)])
+        instructions.extend([Jump(0), HALT, SHIFT])
         by_text: Dict[str, Instruction] = {}
-        for u in self.instructions:
+        for u in instructions:
             text = instruction_text(u)
-            try:
-                if parse_instruction(text) == u:
-                    by_text[text] = u
-            except ProgramSyntaxError:
-                pass
-        object.__setattr__(self, "_members", frozenset(seen))
+            if text in by_text:
+                raise AlphabetError(f"two instructions print as {text!r}")
+            by_text[text] = u
+        object.__setattr__(self, "instructions", tuple(instructions))
         object.__setattr__(self, "_by_text", by_text)
-
-    def __contains__(self, u: Instruction) -> bool:
-        return u in self._members
 
     @staticmethod
     def from_basics(basics) -> "Alphabet":
-        ordered = sorted(set(basics), key=lambda b: (b.focus, b.method))
-        instructions = []
-        for b in ordered:
-            instructions.extend([Plain(b), PosTest(b), NegTest(b)])
-        instructions.extend([Jump(0), HALT, SHIFT])
-        return Alphabet(tuple(instructions))
+        return Alphabet(tuple(sorted(set(basics), key=lambda b: (b.focus, b.method))))
 
     @staticmethod
     def from_sequence(s: InstructionSequence) -> "Alphabet":
@@ -146,22 +115,18 @@ class Alphabet:
 @dataclass(frozen=True)
 class PgsService(Service):
     """Service view of a stored instruction sequence and a position in it.
-    `hdeq:u` answers whether the instruction at the position is exactly u
-    (no state change); `drop` moves the position one on (False once past
-    the end of a finite sequence).  On a periodic sequence the position
-    wraps back into the period, so distinct positions hold distinct
-    remaining sequences and the key can name the position alone.  An
-    alphabet, when given, bounds the u accepted by hdeq; anything else
-    wedges the service."""
+    `hdeq:t` answers whether the instruction at the position is the
+    alphabet's instruction with text t (no state change); `drop` moves the
+    position one on (False once past the end of a finite sequence).  On a
+    periodic sequence the position wraps back into the period, so distinct
+    positions hold distinct remaining sequences and the key can name the
+    position alone.  A query the alphabet does not name, or any other
+    method, wedges the service."""
 
     sequence: InstructionSequence
-    alphabet: Optional[Alphabet] = field(default=None, compare=False)
+    alphabet: Alphabet = field(compare=False)
     position: int = 0
     undefined: bool = False
-
-    def _wedged(self) -> Tuple["PgsService", Reply]:
-        wedged = PgsService(self.sequence, self.alphabet, self.position, True)
-        return wedged, Reply.BLOCKED
 
     def apply(self, method: str) -> Tuple["PgsService", Reply]:
         if self.undefined:
@@ -174,19 +139,13 @@ class PgsService(Service):
             if pos == len(s) and s.period:
                 pos = len(s.prefix)
             return PgsService(s, self.alphabet, pos), Reply.TRUE
+        u = None
         if method.startswith("hdeq:"):
-            text = method[len("hdeq:"):]
-            u = None if self.alphabet is None else self.alphabet._by_text.get(text)
-            if u is None:
-                try:
-                    u = parse_instruction(text)
-                except ProgramSyntaxError:
-                    return self._wedged()
-                if self.alphabet is not None and u not in self.alphabet:
-                    return self._wedged()
-            got = instruction_at(s, self.position) == u
-            return self, Reply.TRUE if got else Reply.FALSE
-        return self._wedged()
+            u = self.alphabet._by_text.get(method[len("hdeq:"):])
+        if u is None:
+            return PgsService(s, self.alphabet, self.position, True), Reply.BLOCKED
+        got = instruction_at(s, self.position) == u
+        return self, Reply.TRUE if got else Reply.FALSE
 
     def key(self) -> str:
         if self.undefined:
@@ -199,6 +158,10 @@ class PgsService(Service):
 def pgs_new(
     p: InstructionSequence, alphabet: Optional[Alphabet] = None
 ) -> PgsService:
+    """The program service of p; queries name instructions of the alphabet,
+    by default that of p's own basics."""
+    if alphabet is None:
+        alphabet = Alphabet.from_sequence(p)
     return PgsService(p, alphabet)
 
 
@@ -254,16 +217,10 @@ def run_exec(
     with a zeroed counter, and hide all service traffic."""
     if not is_pgajs0(p):
         raise NotPgajs0Error("execution requires a program with only #0 jumps")
-    if alphabet is None:
-        alphabet = Alphabet.from_sequence(p)
-    else:
-        for u in p.prefix + p.period:
-            if u not in alphabet:
-                raise AlphabetMismatchError(
-                    f"instruction {instruction_text(u)} not in the alphabet"
-                )
-    mech = build_exec_mechanism(alphabet)
-    inner = compose(mech, "pgs", pgs_new(p, alphabet), budget)
+    if alphabet is not None and not basics_of(p) <= set(alphabet.basics):
+        raise AlphabetMismatchError("the program has basics outside the alphabet")
+    pgs = pgs_new(p, alphabet)
+    inner = compose(build_exec_mechanism(pgs.alphabet), "pgs", pgs, budget)
     inner = collapse_counter_divergence(inner)
     return abstract_tau(compose(inner, "cnt", counter_new(0), budget))
 

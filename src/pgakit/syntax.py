@@ -152,17 +152,17 @@ class InstructionSequence:
             raise ProgramError("empty instruction sequence")
         if period:
             period = _primitive(period)
-            work = list(prefix)
-            while work and work[-1] == period[-1]:
-                period = (period[-1],) + period[:-1]
-                work.pop()
-            prefix = tuple(work)
+            # the last k prefix instructions match the period read
+            # backwards; rolling them in rotates the period right by k
+            n, m = len(prefix), len(period)
+            k = 0
+            while k < n and prefix[n - 1 - k] == period[-1 - k % m]:
+                k += 1
+            r = k % m
+            period = period[m - r:] + period[:m - r]
+            prefix = prefix[:n - k]
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
-
-    @property
-    def is_periodic(self) -> bool:
-        return bool(self.period)
 
     def __len__(self) -> int:
         return len(self.prefix) + len(self.period)
@@ -179,22 +179,6 @@ def instruction_at(s: InstructionSequence, i: int) -> Optional[Instruction]:
     if not s.period:
         return None
     return s.period[(i - p) % len(s.period)]
-
-
-def head(s: InstructionSequence) -> Instruction:
-    if s.prefix:
-        return s.prefix[0]
-    return s.period[0]
-
-
-def drop_head(s: InstructionSequence) -> Optional[InstructionSequence]:
-    """Sequence after removing the first instruction; None if that empties
-    it.  Dropping from a pure period rotates the loop."""
-    if s.prefix:
-        if len(s.prefix) == 1 and not s.period:
-            return None
-        return InstructionSequence(s.prefix[1:], s.period)
-    return InstructionSequence((), s.period[1:] + s.period[:1])
 
 
 def contains_shift(s: InstructionSequence) -> bool:

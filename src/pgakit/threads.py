@@ -128,19 +128,26 @@ def validate(spec: ThreadSpec) -> ThreadSpec:
     return ThreadSpec(states, spec.root)
 
 
-def relabel(spec: ThreadSpec, prefix: str = "X") -> ThreadSpec:
-    """Rename states to prefix0, prefix1, ... in breadth-first discovery
-    order from the root.  Deterministic, so printed output is reproducible."""
-    spec = validate(spec)
-    names: Dict[str, str] = {spec.root: f"{prefix}0"}
+def _breadth_first(spec: ThreadSpec) -> Dict[str, int]:
+    """The index of each state reachable from the root in breadth-first
+    discovery order, `then` before `else_`; dict order is that order."""
+    index = {spec.root: 0}
     queue = deque([spec.root])
     while queue:
         body = spec.states[queue.popleft()]
         if isinstance(body, Post):
             for target in (body.then, body.else_):
-                if target not in names:
-                    names[target] = f"{prefix}{len(names)}"
+                if target not in index:
+                    index[target] = len(index)
                     queue.append(target)
+    return index
+
+
+def relabel(spec: ThreadSpec, prefix: str = "X") -> ThreadSpec:
+    """Rename states to prefix0, prefix1, ... in breadth-first discovery
+    order from the root.  Deterministic, so printed output is reproducible."""
+    spec = validate(spec)
+    names = {name: f"{prefix}{i}" for name, i in _breadth_first(spec).items()}
     states: Dict[str, Body] = {}
     for old, new in names.items():
         body = spec.states[old]
@@ -148,14 +155,6 @@ def relabel(spec: ThreadSpec, prefix: str = "X") -> ThreadSpec:
             body = Post(body.action, names[body.then], names[body.else_])
         states[new] = body
     return ThreadSpec(states, f"{prefix}0")
-
-
-def actions_of(spec: ThreadSpec) -> set:
-    return {
-        body.action
-        for body in spec.states.values()
-        if isinstance(body, Post)
-    }
 
 
 # === projection ===

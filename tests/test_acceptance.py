@@ -14,6 +14,8 @@ from pgakit import (
     Basic,
     Branch,
     DEADLOCK,
+    InstructionSequence,
+    Jump,
     Post,
     ProgramSyntaxError,
     STOP,
@@ -262,6 +264,15 @@ def test_print_parse_roundtrip_of_100k_instructions():
     started = time.monotonic()
     assert P(print_program(p)) == p
     _report("print-parse round trip 105,786 instructions", started, limit=2.0)
+
+
+def test_rollback_of_100k_distinct_jumps():
+    # a prefix equal to the period rolls into it whole, in one rotation
+    units = tuple(Jump(i) for i in range(100_000))
+    started = time.monotonic()
+    s = InstructionSequence(units, units)
+    assert s.prefix == () and s.period == units
+    _report("rollback of 100,000 distinct jumps", started, limit=2.0)
 
 
 # --- criterion 8: stress family ----------------------------------------------

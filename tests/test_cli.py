@@ -126,6 +126,14 @@ def test_compile_error_exit_code(capsys):
     assert code == 6
 
 
+def test_compile_refuses_actions_it_cannot_print(capsys):
+    # f.a-b is a thread action, but `f.a-b` is not a program instruction
+    for flags in ([], ["--pgajs0"]):
+        code, out, err = run(capsys, "compile", *flags, "s0 = <s1> f.a-b <s0>\ns1 = S")
+        assert code == 6 and out == ""
+        assert "f.a-b" in err
+
+
 def test_missing_input_is_config_error(capsys):
     code, _, err = run(capsys, "normalize")
     assert code == 2
@@ -205,9 +213,14 @@ def test_verify_rejects_negative_count(capsys):
     assert out == "" and err.startswith("error: --count")
 
 
-# Program text as a user may type it, and any text at all.
-_TEXTS = st.text(alphabet=st.sampled_from(list("f.ab;()*!~#+-019 \n/=<>SD")), max_size=40) | st.text(
-    max_size=40
+# Program text as a user may type it, any text at all, and a thread whose
+# action may not be a program basic.
+_TEXTS = (
+    st.text(alphabet=st.sampled_from(list("f.ab;()*!~#+-019 \n/=<>SD")), max_size=40)
+    | st.text(max_size=40)
+    | st.text(alphabet=st.sampled_from(list("fab.-+!#~0(;*")), min_size=1, max_size=6).map(
+        lambda m: f"s0 = <s1> f.{m} <s0>\ns1 = S"
+    )
 )
 
 
@@ -226,5 +239,10 @@ def test_any_text_ends_in_a_documented_exit(a, b):
     ):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sys, "stdin", io.StringIO(b))
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                assert main(argv) in range(7)
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(argv)
+                assert code in range(7)
+                # a compiled program reads back
+                if argv[0] == "compile" and code == 0:
+                    assert main(["normalize", f"--in={out.getvalue()}"]) == 0, out.getvalue()

@@ -7,6 +7,7 @@ from pgakit import (
     AlphabetMismatchError,
     Basic,
     Halt,
+    InstructionSequence,
     Jump,
     NotPgajs0Error,
     PgsService,
@@ -18,6 +19,7 @@ from pgakit import (
     build_exec_mechanism,
     extract_pgajs,
     parse_program,
+    parse_thread,
     pgs_new,
     run_exec,
     theorem3_witness,
@@ -51,9 +53,13 @@ def test_alphabet_from_sequence():
     assert len(alpha.instructions) == 3 * 2 + 3
 
 
-def test_alphabet_rejects_positive_jumps():
+def test_alphabet_rejects_basics_that_print_alike():
+    # an hdeq query names an instruction by its text
+    for pair in ([Basic("f.a", "b"), Basic("f", "a.b")], [Basic("+f", "a"), fa]):
+        with pytest.raises(AlphabetError):
+            Alphabet.from_basics(pair)
     with pytest.raises(AlphabetError):
-        Alphabet((Jump(2), Jump(0), Halt(), SHIFT))
+        Alphabet((fa, fa))
 
 
 def test_alphabet_rejects_reserved_foci():
@@ -63,8 +69,8 @@ def test_alphabet_rejects_reserved_foci():
 
 def test_alphabet_membership():
     alpha = Alphabet.from_basics([fa])
-    assert Plain(fa) in alpha
-    assert Plain(fb) not in alpha
+    assert Plain(fa) in alpha.instructions
+    assert Plain(fb) not in alpha.instructions
 
 
 # program service
@@ -105,11 +111,17 @@ def test_pgs_periodic_never_exhausts():
 
 
 def test_pgs_blocks_outside_alphabet():
-    # unbounded service answers any well-formed query
-    free = pgs_new(P("f.a; !"))
-    _, r = free.apply("hdeq:g.m")
+    # by default the alphabet is the program's own, so g.m is not admitted
+    own = pgs_new(P("f.a; !"))
+    _, r = own.apply("hdeq:g.m")
+    assert r == Reply.BLOCKED
+    _, r = own.apply("hdeq: f.a")
+    assert r == Reply.BLOCKED
+    # a wider alphabet answers for all its instructions
+    wide = pgs_new(P("f.a; !"), Alphabet.from_basics([fa, Basic("g", "m")]))
+    _, r = wide.apply("hdeq:g.m")
     assert r == Reply.FALSE
-    # alphabet-bounded service wedges on queries it does not admit
+    # a service wedges on queries its alphabet does not admit
     svc = pgs_new(P("f.a; !"), Alphabet.from_basics([fa]))
     _, r = svc.apply("hdeq:g.m")
     assert r == Reply.BLOCKED
@@ -166,6 +178,23 @@ def test_run_exec_examples():
                 "(f.a)*", "#0", "+f.a; f.b; ~; #0; f.b"):
         p = P(txt)
         assert bisimilar(run_exec(p), extract_pgajs(p)), txt
+
+
+def _over(b, p):
+    """p with its basic f.x replaced by b."""
+    def sub(u):
+        return type(u)(b) if getattr(u, "basic", None) == Basic("f", "x") else u
+    return InstructionSequence(tuple(map(sub, p.prefix)), tuple(map(sub, p.period)))
+
+
+def test_run_exec_over_basics_that_do_not_parse_back():
+    # the mechanism names instructions by their text; these texts do not
+    # parse back to the same basic, but still name it in a query
+    compiled = corollary1_pipeline(parse_thread("s0 = <s1> f.x <s0>\ns1 = S"))
+    for b in (Basic("f", "a-b"), Basic("f.a", "b")):
+        for p in (_over(b, compiled), InstructionSequence((Plain(b), Halt()), ())):
+            assert bisimilar(run_exec(p), extract_pgajs(p)), (b, p)
+        assert pgs_new(p).apply("hdeq:" + str(b))[1] == Reply.TRUE
 
 
 def test_run_exec_rejects_positive_jumps():

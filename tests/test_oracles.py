@@ -13,6 +13,10 @@ they were written before both read one table of the two-mode equations:
 one hand-written enactment per instruction kind.  The table-driven builders
 must give the same states under the same names.
 
+`_old_roll_back` is the canonical-form rollback as it was before it
+rotated the period once: one rotation per trailing prefix instruction
+that matches the period's last element.  It must give equal sequences.
+
 `_old_parse_program` is the parser as it was before it read programs in
 one pass: a tokenizer, a recursive-descent parser building a `Term`, and a
 recursive flattening.  On every input the one-pass parser must give an
@@ -74,9 +78,8 @@ from pgakit.syntax import (
     RESERVED_FOCI,
     Repeat,
     ReservedFocusError,
+    _primitive,
     to_canonical,
-    drop_head,
-    head,
     instruction_text,
     print_program,
 )
@@ -103,10 +106,39 @@ def _old_abstract_tau(spec):
     return validate(ThreadSpec(states, spec.root))
 
 
+def _head(s):
+    if s.prefix:
+        return s.prefix[0]
+    return s.period[0]
+
+
+def _drop_head(s):
+    """Sequence after removing the first instruction; None if that empties
+    it.  Dropping from a pure period rotates the loop."""
+    if s.prefix:
+        if len(s.prefix) == 1 and not s.period:
+            return None
+        return InstructionSequence(s.prefix[1:], s.period)
+    return InstructionSequence((), s.period[1:] + s.period[:1])
+
+
+def test_drop_head_walks_and_rotates():
+    s = parse_program("f.a; (f.b; !)*")
+    assert _head(s) == Plain(BASICS[0])
+    assert _head(_drop_head(s)) == Plain(BASICS[1])
+    assert _drop_head(parse_program("f.a")) is None
+    loop = parse_program("(f.a; f.b)*")
+    assert _head(_drop_head(loop)) == Plain(BASICS[1])
+    assert _drop_head(_drop_head(loop)) == loop
+
+
 @dataclass(frozen=True)
 class _OldPgsService(Service):
+    """Keyed by the printed remaining sequence; a query names the alphabet
+    instruction that prints as its text, found by a scan."""
+
     sequence: Optional[InstructionSequence]
-    alphabet: Optional[Alphabet] = field(default=None, compare=False)
+    alphabet: Alphabet = field(compare=False)
     undefined: bool = False
 
     def apply(self, method):
@@ -115,17 +147,15 @@ class _OldPgsService(Service):
         if method == "drop":
             if self.sequence is None:
                 return self, Reply.FALSE
-            return _OldPgsService(drop_head(self.sequence), self.alphabet), Reply.TRUE
+            return _OldPgsService(_drop_head(self.sequence), self.alphabet), Reply.TRUE
         if method.startswith("hdeq:"):
-            try:
-                u = parse_instruction(method[len("hdeq:"):])
-            except ProgramSyntaxError:
-                return _OldPgsService(None, self.alphabet, True), Reply.BLOCKED
-            if self.alphabet is not None and u not in self.alphabet.instructions:
+            named = [u for u in self.alphabet.instructions
+                     if "hdeq:" + instruction_text(u) == method]
+            if not named:
                 return _OldPgsService(None, self.alphabet, True), Reply.BLOCKED
             if self.sequence is None:
                 return self, Reply.FALSE
-            return self, Reply.TRUE if head(self.sequence) == u else Reply.FALSE
+            return self, Reply.TRUE if _head(self.sequence) == named[0] else Reply.FALSE
         return _OldPgsService(None, self.alphabet, True), Reply.BLOCKED
 
     def key(self):
@@ -332,16 +362,18 @@ def test_state_names_match_counting_from_one():
 def test_program_service_matches_residual_service():
     # every reply agrees, and the two keys identify the same service states
     rng = random.Random(2034)
-    odd = Basic("f", "a b")  # admitted by an alphabet, but not parseable
+    # admitted by an alphabet, but their texts do not parse back to them
+    odd = (Basic("f", "a b"), Basic("f", "a-b"), Basic("f.a", "b"))
     queries = ["hdeq:f.a", "hdeq:+f.b", "hdeq:-f.a", "hdeq:#0", "hdeq:!",
-               "hdeq:~", "hdeq: f.a"]
+               "hdeq:~", "hdeq:f.a b", "hdeq:-f.a-b", "hdeq:+f.a.b"]
     # outside the alphabet, odd spellings, unknown methods: these may wedge
-    rare = ["hdeq:#1", "hdeq:g.m", "hdeq:f.a b", "hdeq:(", "frob"]
+    rare = ["hdeq:#1", "hdeq:g.m", "hdeq: f.a", "hdeq:(", "frob"]
     for _ in range(200):
-        p = random_program(rng, max_len=10, allow_shift=True, pgajs0=True)
-        for alphabet in (None, Alphabet.from_sequence(p),
-                         Alphabet.from_basics({odd, Basic("f", "a"), Basic("f", "b")})):
-            new, old = pgs_new(p, alphabet), _OldPgsService(p, alphabet)
+        p = random_program(rng, max_len=10, allow_shift=True, pgajs0=True,
+                           basics=BASICS + (rng.choice(odd),))
+        for alphabet in (None, Alphabet.from_basics(odd + BASICS)):
+            new = pgs_new(p, alphabet)
+            old = _OldPgsService(p, alphabet or Alphabet.from_sequence(p))
             new_of_old = {old.key(): new.key()}
             for _ in range(30):
                 roll = rng.random()
@@ -740,3 +772,29 @@ def test_to_canonical_matches_recursive_flattening():
         term = _random_term(rng, 6)
         prefix, period = _old_flatten(term)
         assert to_canonical(term) == InstructionSequence(tuple(prefix), tuple(period))
+
+
+def _old_roll_back(prefix, period):
+    period = _primitive(tuple(period))
+    work = list(prefix)
+    while work and work[-1] == period[-1]:
+        period = (period[-1],) + period[:-1]
+        work.pop()
+    return tuple(work), period
+
+
+def test_rollback_matches_one_rotation_per_instruction():
+    rng = random.Random(2042)
+    units = (Plain(BASICS[0]), PosTest(BASICS[1]), Jump(0), HALT)
+    rolled = 0
+    for _ in range(2000):
+        period = [rng.choice(units) for _ in range(rng.randint(1, 4))]
+        # the prefix often ends in a suffix of the period and then copies
+        # of it, so the period rotates by any amount
+        tail = period[rng.randint(0, len(period)):] + period * rng.randint(0, 3)
+        head = [rng.choice(units) for _ in range(rng.randint(0, 3))]
+        prefix = head + tail if rng.random() < 0.8 else head
+        s = InstructionSequence(tuple(prefix), tuple(period))
+        assert (s.prefix, s.period) == _old_roll_back(prefix, period), (prefix, period)
+        rolled += len(s.prefix) < len(prefix)
+    assert rolled > 1000

@@ -30,7 +30,7 @@ from pgakit import (
     to_canonical,
     transform_to_pgajs0,
 )
-from pgakit.syntax import JUMP_LIMIT, Concat, Instr, Repeat, contains_shift, drop_head, head
+from pgakit.syntax import JUMP_LIMIT, Concat, Instr, Repeat, contains_shift
 
 from strategies import BASICS, chain_spec, deep_spec, programs
 
@@ -173,18 +173,8 @@ def test_instruction_at_and_heads():
     assert instruction_at(s, 1) == fb
     assert instruction_at(s, 2) == Halt()
     assert instruction_at(s, 3) == fb
-    assert head(s) == fa
-    rest = drop_head(s)
-    assert head(rest) == fb
     fin = P("f.a")
-    assert drop_head(fin) is None
     assert instruction_at(fin, 5) is None
-
-
-def test_periodic_drop_head_rotates():
-    s = P("(f.a; f.b)*")
-    assert head(drop_head(s)) == fb
-    assert drop_head(drop_head(s)) == s
 
 
 # shift normalization

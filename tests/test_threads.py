@@ -14,7 +14,6 @@ from pgakit import (
     ThreadSpec,
     ThreadSyntaxError,
     abstract_tau,
-    actions_of,
     bisimilar,
     parse_thread,
     print_thread,
@@ -66,11 +65,6 @@ def test_relabel_is_breadth_first():
     assert out.states["X0"] == Post(a, "X1", "X2")
     assert out.states["X1"] == DEADLOCK
     assert out.states["X2"] == STOP
-
-
-def test_actions_of():
-    spec = validate(ThreadSpec({"x": Post(a, "y", "y"), "y": Post(b, "y", "y")}, "x"))
-    assert actions_of(spec) == {a, b}
 
 
 # finite projections
