@@ -10,12 +10,17 @@ extract_pgajs).
 The thread finds the instruction at the head by `hdeq` queries and enacts
 it by the two-mode equations, laid out from the table in `altsem` that
 `extract_alt` reads too; its `pgs.drop` steps move the program service on.
+`run_exec` explores the mechanism with both services on the fly, hiding
+silent steps as it goes, and takes a run of equal instructions, such as a
+run of jump-shifts, in one step once the mechanism has shown one round of
+it to repeat.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .altsem import (
     _BASIC,
@@ -32,10 +37,11 @@ from .altsem import (
 )
 from .services import (
     Budget,
+    BudgetExceededError,
+    CounterService,
     Reply,
     Service,
-    collapse_counter_divergence,
-    compose,
+    _state_names,
     counter_new,
 )
 from .syntax import (
@@ -61,7 +67,6 @@ from .threads import (
     Body,
     Post,
     ThreadSpec,
-    abstract_tau,
     validate,
 )
 
@@ -212,17 +217,207 @@ def run_exec(
     budget: Optional[Budget] = None,
     alphabet: Optional[Alphabet] = None,
 ) -> ThreadSpec:
-    """Execute a #0-jumps-only program through the mechanism: compose with
-    the program service, collapse guaranteed counter divergences, compose
-    with a zeroed counter, and hide all service traffic."""
+    """Execute a #0-jumps-only program through the mechanism, with the
+    program service and a zeroed counter, and hide all service traffic.
+
+    The configurations (mechanism state, program service, counter) are
+    explored on the fly from the root; only the root and the targets of
+    visible actions become states.  A silent walk that comes back to a
+    configuration, or to a mechanism state and program position with no
+    counter test on the way, spins forever and ends in deadlock.  A run of
+    equal instructions is taken in one step: once a round between two
+    drops comes back to the same mechanism state, changing the counter by
+    d without testing it or leaving it unchanged, every further instruction
+    of the run repeats that round, so the rest of the run moves the
+    position by k and the counter by d*k at once.  The budget caps the
+    configurations walked."""
     if not is_pgajs0(p):
         raise NotPgajs0Error("execution requires a program with only #0 jumps")
     if alphabet is not None and not basics_of(p) <= set(alphabet.basics):
         raise AlphabetMismatchError("the program has basics outside the alphabet")
     pgs = pgs_new(p, alphabet)
-    inner = compose(build_exec_mechanism(pgs.alphabet), "pgs", pgs, budget)
-    inner = collapse_counter_divergence(inner)
-    return abstract_tau(compose(inner, "cnt", counter_new(0), budget))
+    return _explore(build_exec_mechanism(pgs.alphabet), pgs, budget or Budget())
+
+
+def _run_lengths(s: InstructionSequence) -> List[Optional[int]]:
+    """For each position, how many positions from it on hold the same
+    instruction, wrapping into the period; None where that never ends."""
+    p, q = len(s.prefix), len(s.period)
+    if q == 1:  # a primitive period of one instruction repeats it forever
+        runs: List[Optional[int]] = [None]
+    else:
+        # a primitive period of two or more instructions holds two that
+        # differ, so no run wraps all the way round it
+        twice = s.period * 2
+        runs = [1] * len(twice)
+        for i in range(len(twice) - 2, -1, -1):
+            if twice[i] == twice[i + 1]:
+                runs[i] = runs[i + 1] + 1
+        runs = runs[:q]
+    prefix_runs = [1] * p
+    after = s.period[0] if q else None
+    ahead = runs[0] if q else 0
+    for i in range(p - 1, -1, -1):
+        u = s.prefix[i]
+        if u != after:
+            ahead = 1
+        elif ahead is not None:
+            ahead += 1
+        prefix_runs[i] = ahead
+        after = u
+    return prefix_runs + runs
+
+
+_LEAF, _PGS, _CNT, _SHOW = range(4)
+
+
+def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
+    """The thread of `mech` run with `pgs` and a zeroed counter, with all
+    service traffic hidden, as `run_exec` describes."""
+    sids = list(mech.states)
+    index = {sid: i for i, sid in enumerate(sids)}
+    # per mechanism state: kind, body, method, True and False successors
+    kinds, bodies, methods, thens, elses = [], [], [], [], []
+    for sid in sids:
+        body = mech.states[sid]
+        bodies.append(body)
+        if isinstance(body, Post):
+            focus = body.action.focus
+            kinds.append(_PGS if focus == "pgs" else _CNT if focus == "cnt" else _SHOW)
+            methods.append(body.action.method)
+            thens.append(index[body.then])
+            elses.append(index[body.else_])
+        else:
+            kinds.append(_LEAF)
+            methods.append(None)
+            thens.append(None)
+            elses.append(None)
+
+    s = pgs.sequence
+    length, p, q = len(s), len(s.prefix), len(s.period)
+    runs = _run_lengths(s)
+    cnt = counter_new(0)
+    # services by key; replies by (service key, method), so each distinct
+    # service state answers each method once
+    services: Dict[str, Service] = {pgs.key(): pgs, cnt.key(): cnt}
+    replies: Dict[Tuple[str, str], Tuple[str, Reply]] = {}
+    TRUE, BLOCKED = Reply.TRUE, Reply.BLOCKED
+
+    def first_reply(key: str, method: str) -> Tuple[str, Reply]:
+        svc, r = services[key].apply(method)
+        nxt = svc.key()
+        services.setdefault(nxt, svc)
+        replies[(key, method)] = (nxt, r)
+        return nxt, r
+
+    def rest_of_run(pk: str, prev: int) -> Tuple[Optional[int], str]:
+        """Rounds left in the run after the one that dropped from `prev`,
+        and the program service key past them."""
+        more = runs[prev]
+        if more is None:
+            return None, pk
+        more -= 1
+        if not more:
+            return 0, pk
+        pos = services[pk].position + more
+        if pos >= length and q:
+            pos = p + (pos - p) % q
+        svc = PgsService(s, pgs.alphabet, pos)
+        nxt = svc.key()
+        services.setdefault(nxt, svc)
+        return more, nxt
+
+    resolved: Dict[tuple, object] = {}  # configuration -> visible configuration or leaf
+    limit = budget.max_states
+
+    def resolve(m: int, pk: str, ck: str):
+        walked: Dict[tuple, None] = {}
+        pairs = set()  # (mechanism state, pgs key) since the last counter test
+        mark = None  # (mechanism state, counter) where the last drop landed
+        tested = False
+        room = limit - len(resolved)
+        while True:
+            cfg = (m, pk, ck)
+            got = resolved.get(cfg)
+            if got is not None:
+                break
+            if cfg in walked or (m, pk) in pairs:
+                got = DEADLOCK
+                break
+            if len(walked) >= room:
+                raise BudgetExceededError(
+                    f"run_exec explored more than {limit} configurations"
+                )
+            walked[cfg] = None
+            pairs.add((m, pk))
+            kind = kinds[m]
+            if kind == _SHOW:
+                got = cfg
+                break
+            if kind == _LEAF:
+                got = bodies[m]
+                break
+            method = methods[m]
+            key = ck if kind == _CNT else pk
+            nxt, r = replies.get((key, method)) or first_reply(key, method)
+            if r is BLOCKED:
+                got = DEADLOCK
+                break
+            if kind == _CNT:
+                ck = nxt
+                if method != "inc":
+                    pairs.clear()
+                    tested = True
+            else:
+                if method == "drop" and r is TRUE:
+                    m2 = thens[m]
+                    c = services[ck].content
+                    if mark is not None and mark[0] == m2 and (not tested or mark[1] == c):
+                        more, nxt = rest_of_run(nxt, services[pk].position)
+                        if more is None:
+                            got = DEADLOCK
+                            break
+                        if more:
+                            c += (c - mark[1]) * more
+                            svc = CounterService(c)
+                            ck = svc.key()
+                            services.setdefault(ck, svc)
+                            if tested:
+                                pairs.clear()
+                    mark = (m2, c)
+                    tested = False
+                pk = nxt
+            m = thens[m] if r is TRUE else elses[m]
+        for cfg in walked:
+            resolved[cfg] = got
+        return got
+
+    # emitted configurations, in discovery order, with what each resolves to
+    emitted: Dict[tuple, object] = {}
+    root = (index[mech.root], pgs.key(), cnt.key())
+    queue = deque([root])
+    emitted[root] = None
+    while queue:
+        cfg = queue.popleft()
+        got = resolve(*cfg)
+        emitted[cfg] = got
+        if isinstance(got, tuple):
+            m, pk, ck = got
+            for target in ((thens[m], pk, ck), (elses[m], pk, ck)):
+                if target not in emitted:
+                    emitted[target] = None
+                    queue.append(target)
+
+    names = dict(zip(emitted, _state_names([sids[cfg[0]] for cfg in emitted])))
+    states: Dict[str, Body] = {}
+    for cfg, got in emitted.items():
+        if isinstance(got, tuple):
+            m, pk, ck = got
+            got = Post(
+                bodies[m].action, names[(thens[m], pk, ck)], names[(elses[m], pk, ck)]
+            )
+        states[names[cfg]] = got
+    return ThreadSpec(states, names[root])
 
 
 def theorem3_witness(n: int) -> ThreadSpec:

@@ -15,6 +15,9 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .threads import Basic
 
 JUMP_LIMIT = 2**63 - 1
+# Most instructions `transform_to_pgajs0` writes out; a jump of offset l
+# becomes l + 1 of them.
+EXPANSION_LIMIT = 10**6
 
 RESERVED_FOCI = frozenset({"cnt", "pgs"})
 
@@ -127,11 +130,32 @@ Term = Union[Instr, Concat, Repeat]
 
 
 def _primitive(period: Tuple[Instruction, ...]) -> Tuple[Instruction, ...]:
+    """The shortest root r with period == r * (n // len(r)).  Root lengths
+    are the multiples of the shortest one that divide n, so starting from
+    d = n, d is divided by each prime factor f of n for as long as d // f
+    is still a root: the period equals itself shifted by d // f.  That is
+    at most log2(n) tuple comparisons, each run in C, and no copy of the
+    period per divisor."""
     n = len(period)
-    for d in range(1, n + 1):
-        if n % d == 0 and period == period[:d] * (n // d):
-            return period[:d]
-    return period
+    d = n
+    for f in _prime_factors(n):
+        while d % f == 0 and period[d // f:] == period[:n - d // f]:
+            d //= f
+    return period[:d]
+
+
+def _prime_factors(n: int) -> List[int]:
+    factors = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
 @dataclass(frozen=True, slots=True)
@@ -500,9 +524,15 @@ def normalize_shifts(s: InstructionSequence) -> InstructionSequence:
 
 def transform_to_pgajs0(s: InstructionSequence) -> InstructionSequence:
     """Expand every positive jump #l into l shifts followed by #0.  Input
-    must already be shift free."""
+    must already be shift free, and expand to at most EXPANSION_LIMIT
+    instructions."""
     if contains_shift(s):
         raise ShiftPresentError("input still contains shift instructions")
+    size = sum(u.offset + 1 if isinstance(u, Jump) else 1 for u in s.prefix + s.period)
+    if size > EXPANSION_LIMIT:
+        raise JumpOverflowError(
+            f"expanding the jumps gives {size} instructions, over {EXPANSION_LIMIT}"
+        )
 
     def expand(units: Tuple[Instruction, ...]) -> Tuple[Instruction, ...]:
         out: List[Instruction] = []

@@ -163,30 +163,34 @@ def relabel(spec: ThreadSpec, prefix: str = "X") -> ThreadSpec:
 def project(spec: ThreadSpec, depth: int, state: str | None = None) -> FiniteThread:
     """Approximate the behaviour from `state` (default: root) up to `depth`
     actions.  Depth 0 is deadlock; deeper levels copy the body shape and
-    project both branches one level lower."""
+    project both branches one level lower.  The memo of (state, depth)
+    projections is filled bottom-up from an explicit stack, so deep
+    projections need no recursion."""
     if depth < 0:
         raise ValueError("projection depth must be >= 0")
     spec = validate(spec)
+    start = (state if state is not None else spec.root, depth)
     memo: Dict[tuple, FiniteThread] = {}
-
-    def go(name: str, n: int) -> FiniteThread:
-        if n == 0:
-            return DEADLOCK
-        key = (name, n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        body = spec.states[name]
-        if isinstance(body, Post):
-            result: FiniteThread = Branch(
-                body.action, go(body.then, n - 1), go(body.else_, n - 1)
-            )
-        else:
-            result = body
-        memo[key] = result
-        return result
-
-    return go(state if state is not None else spec.root, depth)
+    stack = [start]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        name, n = key
+        body = DEADLOCK if n == 0 else spec.states[name]
+        if not isinstance(body, Post):
+            memo[key] = body
+            stack.pop()
+            continue
+        then_key, else_key = (body.then, n - 1), (body.else_, n - 1)
+        missing = [k for k in (then_key, else_key) if k not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        memo[key] = Branch(body.action, memo[then_key], memo[else_key])
+        stack.pop()
+    return memo[start]
 
 
 def projections_agree(a: ThreadSpec, b: ThreadSpec, depth: int) -> bool:

@@ -297,3 +297,12 @@ def test_witness_exec_n4_to_6():
         assert bisimilar(run_exec(p), w)
         assert bisimilar(behaviour_via_counter(p), w)
     _report("witness-exec n=4..6", started, limit=30.0)
+
+
+def test_witness_exec_n30():
+    w = theorem3_witness(30)
+    p = corollary1_pipeline(w)
+    assert len(p) == 105_786
+    started = time.monotonic()
+    assert bisimilar(run_exec(p), w)
+    _report("witness-exec n=30, 105,786 instructions", started, limit=10.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgakit.cli import EXIT_PARSE, main
+from pgakit.cli import EXIT_OVERFLOW, EXIT_PARSE, main
 
 
 def run(capsys, *argv):
@@ -201,6 +201,12 @@ def test_closed_stdout_is_a_documented_exit(monkeypatch):
     assert main(["normalize", "f.a; !"]) == EXIT_PARSE
 
 
+def test_verify_refuses_jumps_too_long_to_expand(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "1", "--in", "#9999999999; !")
+    assert code == EXIT_OVERFLOW
+    assert out == "" and err.startswith("error: expanding the jumps")
+
+
 def test_verify_rejects_max_len_below_one(capsys):
     code, out, err = run(capsys, "verify", "--theorem", "1", "--max-len", "-3")
     assert code == EXIT_PARSE
@@ -236,6 +242,7 @@ def test_any_text_ends_in_a_documented_exit(a, b):
         ["compile", f"--in={a}"],
         ["compile", "--pgajs0", "--abstract", f"--in={a}"],
         ["bisim", "--programs", "--", a, b],
+        *(["verify", "--theorem", t, f"--in={a}"] for t in ("1", "2", "exec", "roundtrip")),
     ):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sys, "stdin", io.StringIO(b))

@@ -6,6 +6,8 @@ from pgakit import (
     AlphabetError,
     AlphabetMismatchError,
     Basic,
+    Budget,
+    BudgetExceededError,
     Halt,
     InstructionSequence,
     Jump,
@@ -17,6 +19,7 @@ from pgakit import (
     SHIFT,
     bisimilar,
     build_exec_mechanism,
+    compose,
     extract_pgajs,
     parse_program,
     parse_thread,
@@ -205,6 +208,18 @@ def test_run_exec_rejects_positive_jumps():
 def test_run_exec_alphabet_mismatch():
     with pytest.raises(AlphabetMismatchError):
         run_exec(P("g.m; !"), alphabet=Alphabet.from_basics([fa]))
+
+
+def test_run_exec_budget_counts_configurations():
+    p = corollary1_pipeline(theorem3_witness(2))
+    with pytest.raises(BudgetExceededError, match="run_exec"):
+        run_exec(p, Budget(50))
+    # the budget counts configurations walked, not product states: the
+    # program-service product alone is larger
+    assert bisimilar(run_exec(p, Budget(2500)), theorem3_witness(2))
+    pgs = pgs_new(p)
+    with pytest.raises(BudgetExceededError):
+        compose(build_exec_mechanism(pgs.alphabet), "pgs", pgs, Budget(2500))
 
 
 def test_one_mechanism_runs_many_programs():

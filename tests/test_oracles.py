@@ -13,9 +13,17 @@ they were written before both read one table of the two-mode equations:
 one hand-written enactment per instruction kind.  The table-driven builders
 must give the same states under the same names.
 
+`_layered_run_exec` is the execution route as it was before `run_exec`
+explored configurations on the fly: compose the mechanism with the
+program service, collapse counter divergence, compose with the counter,
+hide silent steps.  The explorer names states by configuration, so the
+two threads must be equal after `relabel`.
+
 `_old_roll_back` is the canonical-form rollback as it was before it
 rotated the period once: one rotation per trailing prefix instruction
 that matches the period's last element.  It must give equal sequences.
+`_old_primitive` finds the primitive root by trying every divisor of the
+period length; the search over prime factors must give the same root.
 
 `_old_parse_program` is the parser as it was before it read programs in
 one pass: a tokenizer, a recursive-descent parser building a `Term`, and a
@@ -66,6 +74,7 @@ from pgakit import (
     validate,
 )
 from pgakit.corpus import random_program, random_spec, spec_pair
+from pgakit.properties import PROPERTIES, draw_cases
 from pgakit.services import _state_names
 from pgakit.syntax import (
     HALT,
@@ -390,8 +399,26 @@ def test_program_service_matches_residual_service():
             assert len(set(new_of_old.values())) == len(new_of_old)
 
 
+def _layered_run_exec(p, budget=None):
+    pgs = pgs_new(p)
+    inner = compose(build_exec_mechanism(pgs.alphabet), "pgs", pgs, budget)
+    inner = collapse_counter_divergence(inner)
+    return abstract_tau(compose(inner, "cnt", counter_new(0), budget))
+
+
+# all-shift periods spin the counter up forever; the others reach a shift
+# run again through the period, or end in one
+_SHIFT_RUNS = (
+    InstructionSequence((), (SHIFT,)),
+    InstructionSequence((Plain(BASICS[0]),), (SHIFT,)),
+    InstructionSequence((SHIFT,) * 3 + (Jump(0),), (SHIFT, SHIFT, Halt())),
+    InstructionSequence((), (SHIFT, SHIFT, Plain(BASICS[0]), SHIFT)),
+    InstructionSequence((Plain(BASICS[0]), SHIFT, SHIFT), ()),
+)
+
+
 def test_service_pipeline_matches_old_route():
-    for p in _programs():
+    for p in _programs() + list(_SHIFT_RUNS):
         alphabet = Alphabet.from_sequence(p)
         mech = build_exec_mechanism(alphabet)
         inner = compose(mech, "pgs", pgs_new(p, alphabet))
@@ -402,7 +429,22 @@ def test_service_pipeline_matches_old_route():
         old_route = _old_abstract_tau(
             compose(collapse_counter_divergence(old_inner), "cnt", counter_new(0))
         )
-        _assert_same(run_exec(p), old_route)
+        layered = _layered_run_exec(p)
+        _assert_same(layered, old_route)
+        # the explorer names its states by configuration, not by product
+        assert relabel(run_exec(p)) == relabel(layered), print_program(p)
+
+
+def test_explorer_matches_layered_route_on_exec_corpus():
+    # the corpus of the execution-mechanism acceptance gate
+    for p in draw_cases(PROPERTIES["exec"], 2025, 500):
+        assert relabel(run_exec(p)) == relabel(_layered_run_exec(p)), print_program(p)
+
+
+def test_explorer_matches_layered_route_on_witnesses():
+    for n in (1, 2, 3, 4):
+        p = corollary1_pipeline(theorem3_witness(n))
+        assert relabel(run_exec(p)) == relabel(_layered_run_exec(p)), n
 
 
 def _assert_same_verdict(pairs):
@@ -772,6 +814,35 @@ def test_to_canonical_matches_recursive_flattening():
         term = _random_term(rng, 6)
         prefix, period = _old_flatten(term)
         assert to_canonical(term) == InstructionSequence(tuple(prefix), tuple(period))
+
+
+def _old_primitive(period):
+    n = len(period)
+    for d in range(1, n + 1):
+        if n % d == 0 and period == period[:d] * (n // d):
+            return period[:d]
+    return period
+
+
+def test_primitive_root_matches_divisor_search():
+    rng = random.Random(2043)
+    units = (Plain(BASICS[0]), PosTest(BASICS[1]), Jump(0), HALT, SHIFT)
+    powers = 0
+    for _ in range(3000):
+        root = tuple(rng.choice(units[:rng.randint(1, 5)])
+                     for _ in range(rng.randint(1, 6)))
+        # powers of a root, with one instruction changed now and then
+        period = list(root * rng.randint(1, 12))
+        if rng.random() < 0.3:
+            period[rng.randrange(len(period))] = rng.choice(units)
+        period = tuple(period)
+        got = _primitive(period)
+        assert got == _old_primitive(period), period
+        powers += len(got) < len(period)
+    assert powers > 1000
+    assert _primitive((SHIFT,) * 100_000) == (SHIFT,)
+    # many divisors, and every shift test runs to the last instruction
+    assert _primitive((SHIFT,) * 720_719 + (HALT,)) == (SHIFT,) * 720_719 + (HALT,)
 
 
 def _old_roll_back(prefix, period):

@@ -30,7 +30,7 @@ from pgakit import (
     to_canonical,
     transform_to_pgajs0,
 )
-from pgakit.syntax import JUMP_LIMIT, Concat, Instr, Repeat, contains_shift
+from pgakit.syntax import EXPANSION_LIMIT, JUMP_LIMIT, Concat, Instr, Repeat, contains_shift
 
 from strategies import BASICS, chain_spec, deep_spec, programs
 
@@ -232,6 +232,15 @@ def test_transform_rejects_shifts():
 def test_transform_expands_jumps():
     assert transform_to_pgajs0(P("#2; f.a; !")) == P("~; ~; #0; f.a; !")
     assert transform_to_pgajs0(P("(+f.a; #2; #1)*")) == P("(+f.a; ~; ~; #0; ~; #0)*")
+
+
+def test_transform_refuses_expansions_over_the_limit():
+    # #l; ! expands to l + 2 instructions
+    assert len(transform_to_pgajs0(P(f"#{EXPANSION_LIMIT - 2}; !"))) == EXPANSION_LIMIT
+    with pytest.raises(JumpOverflowError):
+        transform_to_pgajs0(P(f"#{EXPANSION_LIMIT - 1}; !"))
+    with pytest.raises(JumpOverflowError):
+        transform_to_pgajs0(P("(f.a; #9999999999)*"))
 
 
 def test_transform_leaves_zero_jumps():

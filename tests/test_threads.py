@@ -96,6 +96,15 @@ def test_projection_tower():
         assert project(spec, n) == _truncate(deeper, n)
 
 
+def test_projection_ten_thousand_deep():
+    spec = validate(ThreadSpec({"x": Post(a, "y", "x"), "y": Post(b, "x", "y")}, "x"))
+    node = project(spec, 10_000)
+    for i in range(10_000):
+        assert node.action == (a, b)[i % 2]
+        node = node.then
+    assert node == DEADLOCK
+
+
 def _truncate(ft, n):
     if n == 0:
         return DEADLOCK
