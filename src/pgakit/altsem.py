@@ -30,7 +30,6 @@ from .services import Budget, collapse_counter_divergence, compose, counter_new
 from .syntax import (
     Halt,
     InstructionSequence,
-    Instruction,
     Jump,
     NegTest,
     Plain,
@@ -38,6 +37,7 @@ from .syntax import (
     ProgramError,
     Shift,
     is_pgajs0,
+    position,
 )
 from .threads import (
     DEADLOCK,
@@ -142,27 +142,12 @@ def extract_alt(s: InstructionSequence) -> ThreadSpec:
     after the zero test, so only an exact landing executes the shift."""
     if not is_pgajs0(s):
         raise NotPgajs0Error("only #0 jumps are supported here")
-    p = len(s.prefix)
-    q = len(s.period)
-    finite = q == 0
-    total = p + q + (1 if finite else 0)
-
-    def instr(i: int) -> Instruction:
-        if finite and i == p + q:
-            return Jump(0)
-        if i < p:
-            return s.prefix[i]
-        return s.period[i - p]
-
-    def succ(i: int) -> int:
-        if finite:
-            return min(i + 1, total - 1)
-        return i + 1 if i + 1 < total else p
-
+    units = s.prefix + s.period
+    if not s.period:
+        units += (Jump(0),)  # the end position reads as #0
     states: Dict[str, Body] = {}
-    for i in range(total):
-        u = instr(i)
-        g, k, n = f"g{i}", f"s{i}", succ(i)
+    for i, u in enumerate(units):
+        g, k, n = f"g{i}", f"s{i}", position(s, i + 1)
         here = (g, g + "a", g + "b", g + "c", k, k + "a", k + "b",
                 f"g{n}", f"s{n}", "dd")
         if not _GUARDED[type(u)]:

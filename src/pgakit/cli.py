@@ -21,6 +21,7 @@ from .extraction import extract_pgajs
 from .properties import PROPERTIES, draw_cases
 from .services import BudgetExceededError
 from .syntax import (
+    EXPANSION_LIMIT,
     JumpOverflowError,
     ProgramError,
     ShiftPresentError,
@@ -127,8 +128,10 @@ _THEOREMS = {"1": "transform", "2": "counter", "exec": "exec", "roundtrip": "rou
 def cmd_verify(args) -> int:
     if args.count < 0:
         raise ConfigError(f"--count must be at least 0, not {args.count}")
-    if args.max_len is not None and args.max_len < 1:
-        raise ConfigError(f"--max-len must be at least 1, not {args.max_len}")
+    if args.max_len is not None and not 1 <= args.max_len <= EXPANSION_LIMIT:
+        raise ConfigError(
+            f"--max-len must be from 1 to {EXPANSION_LIMIT}, not {args.max_len}"
+        )
     prop = PROPERTIES[_THEOREMS[args.theorem]]
     if args.in_ is not None:
         text = _read_input(args.in_).strip()
@@ -213,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-len",
         type=int,
         default=None,
-        help="max program length (or max states for roundtrip)",
+        help="max program length (or max states for roundtrip),"
+        f" 1 to {EXPANSION_LIMIT}",
     )
     p.add_argument("--in", dest="in_", help="verify one given input instead")
     p.add_argument("--json", action="store_true")

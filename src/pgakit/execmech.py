@@ -59,6 +59,7 @@ from .syntax import (
     instruction_at,
     instruction_text,
     is_pgajs0,
+    position,
 )
 from .threads import (
     DEADLOCK,
@@ -122,7 +123,7 @@ class PgsService(Service):
     """Service view of a stored instruction sequence and a position in it.
     `hdeq:t` answers whether the instruction at the position is the
     alphabet's instruction with text t (no state change); `drop` moves the
-    position one on (False once past the end of a finite sequence).  On a
+    position one on (False at the end position of a finite sequence).  On a
     periodic sequence the position wraps back into the period, so distinct
     positions hold distinct remaining sequences and the key can name the
     position alone.  A query the alphabet does not name, or any other
@@ -138,11 +139,9 @@ class PgsService(Service):
             return self, Reply.BLOCKED
         s = self.sequence
         if method == "drop":
-            pos = self.position + 1
-            if pos > len(s):
+            if self.position == len(s):
                 return self, Reply.FALSE
-            if pos == len(s) and s.period:
-                pos = len(s.prefix)
+            pos = position(s, self.position + 1)
             return PgsService(s, self.alphabet, pos), Reply.TRUE
         u = None
         if method.startswith("hdeq:"):
@@ -294,7 +293,6 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
             elses.append(None)
 
     s = pgs.sequence
-    length, p, q = len(s), len(s.prefix), len(s.period)
     runs = _run_lengths(s)
     cnt = counter_new(0)
     # services by key; replies by (service key, method), so each distinct
@@ -319,9 +317,7 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
         more -= 1
         if not more:
             return 0, pk
-        pos = services[pk].position + more
-        if pos >= length and q:
-            pos = p + (pos - p) % q
+        pos = position(s, services[pk].position + more)
         svc = PgsService(s, pgs.alphabet, pos)
         nxt = svc.key()
         services.setdefault(nxt, svc)

@@ -8,7 +8,7 @@ a finite sequence, or a revisited position) meaning deadlock.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from .syntax import (
     Halt,
@@ -21,6 +21,7 @@ from .syntax import (
     ShiftPresentError,
     contains_shift,
     normalize_shifts,
+    position,
 )
 from .threads import (
     DEADLOCK,
@@ -32,63 +33,41 @@ from .threads import (
     validate,
 )
 
-_DEAD = -1
 
-
-def _positions(s: InstructionSequence) -> int:
-    return len(s.prefix) + len(s.period)
-
-
-def _normalize_pos(s: InstructionSequence, j: int) -> int:
-    """Map an unfolded index onto its canonical position, or _DEAD when a
-    finite sequence has no instruction there."""
-    p = len(s.prefix)
-    if j < p:
-        return j
-    q = len(s.period)
-    if q:
-        return p + (j - p) % q
-    return _DEAD
-
-
-def _instruction(s: InstructionSequence, pos: int) -> Instruction:
-    p = len(s.prefix)
-    if pos < p:
-        return s.prefix[pos]
-    return s.period[pos - p]
-
-
-def _resolve(s: InstructionSequence, j: int) -> int:
-    """Follow the jump chain starting at unfolded index j until it reaches a
-    non-jump position (returned) or provably deadlocks (_DEAD): jump offset
-    zero, running off a finite sequence, or revisiting a jump position."""
+def _resolve(s: InstructionSequence, units: tuple, j: int) -> int:
+    """Follow the jump chain starting at unfolded index j, over the
+    instructions `units` of s by position, until it reaches a non-jump
+    position (returned) or provably deadlocks: jump offset zero, running
+    off a finite sequence, or revisiting a jump position.  A deadlock
+    returns the end position len(s), which holds no instruction."""
+    end = len(units)
     seen = set()
     while True:
-        pos = _normalize_pos(s, j)
-        if pos == _DEAD:
-            return _DEAD
-        u = _instruction(s, pos)
+        pos = position(s, j)
+        if pos == end:
+            return end
+        u = units[pos]
         if not isinstance(u, Jump):
             return pos
         if pos in seen or u.offset == 0:
-            return _DEAD
+            return end
         seen.add(pos)
         j = pos + u.offset
 
 
 def extract(s: InstructionSequence) -> ThreadSpec:
     """Thread of a Shift-free sequence: one state per non-jump position plus
-    a shared deadlock state, pruned to what the start position reaches."""
+    a deadlock state at the end position, pruned to what the start position
+    reaches."""
     if contains_shift(s):
         raise ShiftPresentError("extraction requires a Shift-free sequence")
+    units = s.prefix + s.period
 
     def target(j: int) -> str:
-        r = _resolve(s, j)
-        return "dead" if r == _DEAD else f"p{r}"
+        return f"p{_resolve(s, units, j)}"
 
     states: Dict[str, Body] = {}
-    for pos in range(_positions(s)):
-        u = _instruction(s, pos)
+    for pos, u in enumerate(units):
         if isinstance(u, Jump):
             continue
         name = f"p{pos}"
@@ -102,7 +81,7 @@ def extract(s: InstructionSequence) -> ThreadSpec:
         else:
             assert isinstance(u, NegTest)
             states[name] = Post(u.basic, target(pos + 2), target(pos + 1))
-    states["dead"] = DEADLOCK
+    states[f"p{len(units)}"] = DEADLOCK
     root = target(0)
     return relabel(validate(ThreadSpec(states, root)))
 
@@ -116,23 +95,21 @@ def _jump_collapse(s: InstructionSequence) -> InstructionSequence:
     """Replace every jump by its fully resolved single jump: offset to the
     final landing non-jump position, or zero when the chain deadlocks.
     Wrap-around landings inside the period get the smallest positive offset."""
-    p = len(s.prefix)
-    q = len(s.period)
+    units = s.prefix + s.period
 
-    def collapse(pos: int) -> Instruction:
-        u = _instruction(s, pos)
+    def collapse(pos: int, u: Instruction) -> Instruction:
         if not isinstance(u, Jump):
             return u
-        r = _resolve(s, pos)
-        if r == _DEAD:
+        r = _resolve(s, units, pos)
+        if r == len(units):
             return Jump(0)
         if r > pos:
             return Jump(r - pos)
-        return Jump(r - pos + q)
+        return Jump(r - pos + len(s.period))
 
-    prefix = tuple(collapse(i) for i in range(p))
-    period = tuple(collapse(p + i) for i in range(q))
-    return InstructionSequence(prefix, period)
+    collapsed = tuple(collapse(pos, u) for pos, u in enumerate(units))
+    p = len(s.prefix)
+    return InstructionSequence(collapsed[:p], collapsed[p:])
 
 
 def structurally_congruent(a: InstructionSequence, b: InstructionSequence) -> bool:

@@ -17,7 +17,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 from .threads import (
     DEADLOCK,
     TAU,
-    Basic,
     Body,
     Post,
     Tau,
@@ -192,8 +191,8 @@ def _state_names(sids: List[str]) -> List[str]:
     return names
 
 
-def collapse_counter_divergence(spec: ThreadSpec, focus: str = "cnt") -> ThreadSpec:
-    """Replace states lying on a cycle of silent or `focus`.inc steps with
+def collapse_counter_divergence(spec: ThreadSpec) -> ThreadSpec:
+    """Replace states lying on a cycle of silent or cnt.inc steps with
     deadlock.  Such a cycle can only spin the counter up forever, which
     after composition and abstraction is deadlock; removing it first keeps
     the service product finite."""
@@ -206,7 +205,7 @@ def collapse_counter_divergence(spec: ThreadSpec, focus: str = "cnt") -> ThreadS
         a = body.action
         if isinstance(a, Tau):
             return body.then
-        if a.focus == focus and a.method == "inc":
+        if a.focus == "cnt" and a.method == "inc":
             return body.then
         return None
 

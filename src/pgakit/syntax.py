@@ -192,17 +192,28 @@ class InstructionSequence:
         return len(self.prefix) + len(self.period)
 
 
-def instruction_at(s: InstructionSequence, i: int) -> Optional[Instruction]:
-    """Instruction at unfolded position i, or None past the end of a finite
-    sequence."""
+def position(s: InstructionSequence, i: int) -> int:
+    """Canonical position of unfolded index i: i itself in the prefix, else
+    wrapped into the period.  Every index past the end of a finite sequence
+    maps to its end position len(s), which holds no instruction."""
     if i < 0:
         raise IndexError(i)
     p = len(s.prefix)
     if i < p:
-        return s.prefix[i]
+        return i
     if not s.period:
-        return None
-    return s.period[(i - p) % len(s.period)]
+        return p
+    return p + (i - p) % len(s.period)
+
+
+def instruction_at(s: InstructionSequence, i: int) -> Optional[Instruction]:
+    """Instruction at unfolded index i, or None past the end of a finite
+    sequence."""
+    pos = position(s, i)
+    p = len(s.prefix)
+    if pos < p:
+        return s.prefix[pos]
+    return s.period[pos - p] if s.period else None
 
 
 def contains_shift(s: InstructionSequence) -> bool:

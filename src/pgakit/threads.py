@@ -143,33 +143,33 @@ def _breadth_first(spec: ThreadSpec) -> Dict[str, int]:
     return index
 
 
-def relabel(spec: ThreadSpec, prefix: str = "X") -> ThreadSpec:
-    """Rename states to prefix0, prefix1, ... in breadth-first discovery
-    order from the root.  Deterministic, so printed output is reproducible."""
+def relabel(spec: ThreadSpec) -> ThreadSpec:
+    """Rename states to X0, X1, ... in breadth-first discovery order from
+    the root.  Deterministic, so printed output is reproducible."""
     spec = validate(spec)
-    names = {name: f"{prefix}{i}" for name, i in _breadth_first(spec).items()}
+    names = {name: f"X{i}" for name, i in _breadth_first(spec).items()}
     states: Dict[str, Body] = {}
     for old, new in names.items():
         body = spec.states[old]
         if isinstance(body, Post):
             body = Post(body.action, names[body.then], names[body.else_])
         states[new] = body
-    return ThreadSpec(states, f"{prefix}0")
+    return ThreadSpec(states, "X0")
 
 
 # === projection ===
 
 
-def project(spec: ThreadSpec, depth: int, state: str | None = None) -> FiniteThread:
-    """Approximate the behaviour from `state` (default: root) up to `depth`
-    actions.  Depth 0 is deadlock; deeper levels copy the body shape and
-    project both branches one level lower.  The memo of (state, depth)
-    projections is filled bottom-up from an explicit stack, so deep
-    projections need no recursion."""
+def project(spec: ThreadSpec, depth: int) -> FiniteThread:
+    """Approximate the behaviour from the root up to `depth` actions.
+    Depth 0 is deadlock; deeper levels copy the body shape and project both
+    branches one level lower.  The memo of (state, depth) projections is
+    filled bottom-up from an explicit stack, so deep projections need no
+    recursion."""
     if depth < 0:
         raise ValueError("projection depth must be >= 0")
     spec = validate(spec)
-    start = (state if state is not None else spec.root, depth)
+    start = (spec.root, depth)
     memo: Dict[tuple, FiniteThread] = {}
     stack = [start]
     while stack:
@@ -380,10 +380,10 @@ def _gvquote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(spec: ThreadSpec, graph_name: str = "thread") -> str:
+def to_dot(spec: ThreadSpec) -> str:
     """GraphViz rendering: Stop states are double circles, Deadlock states
     squares, everything else circles; edges carry the action and branch."""
-    out = [f"digraph {graph_name} {{"]
+    out = ["digraph thread {"]
     for name, body in spec.states.items():
         if isinstance(body, Stop):
             shape = "doublecircle"

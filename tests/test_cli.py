@@ -208,9 +208,10 @@ def test_verify_refuses_jumps_too_long_to_expand(capsys):
 
 
 def test_verify_rejects_max_len_below_one(capsys):
-    code, out, err = run(capsys, "verify", "--theorem", "1", "--max-len", "-3")
-    assert code == EXIT_PARSE
-    assert out == "" and err.startswith("error: --max-len")
+    for args in (("--max-len", "-3"), ("--count", "0", "--max-len", "1000001")):
+        code, out, err = run(capsys, "verify", "--theorem", "1", *args)
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith("error: --max-len")
 
 
 def test_verify_rejects_negative_count(capsys):

@@ -414,6 +414,9 @@ _SHIFT_RUNS = (
     InstructionSequence((SHIFT,) * 3 + (Jump(0),), (SHIFT, SHIFT, Halt())),
     InstructionSequence((), (SHIFT, SHIFT, Plain(BASICS[0]), SHIFT)),
     InstructionSequence((Plain(BASICS[0]), SHIFT, SHIFT), ()),
+    # runs that reach the end of a finite program
+    InstructionSequence((Plain(BASICS[0]),) + (SHIFT,) * 4, ()),
+    InstructionSequence((PosTest(BASICS[0]), Jump(0)) + (SHIFT,) * 3, ()),
 )
 
 

@@ -30,7 +30,15 @@ from pgakit import (
     to_canonical,
     transform_to_pgajs0,
 )
-from pgakit.syntax import EXPANSION_LIMIT, JUMP_LIMIT, Concat, Instr, Repeat, contains_shift
+from pgakit.syntax import (
+    EXPANSION_LIMIT,
+    JUMP_LIMIT,
+    Concat,
+    Instr,
+    Repeat,
+    contains_shift,
+    position,
+)
 
 from strategies import BASICS, chain_spec, deep_spec, programs
 
@@ -175,6 +183,14 @@ def test_instruction_at_and_heads():
     assert instruction_at(s, 3) == fb
     fin = P("f.a")
     assert instruction_at(fin, 5) is None
+    # positions: the prefix as is, the period wrapped, and every index past
+    # a finite end at the end position len(s)
+    assert [position(s, i) for i in range(6)] == [0, 1, 2, 1, 2, 1]
+    fin = P("f.a; f.b; !")
+    assert [position(fin, i) for i in range(6)] == [0, 1, 2, 3, 3, 3]
+    assert position(fin, 10**9) == len(fin)
+    with pytest.raises(IndexError):
+        position(s, -1)
 
 
 # shift normalization
