@@ -12,6 +12,7 @@ import sys
 import time
 
 from pgakit.properties import PROPERTIES, counter_peak, draw_cases
+from pgakit.syntax import EXPANSION_LIMIT
 
 
 def main(argv=None):
@@ -27,6 +28,11 @@ def main(argv=None):
         choices=list(PROPERTIES),
     )
     args = ap.parse_args(argv)
+    if args.count < 0:
+        ap.error(f"--count must be at least 0, not {args.count}")
+    for flag, value in (("--max-len", args.max_len), ("--max-states", args.max_states)):
+        if not 1 <= value <= EXPANSION_LIMIT:
+            ap.error(f"{flag} must be from 1 to {EXPANSION_LIMIT}, not {value}")
 
     bad = 0
     for name in args.props:

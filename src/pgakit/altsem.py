@@ -24,9 +24,9 @@ performs each drop on the program service.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from .services import Budget, collapse_counter_divergence, compose, counter_new
+from .services import collapse_counter_divergence, compose, counter_new
 from .syntax import (
     Halt,
     InstructionSequence,
@@ -160,16 +160,14 @@ def extract_alt(s: InstructionSequence) -> ThreadSpec:
     return validate(ThreadSpec(states, "g0"))
 
 
-def behaviour_via_counter(
-    s: InstructionSequence, budget: Optional[Budget] = None
-) -> ThreadSpec:
+def behaviour_via_counter(s: InstructionSequence) -> ThreadSpec:
     """Compose the two-mode thread with a zeroed counter and hide the
     counter traffic.  Pure inc loops (endless jump-shifting) are collapsed
     to deadlock up front so the product stays finite."""
     inner = collapse_counter_divergence(extract_alt(s))
-    return abstract_tau(compose(inner, "cnt", counter_new(0), budget))
+    return abstract_tau(compose(inner, "cnt", counter_new(0)))
 
 
-def verify_theorem2(s: InstructionSequence, budget: Optional[Budget] = None) -> bool:
+def verify_theorem2(s: InstructionSequence) -> bool:
     """Counter-driven extraction agrees with direct extraction."""
-    return bisimilar(extract_pgajs(s), behaviour_via_counter(s, budget))
+    return bisimilar(extract_pgajs(s), behaviour_via_counter(s))

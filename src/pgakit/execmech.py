@@ -68,7 +68,6 @@ from .threads import (
     Body,
     Post,
     ThreadSpec,
-    validate,
 )
 
 
@@ -208,7 +207,7 @@ def build_exec_mechanism(alphabet: Alphabet) -> ThreadSpec:
             states[e] = STOP
         names = (e, e + "b", e + "c", e + "d", e + "f")
         lay_out(steps, names, getattr(u, "basic", None))
-    return validate(ThreadSpec(states, "q0"))
+    return ThreadSpec(states, "q0")
 
 
 def run_exec(
@@ -433,4 +432,4 @@ def theorem3_witness(n: int) -> ThreadSpec:
         for k in range(j):
             states[f"Tp{j}_{k}"] = Post(b, f"Tp{j}_{k + 1}", f"Tp{j}_{k + 1}")
         states[f"Tp{j}_{j}"] = Post(c, f"Tp{j}_0", f"Tp{j}_0")
-    return validate(ThreadSpec(states, "T0"))
+    return ThreadSpec(states, "T0")

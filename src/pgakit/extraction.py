@@ -30,7 +30,6 @@ from .threads import (
     Post,
     ThreadSpec,
     relabel,
-    validate,
 )
 
 
@@ -83,7 +82,7 @@ def extract(s: InstructionSequence) -> ThreadSpec:
             states[name] = Post(u.basic, target(pos + 2), target(pos + 1))
     states[f"p{len(units)}"] = DEADLOCK
     root = target(0)
-    return relabel(validate(ThreadSpec(states, root)))
+    return relabel(ThreadSpec(states, root))
 
 
 def extract_pgajs(s: InstructionSequence) -> ThreadSpec:

@@ -76,7 +76,7 @@ def draw_cases(
 ) -> List:
     """`count` cases drawn in turn from one generator seeded with `seed`."""
     rng = random.Random(seed)
-    return [prop.draw(rng, size or prop.size) for _ in range(count)]
+    return [prop.draw(rng, prop.size if size is None else size) for _ in range(count)]
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,6 @@ def compose(
     other foci pass through; actions on the given focus become silent steps
     whose branch is picked by the reply, with the service advanced; Blocked
     replies deadlock.  State count is capped by the budget."""
-    spec = validate(spec)
     if budget is None:
         budget = Budget()
 
@@ -163,7 +162,7 @@ def compose(
         else:
             _, action, then_key, else_key = t
             states[names[key]] = Post(action, names[then_key], names[else_key])
-    return validate(ThreadSpec(states, names[root_key]))
+    return ThreadSpec(states, names[root_key])
 
 
 def _state_names(sids: List[str]) -> List[str]:

@@ -48,19 +48,27 @@ class ShiftPresentError(ProgramError):
 # === instructions ===
 
 
+def _refuse_reserved(u) -> None:
+    if u.basic.focus in RESERVED_FOCI:
+        raise ReservedFocusError(f"focus {u.basic.focus!r} is reserved")
+
+
 @dataclass(frozen=True, slots=True)
 class Plain:
     basic: Basic
+    __post_init__ = _refuse_reserved
 
 
 @dataclass(frozen=True, slots=True)
 class PosTest:
     basic: Basic
+    __post_init__ = _refuse_reserved
 
 
 @dataclass(frozen=True, slots=True)
 class NegTest:
     basic: Basic
+    __post_init__ = _refuse_reserved
 
 
 @dataclass(frozen=True, slots=True)

@@ -99,33 +99,24 @@ FiniteThread = Union[Deadlock, Stop, Branch]
 
 @dataclass(frozen=True, slots=True)
 class ThreadSpec:
+    """A finite linear recursive specification: a body for the root and for
+    every state a body names.  Construction checks this once, raising
+    DanglingStateError, so `states` must not change after construction."""
+
     states: Mapping[str, Body]
     root: str
 
-
-def validate(spec: ThreadSpec) -> ThreadSpec:
-    """Check that the root and every referenced state exist, then drop the
-    states unreachable from the root.  Original ordering is preserved."""
-    if spec.root not in spec.states:
-        raise DanglingStateError(f"root state {spec.root!r} is not defined")
-    for name, body in spec.states.items():
-        if isinstance(body, Post):
-            for target in (body.then, body.else_):
-                if target not in spec.states:
-                    raise DanglingStateError(
-                        f"state {name!r} refers to undefined state {target!r}"
-                    )
-    reachable = {spec.root}
-    queue = [spec.root]
-    while queue:
-        body = spec.states[queue.pop()]
-        if isinstance(body, Post):
-            for target in (body.then, body.else_):
-                if target not in reachable:
-                    reachable.add(target)
-                    queue.append(target)
-    states = {n: b for n, b in spec.states.items() if n in reachable}
-    return ThreadSpec(states, spec.root)
+    def __post_init__(self) -> None:
+        states = self.states
+        if self.root not in states:
+            raise DanglingStateError(f"root state {self.root!r} is not defined")
+        for name, body in states.items():
+            if isinstance(body, Post):
+                for target in (body.then, body.else_):
+                    if target not in states:
+                        raise DanglingStateError(
+                            f"state {name!r} refers to undefined state {target!r}"
+                        )
 
 
 def _breadth_first(spec: ThreadSpec) -> Dict[str, int]:
@@ -143,10 +134,19 @@ def _breadth_first(spec: ThreadSpec) -> Dict[str, int]:
     return index
 
 
+def validate(spec: ThreadSpec) -> ThreadSpec:
+    """Drop the states unreachable from the root, keeping the order of the
+    rest; a spec whose states are all reachable is returned as it is."""
+    reachable = _breadth_first(spec)
+    if len(reachable) == len(spec.states):
+        return spec
+    states = {n: b for n, b in spec.states.items() if n in reachable}
+    return ThreadSpec(states, spec.root)
+
+
 def relabel(spec: ThreadSpec) -> ThreadSpec:
     """Rename states to X0, X1, ... in breadth-first discovery order from
     the root.  Deterministic, so printed output is reproducible."""
-    spec = validate(spec)
     names = {name: f"X{i}" for name, i in _breadth_first(spec).items()}
     states: Dict[str, Body] = {}
     for old, new in names.items():
@@ -168,7 +168,6 @@ def project(spec: ThreadSpec, depth: int) -> FiniteThread:
     recursion."""
     if depth < 0:
         raise ValueError("projection depth must be >= 0")
-    spec = validate(spec)
     start = (spec.root, depth)
     memo: Dict[tuple, FiniteThread] = {}
     stack = [start]
@@ -200,8 +199,6 @@ def projections_agree(a: ThreadSpec, b: ThreadSpec, depth: int) -> bool:
     every (state of a, state of b, remaining depth) reached from the roots
     with depth left has bodies of the same kind, and Posts of the same
     action; the walk visits each such triple once."""
-    a = validate(a)
-    b = validate(b)
     seen = {(a.root, b.root, depth)}
     stack = [(a.root, b.root, depth)]
     while stack:
@@ -234,8 +231,6 @@ def bisimilar(a: ThreadSpec, b: ThreadSpec) -> bool:
     successors reached through matching bodies.  The roots are bisimilar
     iff no merged pair differs in body kind or action.  With path
     compression this takes O(n log n) for n states in both specs."""
-    a = validate(a)
-    b = validate(b)
     # states of a are 0..len(a)-1, states of b follow, since names may clash
     ids_a = {name: i for i, name in enumerate(a.states)}
     ids_b = {name: i + len(ids_a) for i, name in enumerate(b.states)}
@@ -278,7 +273,6 @@ def abstract_tau(spec: ThreadSpec) -> ThreadSpec:
     first non-tau body.  A chain that revisits a state performs tau forever,
     which is indistinguishable from deadlock.  Each chain is walked once:
     every state on it takes the body the walk resolves to."""
-    spec = validate(spec)
     resolved: Dict[str, Body] = {}
     for start in spec.states:
         chain: Dict[str, None] = {}  # tau states walked from start, in order
@@ -348,15 +342,7 @@ def parse_thread(text: str) -> ThreadSpec:
             root = name
     if root is None:
         raise ThreadSyntaxError("no states defined")
-    spec = ThreadSpec(states, root)
-    for name, body in states.items():
-        if isinstance(body, Post):
-            for target in (body.then, body.else_):
-                if target not in states:
-                    raise DanglingStateError(
-                        f"state {name!r} refers to undefined state {target!r}"
-                    )
-    return spec
+    return ThreadSpec(states, root)
 
 
 def print_thread(spec: ThreadSpec) -> str:

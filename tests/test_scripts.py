@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -25,6 +27,22 @@ def test_verify_theorems_runs_the_four_properties():
     assert [line.split()[0] for line in lines] == ["transform", "counter", "exec", "roundtrip"]
     assert all(" 5/5 pass " in line for line in lines)
     assert "peak counter" in lines[1]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--count", "-1", "--count must be at least 0"),
+        ("--max-len", "0", "--max-len must be from 1"),
+        ("--max-len", "-3", "--max-len must be from 1"),
+    ],
+)
+def test_verify_theorems_rejects_bad_sizes(flag, value, message):
+    done = _script("verify_theorems.py", flag, value)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_mechanism_report_counts_every_state():

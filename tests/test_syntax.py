@@ -118,6 +118,15 @@ def test_reserved_focus_rejected():
         P("+pgs.drop")
 
 
+@pytest.mark.parametrize("kind", [Plain, PosTest, NegTest])
+@pytest.mark.parametrize("focus", ["cnt", "pgs"])
+def test_instruction_refuses_reserved_focus(kind, focus):
+    # built through the API, a cnt.inc would reach the counter that the
+    # two-mode route composes with, and a pgs query the program service
+    with pytest.raises(ReservedFocusError, match="reserved"):
+        kind(Basic(focus, "inc"))
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ProgramSyntaxError) as e:
         P("f.a;; f.b")

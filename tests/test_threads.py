@@ -49,6 +49,21 @@ def test_validate_rejects_dangling():
         validate(ThreadSpec({"x": Post(a, "x", "nowhere")}, "x"))
 
 
+def test_spec_refuses_dangling_target():
+    with pytest.raises(DanglingStateError, match="undefined state 'nowhere'"):
+        ThreadSpec({"x": Post(a, "x", "nowhere")}, "x")
+
+
+def test_spec_refuses_undefined_root():
+    with pytest.raises(DanglingStateError, match="root state 'y'"):
+        ThreadSpec({"x": STOP}, "y")
+
+
+def test_validate_returns_a_reachable_spec_as_it_is():
+    spec = ThreadSpec({"x": Post(a, "y", "x"), "y": STOP}, "x")
+    assert validate(spec) is spec
+
+
 def test_validate_prunes_unreachable():
     spec = validate(
         ThreadSpec({"x": STOP, "orphan": Post(a, "orphan", "orphan")}, "x")
@@ -65,6 +80,9 @@ def test_relabel_is_breadth_first():
     assert out.states["X0"] == Post(a, "X1", "X2")
     assert out.states["X1"] == DEADLOCK
     assert out.states["X2"] == STOP
+    # an unreachable state, not pruned beforehand, gets no name
+    orphan = ThreadSpec({**spec.states, "o": Post(b, "r", "o")}, "r")
+    assert relabel(orphan) == out
 
 
 # finite projections
