@@ -87,12 +87,11 @@ def cmd_normalize(args) -> int:
 def cmd_extract(args) -> int:
     p = parse_program(_program_arg(args))
     if args.alt:
-        spec = extract_alt(p)
+        spec = relabel(extract_alt(p))
     elif args.via_counter:
-        spec = behaviour_via_counter(p)
+        spec = relabel(behaviour_via_counter(p))
     else:
         spec = extract_pgajs(p)
-    spec = relabel(spec)
     print(to_dot(spec) if args.dot else print_thread(spec))
     return EXIT_OK
 

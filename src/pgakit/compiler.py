@@ -9,7 +9,7 @@ lean on.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from .syntax import (
     HALT,
@@ -30,7 +30,6 @@ from .threads import (
     ThreadSpec,
     _breadth_first,
     abstract_tau,
-    validate,
 )
 
 
@@ -50,10 +49,11 @@ def compile_spec(spec: ThreadSpec, auto_abstract: bool = False) -> InstructionSe
     """Translate a silent-step-free thread into a pure-period sequence of
     3-instruction state blocks.  Jump offsets are forward distances in the
     unfolding, so branching always reaches the target block's first slot."""
-    spec = validate(spec)
+    # blocks follow relabel's breadth-first order; unreachable states get none
+    index = _breadth_first(spec)
     has_tau = any(
         isinstance(b, Post) and isinstance(b.action, Tau)
-        for b in spec.states.values()
+        for n, b in spec.states.items() if n in index
     )
     if has_tau:
         if not auto_abstract:
@@ -61,7 +61,11 @@ def compile_spec(spec: ThreadSpec, auto_abstract: bool = False) -> InstructionSe
                 "silent steps cannot be compiled; abstract them first"
             )
         spec = abstract_tau(spec)
-    actions = dict.fromkeys(b.action for b in spec.states.values() if isinstance(b, Post))
+        index = _breadth_first(spec)
+    # checked in the order of `states`, so the first bad action is reported
+    actions = dict.fromkeys(
+        b.action for n, b in spec.states.items() if n in index and isinstance(b, Post)
+    )
     for action in actions:
         if action.focus in RESERVED_FOCI:
             raise ReservedFocusActionError(
@@ -75,13 +79,16 @@ def compile_spec(spec: ThreadSpec, auto_abstract: bool = False) -> InstructionSe
         if not reads_back:
             raise CompileError(f"action {str(action)!r} is not a program basic")
 
-    # blocks are laid out in relabel's breadth-first order
-    index = _breadth_first(spec)
     size = 3 * len(index)
+    jumps: Dict[int, Jump] = {}  # equal offsets share one instruction
 
-    def offset(at: int, target: int) -> int:
-        return ((target - at) % size) or size
+    def jump(at: int, target: str) -> Jump:
+        d = ((3 * index[target] - at) % size) or size
+        if d not in jumps:
+            jumps[d] = Jump(d)
+        return jumps[d]
 
+    dead = [Jump(0)] * 3
     units: List[Instruction] = []
     for name, i in index.items():
         body = spec.states[name]
@@ -90,10 +97,10 @@ def compile_spec(spec: ThreadSpec, auto_abstract: bool = False) -> InstructionSe
             units.extend([HALT, HALT, HALT])
         elif isinstance(body, Post):
             units.append(PosTest(body.action))
-            units.append(Jump(offset(base + 1, 3 * index[body.then])))
-            units.append(Jump(offset(base + 2, 3 * index[body.else_])))
+            units.append(jump(base + 1, body.then))
+            units.append(jump(base + 2, body.else_))
         else:
-            units.extend([Jump(0), Jump(0), Jump(0)])
+            units.extend(dead)
     return InstructionSequence((), tuple(units))
 
 

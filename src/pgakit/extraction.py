@@ -8,7 +8,7 @@ a finite sequence, or a revisited position) meaning deadlock.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict
 
 from .syntax import (
     Halt,
@@ -29,60 +29,73 @@ from .threads import (
     Body,
     Post,
     ThreadSpec,
-    relabel,
 )
 
 
-def _resolve(s: InstructionSequence, units: tuple, j: int) -> int:
-    """Follow the jump chain starting at unfolded index j, over the
-    instructions `units` of s by position, until it reaches a non-jump
-    position (returned) or provably deadlocks: jump offset zero, running
-    off a finite sequence, or revisiting a jump position.  A deadlock
-    returns the end position len(s), which holds no instruction."""
+def _resolver(s: InstructionSequence, units: tuple) -> Callable[[int], int]:
+    """Jump resolution over `units`, the instructions of s by position:
+    resolve(j) follows the chain from unfolded index j to the first
+    non-jump position, or to the end position len(s) when it deadlocks by
+    running off a finite sequence or revisiting a jump (offset zero at
+    once).  Each jump on a walked chain stores its landing, once."""
     end = len(units)
-    seen = set()
-    while True:
+    landing: Dict[int, int] = {}
+
+    def resolve(j: int) -> int:
         pos = position(s, j)
-        if pos == end:
-            return end
-        u = units[pos]
-        if not isinstance(u, Jump):
-            return pos
-        if pos in seen or u.offset == 0:
-            return end
-        seen.add(pos)
-        j = pos + u.offset
+        chain: Dict[int, None] = {}
+        while pos < end and isinstance(units[pos], Jump):
+            if pos in landing:
+                pos = landing[pos]
+                break
+            if pos in chain:
+                pos = end
+                break
+            chain[pos] = None
+            pos = position(s, pos + units[pos].offset)
+        for jump in chain:
+            landing[jump] = pos
+        return pos
+
+    return resolve
 
 
 def extract(s: InstructionSequence) -> ThreadSpec:
-    """Thread of a Shift-free sequence: one state per non-jump position plus
-    a deadlock state at the end position, pruned to what the start position
-    reaches."""
+    """Thread of a Shift-free sequence: one state per non-jump position the
+    start position reaches, plus a deadlock state at the end position when
+    reached.  States are named X0, X1, ... in breadth-first discovery order
+    from the start, `then` before `else_`, as `relabel` names them."""
     if contains_shift(s):
         raise ShiftPresentError("extraction requires a Shift-free sequence")
     units = s.prefix + s.period
+    resolve = _resolver(s, units)
+    order = [resolve(0)]  # positions in discovery order; grows while read
+    names = {order[0]: "X0"}
 
     def target(j: int) -> str:
-        return f"p{_resolve(s, units, j)}"
+        pos = resolve(j)
+        if pos not in names:
+            names[pos] = f"X{len(order)}"
+            order.append(pos)
+        return names[pos]
 
     states: Dict[str, Body] = {}
-    for pos, u in enumerate(units):
-        if isinstance(u, Jump):
-            continue
-        name = f"p{pos}"
-        if isinstance(u, Halt):
-            states[name] = STOP
+    for pos in order:
+        u = units[pos] if pos < len(units) else None
+        if u is None:
+            body: Body = DEADLOCK
+        elif isinstance(u, Halt):
+            body = STOP
         elif isinstance(u, Plain):
             nxt = target(pos + 1)
-            states[name] = Post(u.basic, nxt, nxt)
+            body = Post(u.basic, nxt, nxt)
         elif isinstance(u, PosTest):
-            states[name] = Post(u.basic, target(pos + 1), target(pos + 2))
+            body = Post(u.basic, target(pos + 1), target(pos + 2))
         else:
             assert isinstance(u, NegTest)
-            states[name] = Post(u.basic, target(pos + 2), target(pos + 1))
-    states[f"p{len(units)}"] = DEADLOCK
-    root = target(0)
-    return relabel(ThreadSpec(states, root))
+            body = Post(u.basic, target(pos + 2), target(pos + 1))
+        states[names[pos]] = body
+    return ThreadSpec(states, "X0")
 
 
 def extract_pgajs(s: InstructionSequence) -> ThreadSpec:
@@ -95,11 +108,12 @@ def _jump_collapse(s: InstructionSequence) -> InstructionSequence:
     final landing non-jump position, or zero when the chain deadlocks.
     Wrap-around landings inside the period get the smallest positive offset."""
     units = s.prefix + s.period
+    resolve = _resolver(s, units)
 
     def collapse(pos: int, u: Instruction) -> Instruction:
         if not isinstance(u, Jump):
             return u
-        r = _resolve(s, units, pos)
+        r = resolve(pos)
         if r == len(units):
             return Jump(0)
         if r > pos:

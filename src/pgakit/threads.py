@@ -298,51 +298,60 @@ def abstract_tau(spec: ThreadSpec) -> ThreadSpec:
 
 # === text format ===
 
-_LINE_RE = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(.+?)\s*$")
-_POST_RE = re.compile(r"^<([A-Za-z_]\w*)>\s+(\S+)\s+<([A-Za-z_]\w*)>$")
-_TAU_RE = re.compile(r"^tau\s+<([A-Za-z_]\w*)>$")
-_ACTION_RE = re.compile(r"^([A-Za-z_]\w*)\.(\S+)$")
-# comment = # at line start or after whitespace; a bare # inside an action
-# token (e.g. method hdeq:#0) is part of the token
-_COMMENT_RE = re.compile(r"(^|\s)#.*$")
+_NAME = r"[A-Za-z_]\w*"
+# words split by whitespace; a word after whitespace never starts with #
+_WORDS = r"\S*(?:\s+[^\s#]\S*)*"
+# One line: `name = body` (S, D, `tau <name>` or `<name> focus.method
+# <name>`), then perhaps a comment from a # at line start or after
+# whitespace; a # inside a word, as in hdeq:#0, is part of it.  Other text
+# matches too, leaving `name`, `body` or `focus` unset for the error, and
+# `line` is the text before the comment.  No two adjacent parts can trade
+# whitespace, so a match takes linear time.
+_LINE_RE = re.compile(
+    rf"""\s*(?P<line>
+        (?P<name>{_NAME})\s*=\s*(?P<rhs>
+            (?P<body>[SD]|tau\s+<(?P<tau>{_NAME})>
+              |<(?P<then>{_NAME})>\s+
+               (?:(?P<focus>{_NAME})\.(?P<method>\S+)|(?P<action>[^\s#]\S*))
+               \s+<(?P<else_>{_NAME})>)
+          |(?:(?<==)\#|[^\s#]){_WORDS})
+      |[^\s#]{_WORDS}
+    )?\s*(?:(?<!\S)\#.*)?$""",
+    re.X,
+)
 
 
 def parse_thread(text: str) -> ThreadSpec:
     """Parse the one-state-per-line format.  The first state named is the
     root.  `#` at line start or after whitespace begins a comment."""
     states: Dict[str, Body] = {}
-    root = None
+    basics: Dict[tuple, Basic] = {}  # one action per distinct text
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT_RE.sub("", raw).strip()
-        if not line:
+        m = _LINE_RE.match(raw)
+        if m["line"] is None:
             continue
-        m = _LINE_RE.match(line)
-        if m is None:
-            raise ThreadSyntaxError(f"line {lineno}: cannot parse {line!r}")
-        name, rhs = m.group(1), m.group(2)
+        name = m["name"]
+        if name is None:
+            raise ThreadSyntaxError(f"line {lineno}: cannot parse {m['line']!r}")
         if name in states:
             raise ThreadSyntaxError(f"line {lineno}: duplicate state {name!r}")
-        if rhs == "S":
-            body: Body = STOP
-        elif rhs == "D":
-            body = DEADLOCK
-        elif (mt := _TAU_RE.match(rhs)) is not None:
-            body = Post(TAU, mt.group(1), mt.group(1))
-        elif (mp := _POST_RE.match(rhs)) is not None:
-            ma = _ACTION_RE.match(mp.group(2))
-            if ma is None:
-                raise ThreadSyntaxError(
-                    f"line {lineno}: bad action {mp.group(2)!r}"
-                )
-            body = Post(Basic(ma.group(1), ma.group(2)), mp.group(1), mp.group(3))
+        if m["action"] is not None:
+            raise ThreadSyntaxError(f"line {lineno}: bad action {m['action']!r}")
+        if m["body"] is None:
+            raise ThreadSyntaxError(f"line {lineno}: cannot parse body {m['rhs']!r}")
+        if m["then"] is not None:
+            key = m.group("focus", "method")
+            if key not in basics:
+                basics[key] = Basic(*key)
+            body: Body = Post(basics[key], m["then"], m["else_"])
+        elif m["tau"] is not None:
+            body = Post(TAU, m["tau"], m["tau"])
         else:
-            raise ThreadSyntaxError(f"line {lineno}: cannot parse body {rhs!r}")
+            body = STOP if m["body"] == "S" else DEADLOCK
         states[name] = body
-        if root is None:
-            root = name
-    if root is None:
+    if not states:
         raise ThreadSyntaxError("no states defined")
-    return ThreadSpec(states, root)
+    return ThreadSpec(states, next(iter(states)))
 
 
 def print_thread(spec: ThreadSpec) -> str:

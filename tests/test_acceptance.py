@@ -14,13 +14,16 @@ from pgakit import (
     Basic,
     Branch,
     DEADLOCK,
+    HALT,
     InstructionSequence,
     Jump,
+    PosTest,
     Post,
     ProgramSyntaxError,
     STOP,
     TAU,
     ThreadSpec,
+    ThreadSyntaxError,
     abstract_tau,
     behaviour_via_counter,
     bisimilar,
@@ -37,6 +40,7 @@ from pgakit import (
     project,
     projections_agree,
     run_exec,
+    structurally_congruent,
     theorem3_witness,
     validate,
 )
@@ -266,6 +270,19 @@ def test_print_parse_roundtrip_of_100k_instructions():
     _report("print-parse round trip 105,786 instructions", started, limit=2.0)
 
 
+def test_thread_lines_with_long_whitespace_runs():
+    run = " " * 10**5
+    started = time.monotonic()
+    assert T("x = <x>" + run + "f.a <x>") == ThreadSpec({"x": Post(a, "x", "x")}, "x")
+    _report("thread line with 10^5 spaces", started, limit=1.0)
+    bad = "<x> f.a" + run + "<x"
+    started = time.monotonic()
+    with pytest.raises(ThreadSyntaxError) as failed:
+        T("x = " + bad)
+    _report("bad thread line with 10^5 spaces", started, limit=1.0)
+    assert str(failed.value) == f"line 1: cannot parse body {bad!r}"
+
+
 def test_rollback_of_100k_distinct_jumps():
     # a prefix equal to the period rolls into it whole, in one rotation
     units = tuple(Jump(i) for i in range(100_000))
@@ -273,6 +290,26 @@ def test_rollback_of_100k_distinct_jumps():
     s = InstructionSequence(units, units)
     assert s.prefix == () and s.period == units
     _report("rollback of 100,000 distinct jumps", started, limit=2.0)
+
+
+# --- extraction at scale -----------------------------------------------------
+
+def test_extraction_of_a_100k_jump_ladder():
+    # (+f.a; #2) repeated, then !: each jump runs through all the jumps
+    # after it, and the last one jumps past the end, so every one deadlocks
+    k = 50_000
+    ladder = InstructionSequence((PosTest(a), Jump(2)) * k + (HALT,), ())
+    collapsed = InstructionSequence((PosTest(a), Jump(0)) * k + (HALT,), ())
+    states = {"X0": Post(a, "X1", "X2"), "X1": DEADLOCK, f"X{k + 1}": STOP}
+    for i in range(2, k + 1):
+        states[f"X{i}"] = Post(a, "X1", f"X{i + 1}")
+    started = time.monotonic()
+    spec = extract_pgajs(ladder)
+    _report("extraction of a 100,001-instruction jump ladder", started, limit=2.0)
+    assert spec == ThreadSpec(states, "X0")
+    started = time.monotonic()
+    assert structurally_congruent(ladder, collapsed)
+    _report("structural congruence of a 100,001-instruction jump ladder", started, limit=2.0)
 
 
 # --- criterion 8: stress family ----------------------------------------------

@@ -30,9 +30,20 @@ one pass: a tokenizer, a recursive-descent parser building a `Term`, and a
 recursive flattening.  On every input the one-pass parser must give an
 equal sequence, or raise the same exception class at the same line and
 column.
+
+`_old_extract`, `_old_jump_collapse` and `_old_compile_spec` are
+extraction, jump collapsing and the compiler as they were before each
+walked its input once: extraction built a state for every non-jump
+position, walked every jump chain from its start and then ran `relabel`;
+the compiler pruned through `validate` and then walked again for its
+layout.  `_old_parse_thread` read a thread line with four regular
+expressions after stripping its comment with a fifth.  Results must be
+equal and print identically; errors must have the same class and
+message.
 """
 
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,8 +51,10 @@ from pgakit import (
     DEADLOCK,
     SHIFT,
     STOP,
+    TAU,
     Alphabet,
     Basic,
+    CompileError,
     Halt,
     InstructionSequence,
     Jump,
@@ -50,22 +63,30 @@ from pgakit import (
     PosTest,
     Post,
     Reply,
+    ReservedFocusActionError,
     Service,
     Shift,
     Stop,
     Tau,
+    TauPresentError,
+    ThreadError,
     ThreadSpec,
+    ThreadSyntaxError,
     abstract_tau,
     bisimilar,
     build_exec_mechanism,
     collapse_counter_divergence,
+    compile_spec,
     compose,
     corollary1_pipeline,
     counter_new,
+    extract,
     extract_alt,
     extract_pgajs,
+    normalize_shifts,
     parse_instruction,
     parse_program,
+    parse_thread,
     pgs_new,
     print_thread,
     relabel,
@@ -73,6 +94,8 @@ from pgakit import (
     theorem3_witness,
     validate,
 )
+from pgakit.extraction import _jump_collapse
+from pgakit.threads import _breadth_first
 from pgakit.corpus import random_program, random_spec, spec_pair
 from pgakit.properties import PROPERTIES, draw_cases
 from pgakit.services import _state_names
@@ -87,7 +110,10 @@ from pgakit.syntax import (
     RESERVED_FOCI,
     Repeat,
     ReservedFocusError,
+    ShiftPresentError,
     _primitive,
+    contains_shift,
+    position,
     to_canonical,
     instruction_text,
     print_program,
@@ -872,3 +898,310 @@ def test_rollback_matches_one_rotation_per_instruction():
         assert (s.prefix, s.period) == _old_roll_back(prefix, period), (prefix, period)
         rolled += len(s.prefix) < len(prefix)
     assert rolled > 1000
+
+
+def _old_resolve(s, units, j):
+    end = len(units)
+    seen = set()
+    while True:
+        pos = position(s, j)
+        if pos == end:
+            return end
+        u = units[pos]
+        if not isinstance(u, Jump):
+            return pos
+        if pos in seen or u.offset == 0:
+            return end
+        seen.add(pos)
+        j = pos + u.offset
+
+
+def _old_extract(s):
+    if contains_shift(s):
+        raise ShiftPresentError("extraction requires a Shift-free sequence")
+    units = s.prefix + s.period
+
+    def target(j):
+        return f"p{_old_resolve(s, units, j)}"
+
+    states = {}
+    for pos, u in enumerate(units):
+        if isinstance(u, Jump):
+            continue
+        name = f"p{pos}"
+        if isinstance(u, Halt):
+            states[name] = STOP
+        elif isinstance(u, Plain):
+            nxt = target(pos + 1)
+            states[name] = Post(u.basic, nxt, nxt)
+        elif isinstance(u, PosTest):
+            states[name] = Post(u.basic, target(pos + 1), target(pos + 2))
+        else:
+            states[name] = Post(u.basic, target(pos + 2), target(pos + 1))
+    states[f"p{len(units)}"] = DEADLOCK
+    return relabel(ThreadSpec(states, target(0)))
+
+
+def _old_jump_collapse(s):
+    units = s.prefix + s.period
+
+    def collapse(pos, u):
+        if not isinstance(u, Jump):
+            return u
+        r = _old_resolve(s, units, pos)
+        if r == len(units):
+            return Jump(0)
+        if r > pos:
+            return Jump(r - pos)
+        return Jump(r - pos + len(s.period))
+
+    collapsed = tuple(collapse(pos, u) for pos, u in enumerate(units))
+    p = len(s.prefix)
+    return InstructionSequence(collapsed[:p], collapsed[p:])
+
+
+def _old_compile_spec(spec, auto_abstract=False):
+    spec = validate(spec)
+    has_tau = any(
+        isinstance(b, Post) and isinstance(b.action, Tau)
+        for b in spec.states.values()
+    )
+    if has_tau:
+        if not auto_abstract:
+            raise TauPresentError(
+                "silent steps cannot be compiled; abstract them first"
+            )
+        spec = abstract_tau(spec)
+    actions = dict.fromkeys(b.action for b in spec.states.values() if isinstance(b, Post))
+    for action in actions:
+        if action.focus in RESERVED_FOCI:
+            raise ReservedFocusActionError(
+                f"cannot compile action with reserved focus {action.focus!r}"
+            )
+        try:
+            reads_back = parse_instruction(str(action)) == Plain(action)
+        except ProgramError:
+            reads_back = False
+        if not reads_back:
+            raise CompileError(f"action {str(action)!r} is not a program basic")
+    index = _breadth_first(spec)
+    size = 3 * len(index)
+
+    def offset(at, target):
+        return ((target - at) % size) or size
+
+    units = []
+    for name, i in index.items():
+        body = spec.states[name]
+        base = 3 * i
+        if isinstance(body, Stop):
+            units.extend([HALT, HALT, HALT])
+        elif isinstance(body, Post):
+            units.append(PosTest(body.action))
+            units.append(Jump(offset(base + 1, 3 * index[body.then])))
+            units.append(Jump(offset(base + 2, 3 * index[body.else_])))
+        else:
+            units.extend([Jump(0), Jump(0), Jump(0)])
+    return InstructionSequence((), tuple(units))
+
+
+_OLD_LINE_RE = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(.+?)\s*$")
+_OLD_POST_RE = re.compile(r"^<([A-Za-z_]\w*)>\s+(\S+)\s+<([A-Za-z_]\w*)>$")
+_OLD_TAU_RE = re.compile(r"^tau\s+<([A-Za-z_]\w*)>$")
+_OLD_ACTION_RE = re.compile(r"^([A-Za-z_]\w*)\.(\S+)$")
+_OLD_COMMENT_RE = re.compile(r"(^|\s)#.*$")
+
+
+def _old_parse_thread(text):
+    states = {}
+    root = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _OLD_COMMENT_RE.sub("", raw).strip()
+        if not line:
+            continue
+        m = _OLD_LINE_RE.match(line)
+        if m is None:
+            raise ThreadSyntaxError(f"line {lineno}: cannot parse {line!r}")
+        name, rhs = m.group(1), m.group(2)
+        if name in states:
+            raise ThreadSyntaxError(f"line {lineno}: duplicate state {name!r}")
+        if rhs == "S":
+            body = STOP
+        elif rhs == "D":
+            body = DEADLOCK
+        elif (mt := _OLD_TAU_RE.match(rhs)) is not None:
+            body = Post(TAU, mt.group(1), mt.group(1))
+        elif (mp := _OLD_POST_RE.match(rhs)) is not None:
+            ma = _OLD_ACTION_RE.match(mp.group(2))
+            if ma is None:
+                raise ThreadSyntaxError(
+                    f"line {lineno}: bad action {mp.group(2)!r}"
+                )
+            body = Post(Basic(ma.group(1), ma.group(2)), mp.group(1), mp.group(3))
+        else:
+            raise ThreadSyntaxError(f"line {lineno}: cannot parse body {rhs!r}")
+        states[name] = body
+        if root is None:
+            root = name
+    if root is None:
+        raise ThreadSyntaxError("no states defined")
+    return ThreadSpec(states, root)
+
+
+def _result(f, *args):
+    """What f returns, or the class and message of what it raises."""
+    try:
+        return f(*args)
+    except (CompileError, ProgramError, ThreadError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_result(got, want, printer, where):
+    assert got == want, where
+    if not isinstance(got, tuple):
+        assert printer(got) == printer(want), where
+
+
+def _jumpy_program(rng):
+    """Mostly short forward jumps, so chains, cycles through the period,
+    zero jumps and jumps off the end all occur."""
+    units = []
+    for _ in range(rng.randint(1, 24)):
+        if rng.random() < 0.55:
+            units.append(Jump(rng.choice((0, 1, 1, 2, 2, 3, 5, 9))))
+        else:
+            b = rng.choice(BASICS)
+            units.append(rng.choice((Plain(b), PosTest(b), NegTest(b), HALT)))
+    cut = rng.randint(0, len(units))
+    return InstructionSequence(tuple(units[:cut]), tuple(units[cut:]))
+
+
+def _ladder(k, offset):
+    return InstructionSequence((PosTest(BASICS[0]), Jump(offset)) * k + (HALT,), ())
+
+
+def _family_specs():
+    rng = random.Random(2044)
+    specs = []
+    for n in (1, 2, 7, 40, 150):
+        labels = [rng.choice(BASICS) for _ in range(n)]
+        specs += [chain_spec(labels, STOP), chain_spec(labels, DEADLOCK, "d")]
+        deep = deep_spec(rng, n + 1)
+        specs += [deep, renamed_copy(rng, deep, "u"), renamed_copy(rng, deep, "v", flip="s0")]
+    return specs
+
+
+def _extraction_corpus():
+    rng = random.Random(2045)
+    corpus = [_jumpy_program(rng) for _ in range(1500)]
+    corpus += [random_program(rng, max_len=16, allow_shift=rng.random() < 0.5)
+               for _ in range(500)]
+    corpus += _programs()
+    corpus += [_ladder(k, offset) for k in (1, 2, 5, 40) for offset in (1, 2, 3, 0)]
+    for spec in _family_specs():
+        corpus += [compile_spec(spec), corollary1_pipeline(spec)]
+    return corpus
+
+
+def test_extraction_matches_per_jump_walk_and_relabel():
+    chained = 0
+    for p in _extraction_corpus():
+        where = print_program(p)
+        _assert_same_result(_result(extract_pgajs, p),
+                            _result(_old_extract, normalize_shifts(p)), print_thread, where)
+        _assert_same_result(_result(extract, p), _result(_old_extract, p), print_thread, where)
+        if not contains_shift(p):
+            collapsed = _jump_collapse(p)
+            assert collapsed == _old_jump_collapse(p), where
+            assert print_program(collapsed) == print_program(_old_jump_collapse(p)), where
+            chained += collapsed != p
+    assert chained > 500
+
+
+def _with_orphans(rng, spec, basics):
+    """The spec with states the root does not reach, all in a shuffled
+    order; the new states may refer to any state and hold any action or
+    tau."""
+    orphans = [f"o{i}" for i in range(rng.randint(1, 3))]
+    names = list(spec.states) + orphans
+    rng.shuffle(names)
+    states = {}
+    for name in names:
+        states[name] = spec.states.get(name) or rng.choice((
+            STOP, DEADLOCK,
+            Post(rng.choice(basics + (TAU,)), rng.choice(names), rng.choice(names))))
+    return ThreadSpec(states, spec.root)
+
+
+# actions that cannot be compiled: reserved foci, and texts that do not
+# parse back to the action
+_BAD_ACTIONS = (Basic("cnt", "inc"), Basic("pgs", "drop"), Basic("f", "a b"),
+                Basic("f.a", "b"), Basic("f", ""))
+
+
+def test_compile_matches_validate_first_route():
+    rng = random.Random(2046)
+    specs = _family_specs()
+    for i in range(2000):
+        basics = BASICS if i % 3 else BASICS + tuple(rng.sample(_BAD_ACTIONS, 2))
+        spec = random_spec(rng, max_states=10, basics=basics,
+                           allow_tau=i % 4 == 0, tau_prob=0.4)
+        specs.append(_with_orphans(rng, spec, basics) if i % 2 else spec)
+    kinds = []
+    for spec in specs:
+        where = print_thread(spec)
+        for auto in (False, True):
+            got = _result(compile_spec, spec, auto)
+            _assert_same_result(got, _result(_old_compile_spec, spec, auto), print_program, where)
+            kinds.append(got[0] if isinstance(got, tuple) else InstructionSequence)
+    assert set(kinds) == {InstructionSequence, TauPresentError, ReservedFocusActionError,
+                          CompileError}
+
+
+# pieces of thread lines, correct and not: names, bodies, comments, stray
+# brackets and signs, actions that do not parse, a # inside a method
+_THREAD_PIECES = ("x", "y", "z", "=", "S", "D", "tau", "<x>", "<y>", "<z>", "f.a",
+                  "f.hdeq:#0", "g.m.n", "1.a", "f.", ".a", "#", "# note", "#c",
+                  "=S", "<x", "y>", "<>", "-", "x1", "S#", "<x>f.a", "é")
+_THREAD_SEPARATORS = ("", " ", " ", "  ", "\t", "   ")
+
+
+def _thread_corpus():
+    rng = random.Random(2047)
+    texts = []
+    for spec in [random_spec(rng, max_states=6, allow_tau=True) for _ in range(300)]:
+        text = print_thread(spec)
+        lines = text.split("\n")
+        texts.append(text)
+        texts.append("\n".join(_respace(rng, line) for line in lines))
+        texts.append("# head\n" + "\n".join(line + rng.choice(("", " # c", "\t#", "#x"))
+                                            for line in lines))
+        texts.append(text + "\n" + rng.choice(lines))  # a duplicate state
+        texts.append(text.replace("s0", "nowhere", 1))  # perhaps a dangling target
+        i = rng.randrange(len(text) + 1)
+        texts.append(text[:i] + rng.choice(_EDIT_CHARS + "<>=#") + text[i:])
+    for _ in range(2000):
+        words = [rng.choice(_THREAD_PIECES) for _ in range(rng.randint(0, 7))]
+        line = rng.choice(_THREAD_SEPARATORS)
+        for word in words:
+            line += word + rng.choice(_THREAD_SEPARATORS)
+        texts.append(line)
+        texts.append("x = S\n" + line)
+    texts += [print_thread(spec) for spec in _family_specs()]
+    texts += ["", "  \n# only a comment\n\t", "x = <x> " + "\t" * 50 + "f.a <x>"]
+    return texts
+
+
+def test_parse_thread_matches_four_pattern_reader():
+    texts = _thread_corpus()
+    messages = []
+    for text in texts:
+        got = _result(parse_thread, text)
+        _assert_same_result(got, _result(_old_parse_thread, text), print_thread, text)
+        if isinstance(got, tuple):
+            messages.append(re.sub(r"'[^']*'|line \d+", "_", got[1]))
+    assert set(messages) == {
+        "_: cannot parse _", "_: duplicate state _", "_: bad action _",
+        "_: cannot parse body _", "no states defined", "state _ refers to undefined state _",
+    }
+    assert len(texts) - len(messages) > 1000
