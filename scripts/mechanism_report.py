@@ -46,6 +46,8 @@ def main(argv=None):
     ap.add_argument("--dump", type=int, metavar="M",
                     help="print the full mechanism thread for M basics")
     args = ap.parse_args(argv)
+    if args.max_basics < 1:
+        ap.error("--max-basics needs at least one basic instruction")
     if args.dump is not None:
         if args.dump < 1:
             ap.error("--dump needs at least one basic instruction")

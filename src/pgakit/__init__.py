@@ -8,7 +8,6 @@ programs.
 
 from .threads import (
     Basic,
-    Branch,
     DEADLOCK,
     DanglingStateError,
     Deadlock,
@@ -24,8 +23,6 @@ from .threads import (
     bisimilar,
     parse_thread,
     print_thread,
-    project,
-    projections_agree,
     relabel,
     to_dot,
     validate,

@@ -31,6 +31,7 @@ from .syntax import (
 )
 from .threads import (
     ThreadError,
+    abstract_tau,
     bisimilar,
     parse_thread,
     print_thread,
@@ -112,10 +113,9 @@ def cmd_bisim(args) -> int:
 
 def cmd_compile(args) -> int:
     spec = parse_thread(_program_arg(args))
-    if args.pgajs0:
-        out = corollary1_pipeline(spec, auto_abstract=args.abstract)
-    else:
-        out = compile_spec(spec, auto_abstract=args.abstract)
+    if args.abstract:
+        spec = abstract_tau(spec)
+    out = corollary1_pipeline(spec) if args.pgajs0 else compile_spec(spec)
     print(print_program(out))
     return EXIT_OK
 

@@ -23,14 +23,7 @@ from .syntax import (
     parse_instruction,
     transform_to_pgajs0,
 )
-from .threads import (
-    Post,
-    Stop,
-    Tau,
-    ThreadSpec,
-    _breadth_first,
-    abstract_tau,
-)
+from .threads import Post, Stop, Tau, ThreadSpec, _breadth_first
 
 
 class CompileError(Exception):
@@ -45,23 +38,17 @@ class ReservedFocusActionError(CompileError):
     pass
 
 
-def compile_spec(spec: ThreadSpec, auto_abstract: bool = False) -> InstructionSequence:
+def compile_spec(spec: ThreadSpec) -> InstructionSequence:
     """Translate a silent-step-free thread into a pure-period sequence of
     3-instruction state blocks.  Jump offsets are forward distances in the
     unfolding, so branching always reaches the target block's first slot."""
     # blocks follow relabel's breadth-first order; unreachable states get none
     index = _breadth_first(spec)
-    has_tau = any(
+    if any(
         isinstance(b, Post) and isinstance(b.action, Tau)
         for n, b in spec.states.items() if n in index
-    )
-    if has_tau:
-        if not auto_abstract:
-            raise TauPresentError(
-                "silent steps cannot be compiled; abstract them first"
-            )
-        spec = abstract_tau(spec)
-        index = _breadth_first(spec)
+    ):
+        raise TauPresentError("silent steps cannot be compiled; abstract them first")
     # checked in the order of `states`, so the first bad action is reported
     actions = dict.fromkeys(
         b.action for n, b in spec.states.items() if n in index and isinstance(b, Post)
@@ -104,9 +91,7 @@ def compile_spec(spec: ThreadSpec, auto_abstract: bool = False) -> InstructionSe
     return InstructionSequence((), tuple(units))
 
 
-def corollary1_pipeline(
-    spec: ThreadSpec, auto_abstract: bool = False
-) -> InstructionSequence:
+def corollary1_pipeline(spec: ThreadSpec) -> InstructionSequence:
     """Compile, then expand every positive jump into shifts plus #0, giving
     a program in the #0-jumps-only fragment with the same extraction."""
-    return transform_to_pgajs0(compile_spec(spec, auto_abstract))
+    return transform_to_pgajs0(compile_spec(spec))

@@ -93,43 +93,3 @@ def random_spec(
                 )
     return validate(ThreadSpec(states, names[0]))
 
-
-def spec_pair(
-    rng: random.Random,
-    max_states: int = 8,
-    basics: Sequence[Basic] = DEFAULT_BASICS,
-) -> Tuple[ThreadSpec, ThreadSpec]:
-    """A pair that is bisimilar by construction about half the time: either
-    an unfolded clone of the first spec, or an independent draw."""
-    a = random_spec(rng, max_states, basics)
-    if rng.random() < 0.5:
-        b = _unfold_clone(rng, a)
-    else:
-        b = random_spec(rng, max_states, basics)
-    return a, b
-
-
-def _unfold_clone(rng: random.Random, spec: ThreadSpec) -> ThreadSpec:
-    """Copy the spec and duplicate one state under a fresh name, randomly
-    rerouting references between original and duplicate.  The result is
-    bisimilar to the input by construction."""
-    target = rng.choice(list(spec.states))
-    dup = f"{target}_dup"
-    states = {}
-    for name, body in spec.states.items():
-        states[name] = body
-    states[dup] = spec.states[target]
-
-    def reroute(name: str) -> str:
-        if name == target and rng.random() < 0.5:
-            return dup
-        return name
-
-    rerouted = {}
-    for name, body in states.items():
-        if isinstance(body, Post):
-            rerouted[name] = Post(body.action, reroute(body.then), reroute(body.else_))
-        else:
-            rerouted[name] = body
-    root = reroute(spec.root)
-    return validate(ThreadSpec(rerouted, root))

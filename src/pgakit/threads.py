@@ -82,22 +82,6 @@ Body = Union[Deadlock, Stop, Post]
 
 
 @dataclass(frozen=True, slots=True)
-class Branch:
-    """Node of a finite projection tree.  Leaves reuse Deadlock and Stop."""
-
-    action: Action
-    then: "FiniteThread"
-    else_: "FiniteThread"
-
-    def __post_init__(self) -> None:
-        if isinstance(self.action, Tau):
-            object.__setattr__(self, "else_", self.then)
-
-
-FiniteThread = Union[Deadlock, Stop, Branch]
-
-
-@dataclass(frozen=True, slots=True)
 class ThreadSpec:
     """A finite linear recursive specification: a body for the root and for
     every state a body names.  Construction checks this once, raising
@@ -155,69 +139,6 @@ def relabel(spec: ThreadSpec) -> ThreadSpec:
             body = Post(body.action, names[body.then], names[body.else_])
         states[new] = body
     return ThreadSpec(states, "X0")
-
-
-# === projection ===
-
-
-def project(spec: ThreadSpec, depth: int) -> FiniteThread:
-    """Approximate the behaviour from the root up to `depth` actions.
-    Depth 0 is deadlock; deeper levels copy the body shape and project both
-    branches one level lower.  The memo of (state, depth) projections is
-    filled bottom-up from an explicit stack, so deep projections need no
-    recursion."""
-    if depth < 0:
-        raise ValueError("projection depth must be >= 0")
-    start = (spec.root, depth)
-    memo: Dict[tuple, FiniteThread] = {}
-    stack = [start]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        name, n = key
-        body = DEADLOCK if n == 0 else spec.states[name]
-        if not isinstance(body, Post):
-            memo[key] = body
-            stack.pop()
-            continue
-        then_key, else_key = (body.then, n - 1), (body.else_, n - 1)
-        missing = [k for k in (then_key, else_key) if k not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        memo[key] = Branch(body.action, memo[then_key], memo[else_key])
-        stack.pop()
-    return memo[start]
-
-
-def projections_agree(a: ThreadSpec, b: ThreadSpec, depth: int) -> bool:
-    """Whether the depth-n projections of the two roots coincide for every
-    n <= depth.  Checking the largest depth suffices: projecting a deeper
-    approximation yields the shallower one.  The projections agree iff
-    every (state of a, state of b, remaining depth) reached from the roots
-    with depth left has bodies of the same kind, and Posts of the same
-    action; the walk visits each such triple once."""
-    seen = {(a.root, b.root, depth)}
-    stack = [(a.root, b.root, depth)]
-    while stack:
-        sa, sb, n = stack.pop()
-        if n == 0:
-            continue
-        ba = a.states[sa]
-        bb = b.states[sb]
-        if type(ba) is not type(bb):
-            return False
-        if not isinstance(ba, Post):
-            continue
-        if ba.action != bb.action:
-            return False
-        for key in ((ba.then, bb.then, n - 1), (ba.else_, bb.else_, n - 1)):
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return True
 
 
 # === bisimilarity ===

@@ -1,11 +1,16 @@
-"""Shared hypothesis strategies for programs and thread specs, and builders
-of the large spec families used by scale tests."""
+"""Shared hypothesis strategies for programs and thread specs, builders of
+the large spec families used by scale tests, and the finite projections of
+thread algebra with the bounded-projection oracle for bisimilarity."""
+
+from dataclasses import dataclass
+from typing import Dict, Union
 
 from hypothesis import strategies as st
 
 from pgakit import (
     Basic,
     DEADLOCK,
+    Deadlock,
     Halt,
     InstructionSequence,
     Jump,
@@ -15,9 +20,13 @@ from pgakit import (
     Post,
     STOP,
     Shift,
+    Stop,
+    Tau,
     ThreadSpec,
     validate,
 )
+from pgakit.corpus import DEFAULT_BASICS, random_spec
+from pgakit.threads import Action
 
 BASICS = (Basic("f", "a"), Basic("f", "b"))
 
@@ -118,3 +127,117 @@ def renamed_copy(rng, spec, prefix, flip=None):
         if old in dups:
             states[dups[old]] = body
     return ThreadSpec(states, names[spec.root])
+
+
+def spec_pair(rng, max_states=8, basics=DEFAULT_BASICS):
+    """A pair that is bisimilar by construction about half the time: either
+    an unfolded clone of the first spec, or an independent draw."""
+    a = random_spec(rng, max_states, basics)
+    if rng.random() < 0.5:
+        b = _unfold_clone(rng, a)
+    else:
+        b = random_spec(rng, max_states, basics)
+    return a, b
+
+
+def _unfold_clone(rng, spec):
+    """Copy the spec and duplicate one state under a fresh name, randomly
+    rerouting references between original and duplicate.  The result is
+    bisimilar to the input by construction."""
+    target = rng.choice(list(spec.states))
+    dup = f"{target}_dup"
+    states = dict(spec.states)
+    states[dup] = spec.states[target]
+
+    def reroute(name):
+        if name == target and rng.random() < 0.5:
+            return dup
+        return name
+
+    rerouted = {}
+    for name, body in states.items():
+        if isinstance(body, Post):
+            rerouted[name] = Post(body.action, reroute(body.then), reroute(body.else_))
+        else:
+            rerouted[name] = body
+    root = reroute(spec.root)
+    return validate(ThreadSpec(rerouted, root))
+
+
+# --- finite projections -------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Branch:
+    """Node of a finite projection tree.  Leaves reuse Deadlock and Stop."""
+
+    action: Action
+    then: "FiniteThread"
+    else_: "FiniteThread"
+
+    def __post_init__(self) -> None:
+        if isinstance(self.action, Tau):
+            object.__setattr__(self, "else_", self.then)
+
+
+FiniteThread = Union[Deadlock, Stop, Branch]
+
+
+def project(spec: ThreadSpec, depth: int) -> FiniteThread:
+    """Approximate the behaviour from the root up to `depth` actions.
+    Depth 0 is deadlock; deeper levels copy the body shape and project both
+    branches one level lower.  The memo of (state, depth) projections is
+    filled bottom-up from an explicit stack, so deep projections need no
+    recursion."""
+    if depth < 0:
+        raise ValueError("projection depth must be >= 0")
+    start = (spec.root, depth)
+    memo: Dict[tuple, FiniteThread] = {}
+    stack = [start]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        name, n = key
+        body = DEADLOCK if n == 0 else spec.states[name]
+        if not isinstance(body, Post):
+            memo[key] = body
+            stack.pop()
+            continue
+        then_key, else_key = (body.then, n - 1), (body.else_, n - 1)
+        missing = [k for k in (then_key, else_key) if k not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        memo[key] = Branch(body.action, memo[then_key], memo[else_key])
+        stack.pop()
+    return memo[start]
+
+
+def projections_agree(a: ThreadSpec, b: ThreadSpec, depth: int) -> bool:
+    """Whether the depth-n projections of the two roots coincide for every
+    n <= depth.  Checking the largest depth suffices: projecting a deeper
+    approximation yields the shallower one.  The projections agree iff
+    every (state of a, state of b, remaining depth) reached from the roots
+    with depth left has bodies of the same kind, and Posts of the same
+    action; the walk visits each such triple once."""
+    seen = {(a.root, b.root, depth)}
+    stack = [(a.root, b.root, depth)]
+    while stack:
+        sa, sb, n = stack.pop()
+        if n == 0:
+            continue
+        ba = a.states[sa]
+        bb = b.states[sb]
+        if type(ba) is not type(bb):
+            return False
+        if not isinstance(ba, Post):
+            continue
+        if ba.action != bb.action:
+            return False
+        for key in ((ba.then, bb.then, n - 1), (ba.else_, bb.else_, n - 1)):
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return True

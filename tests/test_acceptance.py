@@ -12,7 +12,6 @@ import pytest
 
 from pgakit import (
     Basic,
-    Branch,
     DEADLOCK,
     HALT,
     InstructionSequence,
@@ -37,17 +36,14 @@ from pgakit import (
     parse_program,
     parse_thread,
     print_program,
-    project,
-    projections_agree,
     run_exec,
     structurally_congruent,
     theorem3_witness,
     validate,
 )
 from pgakit.execmech import Alphabet
-from pgakit.corpus import spec_pair
 from pgakit.properties import PROPERTIES, counter_peak, draw_cases
-from strategies import chain_spec
+from strategies import Branch, chain_spec, project, projections_agree, spec_pair
 
 P = parse_program
 T = parse_thread

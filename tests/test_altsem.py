@@ -6,7 +6,6 @@ from pgakit import (
     NotPgajs0Error,
     Post,
     STOP,
-    abstract_tau,
     behaviour_via_counter,
     bisimilar,
     extract_alt,

@@ -2,16 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from pgakit import (
-    Basic,
-    CompileError,
     Halt,
     Jump,
-    PosTest,
-    Post,
     ReservedFocusActionError,
-    STOP,
     TauPresentError,
-    ThreadSpec,
     abstract_tau,
     behaviour_via_counter,
     bisimilar,
@@ -22,8 +16,10 @@ from pgakit import (
     is_pgajs0,
     parse_program,
     parse_thread,
-    validate,
 )
+from pgakit import compiler, threads
+from pgakit.cli import main
+from pgakit.threads import _breadth_first
 
 from strategies import specs
 
@@ -80,8 +76,29 @@ def test_compile_rejects_tau_by_default():
 
 def test_compile_abstracts_tau_on_request():
     spec = T("x = tau <y>\ny = <z> f.a <z>\nz = S")
-    out = compile_spec(spec, auto_abstract=True)
+    out = compile_spec(abstract_tau(spec))
     assert bisimilar(extract(out), abstract_tau(spec))
+
+
+def test_compile_walks_its_spec_once(monkeypatch):
+    walked = []
+
+    def counting(spec):
+        walked.append(spec.root)
+        return _breadth_first(spec)
+
+    monkeypatch.setattr(threads, "_breadth_first", counting)
+    monkeypatch.setattr(compiler, "_breadth_first", counting)
+    text = "x = <y> f.a <z>\ny = tau <x>\nz = S"
+    # abstract_tau prunes in one walk, compile_spec lays out its result in another
+    compile_spec(abstract_tau(T(text)))
+    assert len(walked) == 2
+    walked.clear()
+    assert main(["compile", "--abstract", text]) == 0
+    assert len(walked) == 2
+    walked.clear()
+    compile_spec(T("x = <y> f.a <z>\ny = <x> f.b <x>\nz = S"))
+    assert len(walked) == 1
 
 
 def test_compile_rejects_reserved_foci():

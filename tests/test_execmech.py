@@ -12,7 +12,6 @@ from pgakit import (
     InstructionSequence,
     Jump,
     NotPgajs0Error,
-    PgsService,
     Plain,
     PosTest,
     Reply,

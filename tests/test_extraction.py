@@ -2,11 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from pgakit import (
-    Basic,
-    Post,
-    STOP,
     ShiftPresentError,
-    ThreadSpec,
     bisimilar,
     extract,
     extract_pgajs,
@@ -15,7 +11,6 @@ from pgakit import (
     parse_thread,
     structurally_congruent,
     transform_to_pgajs0,
-    validate,
 )
 
 from strategies import programs

@@ -36,8 +36,11 @@ extraction, jump collapsing and the compiler as they were before each
 walked its input once: extraction built a state for every non-jump
 position, walked every jump chain from its start and then ran `relabel`;
 the compiler pruned through `validate` and then walked again for its
-layout.  `_old_parse_thread` read a thread line with four regular
-expressions after stripping its comment with a fifth.  Results must be
+layout.  `_old_compile_spec` keeps the compiler's old `auto_abstract`
+flag; its abstracting arm is checked against `abstract_tau` followed by
+`compile_spec`, the route `compile --abstract` takes.
+`_old_parse_thread` read a thread line with four regular expressions
+after stripping its comment with a fifth.  Results must be
 equal and print identically; errors must have the same class and
 message.
 """
@@ -96,7 +99,7 @@ from pgakit import (
 )
 from pgakit.extraction import _jump_collapse
 from pgakit.threads import _breadth_first
-from pgakit.corpus import random_program, random_spec, spec_pair
+from pgakit.corpus import random_program, random_spec
 from pgakit.properties import PROPERTIES, draw_cases
 from pgakit.services import _state_names
 from pgakit.syntax import (
@@ -118,7 +121,7 @@ from pgakit.syntax import (
     instruction_text,
     print_program,
 )
-from strategies import BASICS, chain_spec, deep_spec, renamed_copy
+from strategies import BASICS, chain_spec, deep_spec, projections_agree, renamed_copy, spec_pair
 
 
 def _old_abstract_tau(spec):
@@ -489,6 +492,24 @@ def test_bisimilar_matches_refinement_on_spec_pairs():
     rng = random.Random(2035)
     pairs = [spec_pair(rng, max_states=m) for m in (3, 6, 12) for _ in range(800)]
     verdicts = _assert_same_verdict(pairs)
+    assert 0.3 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_bisimilar_matches_projections_to_depth_n_plus_m():
+    # A deterministic thread is a Moore machine: its output is the body kind
+    # and action, its input the reply.  On the disjoint union of specs of n
+    # and m states, k-step equivalence refines strictly each round until it
+    # is stable, and it has at most n + m classes, so it is stable after
+    # n + m - 1 rounds (Moore, "Gedanken-experiments on sequential machines",
+    # 1956).  Projections to depth n + m compare the bodies reached by every
+    # word of up to n + m - 1 replies.
+    rng = random.Random(11)
+    pairs = [spec_pair(rng, max_states=m) for m in (3, 6, 12) for _ in range(800)]
+    verdicts = []
+    for a, b in pairs:
+        want = projections_agree(a, b, len(a.states) + len(b.states))
+        assert bisimilar(a, b) == want, (print_thread(a), print_thread(b))
+        verdicts.append(want)
     assert 0.3 < sum(verdicts) / len(verdicts) < 0.8
 
 
@@ -1151,7 +1172,8 @@ def test_compile_matches_validate_first_route():
     for spec in specs:
         where = print_thread(spec)
         for auto in (False, True):
-            got = _result(compile_spec, spec, auto)
+            # the --abstract route: abstract first, then compile
+            got = _result(compile_spec, abstract_tau(spec) if auto else spec)
             _assert_same_result(got, _result(_old_compile_spec, spec, auto), print_program, where)
             kinds.append(got[0] if isinstance(got, tuple) else InstructionSequence)
     assert set(kinds) == {InstructionSequence, TauPresentError, ReservedFocusActionError,

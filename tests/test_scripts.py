@@ -54,3 +54,12 @@ def test_mechanism_report_counts_every_state():
     # skip loop s, and the rest
     for m, row in enumerate(rows, start=1):
         assert [int(x) for x in row[:6]] == [m, 16 * m + 16, 3 * m + 3, 13 * m + 5, 6, 2]
+
+
+@pytest.mark.parametrize("flag, value", [("--max-basics", "0"), ("--max-basics", "-2"),
+                                         ("--dump", "0")])
+def test_mechanism_report_rejects_no_basics(flag, value):
+    done = _script("mechanism_report.py", flag, value)
+    assert done.returncode == 2
+    assert f"{flag} needs at least one basic instruction" in done.stderr
+    assert done.stdout == ""

@@ -1,8 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from pgakit import (
     Basic,

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from pgakit import (
     Basic,
@@ -17,15 +16,11 @@ from pgakit import (
     bisimilar,
     parse_thread,
     print_thread,
-    project,
-    projections_agree,
     relabel,
     to_dot,
     validate,
 )
-from pgakit.threads import Branch
-
-from strategies import chain_spec, specs
+from strategies import Branch, chain_spec, project, projections_agree, specs
 
 a = Basic("f", "a")
 b = Basic("f", "b")

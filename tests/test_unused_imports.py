@@ -1,7 +1,8 @@
 """Every name a module imports is used in it.
 
 Covers the library modules, except `__init__.py`, whose imports are its
-public names, and the scripts.  Uses only `ast`, so it needs no linter.
+public names, the scripts, the tests and the benchmark.  Uses only `ast`,
+so it needs no linter; it only reads the files.
 """
 
 import ast
@@ -11,7 +12,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _sources():
-    for folder in (os.path.join(ROOT, "src", "pgakit"), os.path.join(ROOT, "scripts")):
+    for parts in (("src", "pgakit"), ("scripts",), ("tests",), ("perfbench",)):
+        folder = os.path.join(ROOT, *parts)
         for name in sorted(os.listdir(folder)):
             if name.endswith(".py") and name != "__init__.py":
                 yield os.path.join(folder, name)
