@@ -11,15 +11,18 @@ The thread finds the instruction at the head by `hdeq` queries and enacts
 it by the two-mode equations, laid out from the table in `altsem` that
 `extract_alt` reads too; its `pgs.drop` steps move the program service on.
 `run_exec` explores the mechanism with both services on the fly, hiding
-silent steps as it goes, and takes a run of equal instructions, such as a
-run of jump-shifts, in one step once the mechanism has shown one round of
-it to repeat.
+silent steps as it goes.  It asks the `hdeq` queries once per instruction,
+whatever the position and counter, and takes a run of equal instructions,
+such as a run of jump-shifts, or a skipping countdown in one step once the
+mechanism has shown the rounds that it repeats.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .altsem import (
@@ -56,7 +59,6 @@ from .syntax import (
     ProgramError,
     RESERVED_FOCI,
     basics_of,
-    instruction_at,
     instruction_text,
     is_pgajs0,
     position,
@@ -132,23 +134,29 @@ class PgsService(Service):
     alphabet: Alphabet = field(compare=False)
     position: int = 0
     undefined: bool = False
+    # the instruction at each position (None at a finite end), built once
+    _heads: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._heads is None:
+            s = self.sequence
+            object.__setattr__(self, "_heads", s.prefix + (s.period or (None,)))
 
     def apply(self, method: str) -> Tuple["PgsService", Reply]:
         if self.undefined:
             return self, Reply.BLOCKED
-        s = self.sequence
+        s, heads = self.sequence, self._heads
         if method == "drop":
             if self.position == len(s):
                 return self, Reply.FALSE
             pos = position(s, self.position + 1)
-            return PgsService(s, self.alphabet, pos), Reply.TRUE
+            return PgsService(s, self.alphabet, pos, False, heads), Reply.TRUE
         u = None
         if method.startswith("hdeq:"):
             u = self.alphabet._by_text.get(method[len("hdeq:"):])
         if u is None:
-            return PgsService(s, self.alphabet, self.position, True), Reply.BLOCKED
-        got = instruction_at(s, self.position) == u
-        return self, Reply.TRUE if got else Reply.FALSE
+            return PgsService(s, self.alphabet, self.position, True, heads), Reply.BLOCKED
+        return self, Reply.TRUE if heads[self.position] == u else Reply.FALSE
 
     def key(self) -> str:
         if self.undefined:
@@ -222,13 +230,16 @@ def run_exec(
     explored on the fly from the root; only the root and the targets of
     visible actions become states.  A silent walk that comes back to a
     configuration, or to a mechanism state and program position with no
-    counter test on the way, spins forever and ends in deadlock.  A run of
-    equal instructions is taken in one step: once a round between two
-    drops comes back to the same mechanism state, changing the counter by
-    d without testing it or leaving it unchanged, every further instruction
-    of the run repeats that round, so the rest of the run moves the
-    position by k and the counter by d*k at once.  The budget caps the
-    configurations walked."""
+    counter test on the way, spins forever and ends in deadlock.  The
+    `hdeq` queries from a state are walked once per instruction, whatever
+    the position and counter.  A round between two drops that returns to
+    its mechanism state with no test finding the counter zero repeats at
+    every position that answers its queries alike, while the counter keeps
+    its tests nonzero.  So the rest of a run of equal instructions is taken
+    in one step when its round changes the counter untested or not at all;
+    and once one round keeps the counter and one lowers it, on opposite
+    replies to one query, a countdown lands at once, by binary search in a
+    prefix count.  The budget caps the configurations walked."""
     if not is_pgajs0(p):
         raise NotPgajs0Error("execution requires a program with only #0 jumps")
     if alphabet is not None and not basics_of(p) <= set(alphabet.basics):
@@ -269,6 +280,20 @@ def _run_lengths(s: InstructionSequence) -> List[Optional[int]]:
 _LEAF, _PGS, _CNT, _SHOW = range(4)
 
 
+def _landing(s: InstructionSequence, counts: List[int], i: int, k: int) -> Optional[int]:
+    """The position just past the k-th counted position from position i on;
+    counts[j] counts those before j over prefix and period, or prefix and
+    end of a finite sequence.  Passes over the period go by division."""
+    p, e = len(s.prefix), len(counts) - 1
+    k += counts[i]
+    if k > counts[e]:
+        per = counts[e] - counts[p]
+        if not per:
+            return None
+        k = counts[p] + (k - counts[p] - 1) % per + 1
+    return position(s, bisect_left(counts, k))
+
+
 def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
     """The thread of `mech` run with `pgs` and a zeroed counter, with all
     service traffic hidden, as `run_exec` describes."""
@@ -291,36 +316,76 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
             thens.append(None)
             elses.append(None)
 
-    s = pgs.sequence
+    s, heads = pgs.sequence, pgs._heads
     runs = _run_lengths(s)
     cnt = counter_new(0)
     # services by key; replies by (service key, method), so each distinct
     # service state answers each method once
     services: Dict[str, Service] = {pgs.key(): pgs, cnt.key(): cnt}
     replies: Dict[Tuple[str, str], Tuple[str, Reply]] = {}
-    TRUE, BLOCKED = Reply.TRUE, Reply.BLOCKED
+    TRUE, FALSE, BLOCKED = Reply.TRUE, Reply.FALSE, Reply.BLOCKED
+
+    def enter(svc: Service) -> str:
+        key = svc.key()
+        services.setdefault(key, svc)
+        return key
 
     def first_reply(key: str, method: str) -> Tuple[str, Reply]:
         svc, r = services[key].apply(method)
-        nxt = svc.key()
-        services.setdefault(nxt, svc)
-        replies[(key, method)] = (nxt, r)
-        return nxt, r
+        got = replies[(key, method)] = (enter(svc), r)
+        return got
 
-    def rest_of_run(pk: str, prev: int) -> Tuple[Optional[int], str]:
-        """Rounds left in the run after the one that dropped from `prev`,
-        and the program service key past them."""
+    # (state, instruction at the position) -> where its `hdeq` queries lead
+    # (None: deadlock) and their replies, which that instruction decides
+    chains: Dict[tuple, Tuple[Optional[int], tuple]] = {}
+
+    def chain(at: tuple, pk: str) -> Tuple[Optional[int], tuple]:
+        m, asked = at[0], ()
+        while m is not None and kinds[m] == _PGS and methods[m] != "drop":
+            _, r = replies.get((pk, methods[m])) or first_reply(pk, methods[m])
+            asked += ((methods[m], r),)
+            m = thens[m] if r is TRUE else elses[m]
+            if r is BLOCKED or len(asked) > len(kinds):  # wedged, or a cycle
+                m = None
+        got = chains[at] = (m, asked)
+        return got
+
+    def rest_of_run(pk: str, prev: int, c: int, d: int):
+        """The position and counter past the rounds left in the run after the
+        one that dropped from `prev`, each adding d to the counter c:
+        DEADLOCK if the run never ends, None if no round is left."""
         more = runs[prev]
         if more is None:
-            return None, pk
-        more -= 1
-        if not more:
-            return 0, pk
-        pos = position(s, services[pk].position + more)
-        svc = PgsService(s, pgs.alphabet, pos)
-        nxt = svc.key()
-        services.setdefault(nxt, svc)
-        return more, nxt
+            return DEADLOCK
+        if more > 1:
+            return position(s, services[pk].position + more - 1), c + d * (more - 1)
+
+    # (state a drop landed in, queries and replies of a round back to it) ->
+    # its change to the counter and lowest test, less the value on entry
+    rounds: Dict[Tuple[int, tuple], Tuple[int, int]] = {}
+    tallies: Dict[Tuple[str, Reply], List[int]] = {}  # prefix counts by reply
+
+    def countdown(m2: int, query: str, pk: str, c: int):
+        """Where rounds from m2 stop repeating, once one that keeps the counter
+        and one that lowers it were seen, with opposite replies to one query."""
+        both = [rounds.get((m2, ((query, r),))) for r in (TRUE, FALSE)]
+        if None in both:
+            return None
+        keep, down = sorted(both, reverse=True)
+        d, low = down[0], min(keep[1], down[1])
+        if keep[0] or d >= 0 or c + low < 1:
+            return None
+        k = (c + low - 1) // -d + 1  # rounds that lower it, each entered above -low
+        reply = (TRUE, FALSE)[both.index(down)]
+        counts = tallies.get((query, reply))
+        if counts is None:
+            u = pgs.alphabet._by_text[query[len("hdeq:"):]]
+            flags = ((h == u) == (reply is TRUE) for h in heads)
+            counts = tallies[(query, reply)] = list(accumulate(flags, initial=0))
+        pos = _landing(s, counts, services[pk].position, k)
+        if pos is None:  # the period holds no round that lowers the counter
+            return DEADLOCK
+        return pos, c + d * k
 
     resolved: Dict[tuple, object] = {}  # configuration -> visible configuration or leaf
     limit = budget.max_states
@@ -329,9 +394,19 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
         walked: Dict[tuple, None] = {}
         pairs = set()  # (mechanism state, pgs key) since the last counter test
         mark = None  # (mechanism state, counter) where the last drop landed
-        tested = False
+        # since the mark: whether the counter was tested, program queries and
+        # replies, its lowest value tested, and whether no test found it zero
+        # and nothing cleared it
+        tested, asked, low, plain = False, (), 0, True
         room = limit - len(resolved)
         while True:
+            if kinds[m] == _PGS and methods[m] != "drop":
+                at = (m, heads[services[pk].position])
+                m, queries = chains.get(at) or chain(at, pk)
+                if m is None:
+                    got = DEADLOCK
+                    break
+                asked += queries
             cfg = (m, pk, ck)
             got = resolved.get(cfg)
             if got is not None:
@@ -359,28 +434,33 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
                 got = DEADLOCK
                 break
             if kind == _CNT:
-                ck = nxt
                 if method != "inc":
                     pairs.clear()
                     tested = True
-            else:
-                if method == "drop" and r is TRUE:
+                    c = services[ck].content
+                    plain = plain and c > 0 and method != "clr"
+                    low = min(low, c)
+                ck = nxt
+            else:  # a drop
+                if r is TRUE:
                     m2 = thens[m]
                     c = services[ck].content
-                    if mark is not None and mark[0] == m2 and (not tested or mark[1] == c):
-                        more, nxt = rest_of_run(nxt, services[pk].position)
-                        if more is None:
+                    if mark is not None and mark[0] == m2:
+                        if plain and thens[m] == elses[m]:
+                            rounds[(m2, asked)] = (c - mark[1], low - mark[1])
+                        jump = countdown(m2, asked[0][0], nxt, c) if len(asked) == 1 else None
+                        if jump is None and (not tested or mark[1] == c):
+                            jump = rest_of_run(nxt, services[pk].position, c, c - mark[1])
+                        if jump is DEADLOCK:
                             got = DEADLOCK
                             break
-                        if more:
-                            c += (c - mark[1]) * more
-                            svc = CounterService(c)
-                            ck = svc.key()
-                            services.setdefault(ck, svc)
+                        if jump is not None:
+                            pos, c = jump
+                            nxt = enter(PgsService(s, pgs.alphabet, pos, False, heads))
+                            ck = enter(CounterService(c))
                             if tested:
                                 pairs.clear()
-                    mark = (m2, c)
-                    tested = False
+                    mark, tested, asked, low, plain = (m2, c), False, (), c, True
                 pk = nxt
             m = thens[m] if r is TRUE else elses[m]
         for cfg in walked:

@@ -17,7 +17,11 @@ must give the same states under the same names.
 explored configurations on the fly: compose the mechanism with the
 program service, collapse counter divergence, compose with the counter,
 hide silent steps.  The explorer names states by configuration, so the
-two threads must be equal after `relabel`.
+two threads must be equal after `relabel`.  `_old_explore` is the explorer
+as it was before it took a skipping countdown in one step and walked the
+`hdeq` queries once per instruction: it counted down one position and one
+counter value at a time, and asked the queries again for every counter
+value.  Its threads must be equal after `relabel` too.
 
 `_old_roll_back` is the canonical-form rollback as it was before it
 rotated the period once: one rotation per trailing prefix instruction
@@ -47,8 +51,10 @@ message.
 
 import random
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate
+from typing import Dict, Optional, Tuple
 
 from pgakit import (
     DEADLOCK,
@@ -57,11 +63,15 @@ from pgakit import (
     TAU,
     Alphabet,
     Basic,
+    Budget,
+    BudgetExceededError,
     CompileError,
+    CounterService,
     Halt,
     InstructionSequence,
     Jump,
     NegTest,
+    PgsService,
     Plain,
     PosTest,
     Post,
@@ -97,8 +107,9 @@ from pgakit import (
     theorem3_witness,
     validate,
 )
+from pgakit.execmech import _CNT, _LEAF, _PGS, _SHOW, _landing, _run_lengths
 from pgakit.extraction import _jump_collapse
-from pgakit.threads import _breadth_first
+from pgakit.threads import Body, _breadth_first
 from pgakit.corpus import random_program, random_spec
 from pgakit.properties import PROPERTIES, draw_cases
 from pgakit.services import _state_names
@@ -116,6 +127,7 @@ from pgakit.syntax import (
     ShiftPresentError,
     _primitive,
     contains_shift,
+    instruction_at,
     position,
     to_canonical,
     instruction_text,
@@ -477,6 +489,255 @@ def test_explorer_matches_layered_route_on_witnesses():
     for n in (1, 2, 3, 4):
         p = corollary1_pipeline(theorem3_witness(n))
         assert relabel(run_exec(p)) == relabel(_layered_run_exec(p)), n
+
+
+def _old_explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
+    """The thread of `mech` run with `pgs` and a zeroed counter, with all
+    service traffic hidden, one counter value at a time."""
+    sids = list(mech.states)
+    index = {sid: i for i, sid in enumerate(sids)}
+    # per mechanism state: kind, body, method, True and False successors
+    kinds, bodies, methods, thens, elses = [], [], [], [], []
+    for sid in sids:
+        body = mech.states[sid]
+        bodies.append(body)
+        if isinstance(body, Post):
+            focus = body.action.focus
+            kinds.append(_PGS if focus == "pgs" else _CNT if focus == "cnt" else _SHOW)
+            methods.append(body.action.method)
+            thens.append(index[body.then])
+            elses.append(index[body.else_])
+        else:
+            kinds.append(_LEAF)
+            methods.append(None)
+            thens.append(None)
+            elses.append(None)
+
+    s = pgs.sequence
+    runs = _run_lengths(s)
+    cnt = counter_new(0)
+    # services by key; replies by (service key, method), so each distinct
+    # service state answers each method once
+    services: Dict[str, Service] = {pgs.key(): pgs, cnt.key(): cnt}
+    replies: Dict[Tuple[str, str], Tuple[str, Reply]] = {}
+    TRUE, BLOCKED = Reply.TRUE, Reply.BLOCKED
+
+    def first_reply(key: str, method: str) -> Tuple[str, Reply]:
+        svc, r = services[key].apply(method)
+        nxt = svc.key()
+        services.setdefault(nxt, svc)
+        replies[(key, method)] = (nxt, r)
+        return nxt, r
+
+    def rest_of_run(pk: str, prev: int) -> Tuple[Optional[int], str]:
+        """Rounds left in the run after the one that dropped from `prev`,
+        and the program service key past them."""
+        more = runs[prev]
+        if more is None:
+            return None, pk
+        more -= 1
+        if not more:
+            return 0, pk
+        pos = position(s, services[pk].position + more)
+        svc = PgsService(s, pgs.alphabet, pos)
+        nxt = svc.key()
+        services.setdefault(nxt, svc)
+        return more, nxt
+
+    resolved: Dict[tuple, object] = {}  # configuration -> visible configuration or leaf
+    limit = budget.max_states
+
+    def resolve(m: int, pk: str, ck: str):
+        walked: Dict[tuple, None] = {}
+        pairs = set()  # (mechanism state, pgs key) since the last counter test
+        mark = None  # (mechanism state, counter) where the last drop landed
+        tested = False
+        room = limit - len(resolved)
+        while True:
+            cfg = (m, pk, ck)
+            got = resolved.get(cfg)
+            if got is not None:
+                break
+            if cfg in walked or (m, pk) in pairs:
+                got = DEADLOCK
+                break
+            if len(walked) >= room:
+                raise BudgetExceededError(
+                    f"run_exec explored more than {limit} configurations"
+                )
+            walked[cfg] = None
+            pairs.add((m, pk))
+            kind = kinds[m]
+            if kind == _SHOW:
+                got = cfg
+                break
+            if kind == _LEAF:
+                got = bodies[m]
+                break
+            method = methods[m]
+            key = ck if kind == _CNT else pk
+            nxt, r = replies.get((key, method)) or first_reply(key, method)
+            if r is BLOCKED:
+                got = DEADLOCK
+                break
+            if kind == _CNT:
+                ck = nxt
+                if method != "inc":
+                    pairs.clear()
+                    tested = True
+            else:
+                if method == "drop" and r is TRUE:
+                    m2 = thens[m]
+                    c = services[ck].content
+                    if mark is not None and mark[0] == m2 and (not tested or mark[1] == c):
+                        more, nxt = rest_of_run(nxt, services[pk].position)
+                        if more is None:
+                            got = DEADLOCK
+                            break
+                        if more:
+                            c += (c - mark[1]) * more
+                            svc = CounterService(c)
+                            ck = svc.key()
+                            services.setdefault(ck, svc)
+                            if tested:
+                                pairs.clear()
+                    mark = (m2, c)
+                    tested = False
+                pk = nxt
+            m = thens[m] if r is TRUE else elses[m]
+        for cfg in walked:
+            resolved[cfg] = got
+        return got
+
+    # emitted configurations, in discovery order, with what each resolves to
+    emitted: Dict[tuple, object] = {}
+    root = (index[mech.root], pgs.key(), cnt.key())
+    queue = deque([root])
+    emitted[root] = None
+    while queue:
+        cfg = queue.popleft()
+        got = resolve(*cfg)
+        emitted[cfg] = got
+        if isinstance(got, tuple):
+            m, pk, ck = got
+            for target in ((thens[m], pk, ck), (elses[m], pk, ck)):
+                if target not in emitted:
+                    emitted[target] = None
+                    queue.append(target)
+
+    names = dict(zip(emitted, _state_names([sids[cfg[0]] for cfg in emitted])))
+    states: Dict[str, Body] = {}
+    for cfg, got in emitted.items():
+        if isinstance(got, tuple):
+            m, pk, ck = got
+            got = Post(
+                bodies[m].action, names[(thens[m], pk, ck)], names[(elses[m], pk, ck)]
+            )
+        states[names[cfg]] = got
+    return ThreadSpec(states, names[root])
+
+
+def _old_run_exec(p):
+    pgs = pgs_new(p)
+    return _old_explore(build_exec_mechanism(pgs.alphabet), pgs, Budget())
+
+
+def _mixed_run_programs(seed, count):
+    """Programs of long mixed runs, finite and periodic: shift runs of 5 to
+    60 between stretches where each instruction is a shift with a
+    probability drawn per program from 0.2 to 0.95.  A shift run read in
+    the guarded mode loads the counter with its length, so a #0 after it
+    starts a countdown past many non-shifts, which wraps a short period
+    several times."""
+    rng = random.Random(seed)
+    others = ([Plain(b) for b in BASICS] + [PosTest(b) for b in BASICS]
+              + [NegTest(b) for b in BASICS] + [Jump(0)] * 4 + [HALT])
+
+    def stretch(shift_prob):
+        if rng.random() < 0.4:  # often jumped from at once
+            return [SHIFT] * rng.randint(5, 60) + [Jump(0)] * rng.randint(0, 1)
+        return [SHIFT if rng.random() < shift_prob else rng.choice(others)
+                for _ in range(rng.randint(1, 12))]
+
+    for _ in range(count):
+        shift_prob = rng.uniform(0.2, 0.95)
+        prefix = [u for _ in range(rng.randint(0, 3)) for u in stretch(shift_prob)]
+        period = []
+        if rng.random() < 0.6:
+            period = [u for _ in range(rng.randint(1, 3)) for u in stretch(shift_prob)]
+        yield InstructionSequence(tuple(prefix or [Plain(BASICS[0])]), tuple(period))
+
+
+def _assert_explorers_agree(programs):
+    for p in programs:
+        assert relabel(run_exec(p)) == relabel(_old_run_exec(p)), print_program(p)
+
+
+def test_explorer_matches_one_value_at_a_time_on_corpora():
+    # the corpora of the execution-mechanism and counter acceptance gates
+    _assert_explorers_agree(draw_cases(PROPERTIES["exec"], 2025, 500))
+    _assert_explorers_agree(draw_cases(PROPERTIES["counter"], 2025, 500))
+
+
+def test_explorer_matches_one_value_at_a_time_on_witnesses():
+    _assert_explorers_agree(corollary1_pipeline(theorem3_witness(n)) for n in range(1, 7))
+
+
+def test_explorer_matches_one_value_at_a_time_on_shift_runs():
+    all_shift = [InstructionSequence((), (SHIFT,)),
+                 InstructionSequence((Plain(BASICS[0]), Jump(0)), (SHIFT,)),
+                 InstructionSequence((SHIFT,) * 40 + (Jump(0),), (SHIFT,))]
+    _assert_explorers_agree(list(_SHIFT_RUNS) + all_shift)
+
+
+def test_explorer_matches_one_value_at_a_time_on_long_mixed_runs(monkeypatch):
+    # every landing, and whether it went past the period at least twice or
+    # reached the end of a finite program
+    landings = []
+
+    def landing(s, counts, i, k):
+        p, e = len(s.prefix), len(counts) - 1
+        per = counts[e] - counts[p]
+        wraps = bool(s.period) and counts[i] + k > counts[e] + 2 * per
+        at_end = not s.period and counts[i] + k > counts[e - 1]
+        landings.append((wraps, at_end))
+        return _landing(s, counts, i, k)
+
+    monkeypatch.setattr("pgakit.execmech._landing", landing)
+    _assert_explorers_agree(_mixed_run_programs(2040, 1500))
+    assert len(landings) > 1000
+    assert sum(wraps for wraps, _ in landings) > 300
+    assert sum(at_end for _, at_end in landings) > 50
+
+
+def _walked_landing(s, counted, i, k):
+    """`_landing` one position at a time: past the end of a finite sequence
+    the position stays put, and a period with nothing counted never lands."""
+    for _ in range(k * (len(s) + 1) + len(s) + 1):
+        if counted(instruction_at(s, i)):
+            k -= 1
+        i = position(s, i + 1)
+        if not k:
+            return i
+    return None
+
+
+def test_landing_matches_walk_over_positions():
+    rng = random.Random(2041)
+    units = (SHIFT, SHIFT, Plain(BASICS[0]), Jump(0))
+    for _ in range(3000):
+        prefix = tuple(rng.choice(units) for _ in range(rng.randint(0, 6)))
+        period = tuple(rng.choice(units) for _ in range(rng.randint(0, 5)))
+        if not prefix and not period:
+            continue
+        s = InstructionSequence(prefix, period)
+        heads = s.prefix + (s.period or (None,))
+        reply = rng.random() < 0.5
+        counted = lambda u: (u == SHIFT) == reply
+        counts = list(accumulate((counted(h) for h in heads), initial=0))
+        i, k = rng.randrange(len(heads)), rng.randint(1, 25)
+        assert _landing(s, counts, i, k) == _walked_landing(s, counted, i, k), (
+            print_program(s), i, k, reply)
 
 
 def _assert_same_verdict(pairs):
