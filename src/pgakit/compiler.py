@@ -9,7 +9,7 @@ lean on.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .syntax import (
     HALT,
@@ -67,27 +67,20 @@ def compile_spec(spec: ThreadSpec) -> InstructionSequence:
             raise CompileError(f"action {str(action)!r} is not a program basic")
 
     size = 3 * len(index)
-    jumps: Dict[int, Jump] = {}  # equal offsets share one instruction
-
-    def jump(at: int, target: str) -> Jump:
-        d = ((3 * index[target] - at) % size) or size
-        if d not in jumps:
-            jumps[d] = Jump(d)
-        return jumps[d]
-
-    dead = [Jump(0)] * 3
     units: List[Instruction] = []
     for name, i in index.items():
         body = spec.states[name]
-        base = 3 * i
         if isinstance(body, Stop):
-            units.extend([HALT, HALT, HALT])
+            units += (HALT, HALT, HALT)
         elif isinstance(body, Post):
-            units.append(PosTest(body.action))
-            units.append(jump(base + 1, body.then))
-            units.append(jump(base + 2, body.else_))
+            # each jump goes forward to the first slot of its target's block
+            units += (
+                PosTest(body.action),
+                Jump((3 * index[body.then] - 3 * i - 1) % size or size),
+                Jump((3 * index[body.else_] - 3 * i - 2) % size or size),
+            )
         else:
-            units.extend(dead)
+            units += (Jump(0),) * 3
     return InstructionSequence((), tuple(units))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Dict, List, Optional, Tuple
 
 from .altsem import (
@@ -251,30 +251,29 @@ def run_exec(
 def _run_lengths(s: InstructionSequence) -> List[Optional[int]]:
     """For each position, how many positions from it on hold the same
     instruction, wrapping into the period; None where that never ends."""
-    p, q = len(s.prefix), len(s.period)
+    q = len(s.period)
+    if not q:
+        return _counted_down(s.prefix)
     if q == 1:  # a primitive period of one instruction repeats it forever
         runs: List[Optional[int]] = [None]
     else:
         # a primitive period of two or more instructions holds two that
         # differ, so no run wraps all the way round it
-        twice = s.period * 2
-        runs = [1] * len(twice)
-        for i in range(len(twice) - 2, -1, -1):
-            if twice[i] == twice[i + 1]:
-                runs[i] = runs[i + 1] + 1
-        runs = runs[:q]
-    prefix_runs = [1] * p
-    after = s.period[0] if q else None
-    ahead = runs[0] if q else 0
-    for i in range(p - 1, -1, -1):
-        u = s.prefix[i]
-        if u != after:
-            ahead = 1
-        elif ahead is not None:
-            ahead += 1
-        prefix_runs[i] = ahead
-        after = u
-    return prefix_runs + runs
+        runs = _counted_down(s.period * 2)[:q]
+    return _counted_down(s.prefix, s.period[0], runs[0]) + runs
+
+
+def _counted_down(units: tuple, after=None, ahead: Optional[int] = 0) -> list:
+    """n, n - 1, ..., 1 for each run of n equal instructions, in order; a
+    last run of `after` goes on for `ahead` more (None: forever)."""
+    lengths: List[Optional[int]] = []
+    u = n = None
+    for u, run in groupby(units):
+        n = len(list(run))
+        lengths.extend(range(n, 0, -1))
+    if n and u is after:
+        lengths[-n:] = [None] * n if ahead is None else range(n + ahead, ahead, -1)
+    return lengths
 
 
 _LEAF, _PGS, _CNT, _SHOW = range(4)

@@ -2,8 +2,10 @@
 
 A sequence term is built from six instruction kinds with concatenation and
 an iterated-forever postfix star.  Every term denotes a canonical sequence:
-a finite prefix plus an optional primitive period, minimized so that equal
-behaviour under unfolding means structural equality of the dataclass.
+a finite prefix plus an optional primitive period, minimized so that two
+terms behave alike under unfolding iff their sequences compare equal.  Each
+instruction value exists once per process (see `threads._Interned`), so
+sequences compare instruction by instruction by identity.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .threads import Basic
+from .threads import _INTERNED, Basic, _Interned
 
 JUMP_LIMIT = 2**63 - 1
 # Most instructions `transform_to_pgajs0` writes out; a jump of offset l
@@ -48,48 +50,58 @@ class ShiftPresentError(ProgramError):
 # === instructions ===
 
 
-def _refuse_reserved(u) -> None:
-    if u.basic.focus in RESERVED_FOCI:
-        raise ReservedFocusError(f"focus {u.basic.focus!r} is reserved")
+class _Instruction(_Interned):
+    __slots__ = ("_text",)  # how it prints, from `_format` and the fields
+
+    def _check(self) -> None:
+        if hasattr(self, "basic") and self.basic.focus in RESERVED_FOCI:
+            raise ReservedFocusError(f"focus {self.basic.focus!r} is reserved")
+        fields = (getattr(self, n) for n in self.__slots__)
+        object.__setattr__(self, "_text", self._format.format(*fields))
 
 
-@dataclass(frozen=True, slots=True)
-class Plain:
-    basic: Basic
-    __post_init__ = _refuse_reserved
+class Plain(_Instruction):
+    __slots__ = ("basic",)
+    _format = "{}"
 
 
-@dataclass(frozen=True, slots=True)
-class PosTest:
-    basic: Basic
-    __post_init__ = _refuse_reserved
+class PosTest(_Instruction):
+    __slots__ = ("basic",)
+    _format = "+{}"
 
 
-@dataclass(frozen=True, slots=True)
-class NegTest:
-    basic: Basic
-    __post_init__ = _refuse_reserved
+class NegTest(_Instruction):
+    __slots__ = ("basic",)
+    _format = "-{}"
 
 
-@dataclass(frozen=True, slots=True)
-class Jump:
-    offset: int
+class Jump(_Instruction):
+    __slots__ = ("offset",)
+    _format = "#{}"
 
-    def __post_init__(self) -> None:
+    def __new__(cls, offset):
+        # exactly int: True or 2.0 would print as no program text, and True
+        # would find the stored Jump(1); a hit costs this one Python call
+        if type(offset) is not int:
+            raise TypeError(f"jump offset {offset!r} is not an int")
+        return _INTERNED.get((cls, (offset,))) or super().__new__(cls, offset)
+
+    def _check(self) -> None:
         if not (0 <= self.offset <= JUMP_LIMIT):
             raise JumpOverflowError(
                 f"jump offset {self.offset} outside [0, {JUMP_LIMIT}]"
             )
+        super()._check()
 
 
-@dataclass(frozen=True, slots=True)
-class Halt:
-    pass
+class Halt(_Instruction):
+    __slots__ = ()
+    _format = "!"
 
 
-@dataclass(frozen=True, slots=True)
-class Shift:
-    pass
+class Shift(_Instruction):
+    __slots__ = ()
+    _format = "~"
 
 
 HALT = Halt()
@@ -99,17 +111,7 @@ Instruction = Union[Plain, PosTest, NegTest, Jump, Halt, Shift]
 
 
 def instruction_text(u: Instruction) -> str:
-    if isinstance(u, Plain):
-        return str(u.basic)
-    if isinstance(u, PosTest):
-        return f"+{u.basic}"
-    if isinstance(u, NegTest):
-        return f"-{u.basic}"
-    if isinstance(u, Jump):
-        return f"#{u.offset}"
-    if isinstance(u, Halt):
-        return "!"
-    return "~"
+    return u._text
 
 
 # === terms ===
@@ -142,8 +144,8 @@ def _primitive(period: Tuple[Instruction, ...]) -> Tuple[Instruction, ...]:
     are the multiples of the shortest one that divide n, so starting from
     d = n, d is divided by each prime factor f of n for as long as d // f
     is still a root: the period equals itself shifted by d // f.  That is
-    at most log2(n) tuple comparisons, each run in C, and no copy of the
-    period per divisor."""
+    at most log2(n) tuple comparisons, each run in C, since instructions
+    compare by identity, and no copy of the period per divisor."""
     n = len(period)
     d = n
     for f in _prime_factors(n):
@@ -225,23 +227,25 @@ def instruction_at(s: InstructionSequence, i: int) -> Optional[Instruction]:
 
 
 def contains_shift(s: InstructionSequence) -> bool:
-    return any(isinstance(u, Shift) for u in s.prefix + s.period)
+    return SHIFT in s.prefix or SHIFT in s.period
+
+
+# Scans below visit each distinct instruction once: a set of instructions
+# is built in C, since they hash by identity.
 
 
 def is_pgajs0(s: InstructionSequence) -> bool:
     """Whether every jump has offset zero (shifts are allowed)."""
     return all(
-        u.offset == 0
-        for u in s.prefix + s.period
-        if isinstance(u, Jump)
+        u.offset == 0 for u in {*s.prefix, *s.period} if type(u) is Jump
     )
 
 
 def basics_of(s: InstructionSequence) -> set:
     return {
         u.basic
-        for u in s.prefix + s.period
-        if isinstance(u, (Plain, PosTest, NegTest))
+        for u in {*s.prefix, *s.period}
+        if type(u) in (Plain, PosTest, NegTest)
     }
 
 
@@ -484,9 +488,9 @@ def parse_instruction(text: str) -> Instruction:
 
 
 def print_program(p: InstructionSequence) -> str:
-    parts = [instruction_text(u) for u in p.prefix]
+    parts = [u._text for u in p.prefix]
     if p.period:
-        parts.append("(" + "; ".join(instruction_text(u) for u in p.period) + ")*")
+        parts.append("(" + "; ".join([u._text for u in p.period]) + ")*")
     return "; ".join(parts)
 
 

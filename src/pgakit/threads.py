@@ -35,13 +35,54 @@ class Tau:
 TAU = Tau()
 
 
-@dataclass(frozen=True, slots=True)
-class Basic:
+# (class, tuple of fields) -> the one object of that value.  It keeps every
+# distinct value the process makes, so it grows with the distinct
+# instructions and actions of the inputs and is never pruned.
+_INTERNED: dict = {}
+
+
+class _Interned:
+    """A value that exists once per process: constructing an equal value
+    again returns the first object, so equality and hashing are identity and
+    run in C, and copies and pickles give the same object back.  `_check`
+    runs when a value is first made; a refused value is not stored."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        self = _INTERNED.get((cls, fields))
+        if self is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
+            self = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(self, name, value)
+            self._check()
+            _INTERNED[cls, fields] = self
+        return self
+
+    def _check(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Basic(_Interned):
     """A focus.method pair, used both as a thread action and as the payload
     of basic program instructions."""
 
-    focus: str
-    method: str
+    __slots__ = ("focus", "method")
 
     def __str__(self) -> str:
         return f"{self.focus}.{self.method}"
@@ -246,7 +287,6 @@ def parse_thread(text: str) -> ThreadSpec:
     """Parse the one-state-per-line format.  The first state named is the
     root.  `#` at line start or after whitespace begins a comment."""
     states: Dict[str, Body] = {}
-    basics: Dict[tuple, Basic] = {}  # one action per distinct text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _LINE_RE.match(raw)
         if m["line"] is None:
@@ -261,10 +301,7 @@ def parse_thread(text: str) -> ThreadSpec:
         if m["body"] is None:
             raise ThreadSyntaxError(f"line {lineno}: cannot parse body {m['rhs']!r}")
         if m["then"] is not None:
-            key = m.group("focus", "method")
-            if key not in basics:
-                basics[key] = Basic(*key)
-            body: Body = Post(basics[key], m["then"], m["else_"])
+            body: Body = Post(Basic(m["focus"], m["method"]), m["then"], m["else_"])
         elif m["tau"] is not None:
             body = Post(TAU, m["tau"], m["tau"])
         else:

@@ -47,6 +47,12 @@ flag; its abstracting arm is checked against `abstract_tau` followed by
 after stripping its comment with a fifth.  Results must be
 equal and print identically; errors must have the same class and
 message.
+
+`_old_run_lengths` counted the run lengths of the explorer by comparing
+each instruction with its neighbour; the count over runs must give the
+same lengths.  `_old_value` is how instructions compared while they were
+dataclasses, by kind and fields; now that each value is one object,
+identity must agree with it.
 """
 
 import random
@@ -1488,3 +1494,75 @@ def test_parse_thread_matches_four_pattern_reader():
         "_: cannot parse body _", "no states defined", "state _ refers to undefined state _",
     }
     assert len(texts) - len(messages) > 1000
+
+
+def _old_run_lengths(s):
+    p, q = len(s.prefix), len(s.period)
+    if q == 1:
+        runs = [None]
+    else:
+        twice = s.period * 2
+        runs = [1] * len(twice)
+        for i in range(len(twice) - 2, -1, -1):
+            if twice[i] == twice[i + 1]:
+                runs[i] = runs[i + 1] + 1
+        runs = runs[:q]
+    prefix_runs = [1] * p
+    after = s.period[0] if q else None
+    ahead = runs[0] if q else 0
+    for i in range(p - 1, -1, -1):
+        u = s.prefix[i]
+        if u != after:
+            ahead = 1
+        elif ahead is not None:
+            ahead += 1
+        prefix_runs[i] = ahead
+        after = u
+    return prefix_runs + runs
+
+
+def test_run_lengths_match_neighbour_walk():
+    programs = (
+        draw_cases(PROPERTIES["exec"], 2025, 500)
+        + list(_mixed_run_programs(2040, 1500))
+        + list(_SHIFT_RUNS)
+        + [corollary1_pipeline(theorem3_witness(n)) for n in range(1, 31)]
+    )
+    for p in programs:
+        assert _run_lengths(p) == _old_run_lengths(p), print_program(p)
+    # prefix runs that go on into the period, for ever or for a while
+    assert _run_lengths(InstructionSequence((SHIFT, SHIFT), (SHIFT,))) == [None]
+    p = InstructionSequence((HALT, SHIFT, SHIFT), (SHIFT, SHIFT, HALT))
+    assert _run_lengths(p) == _old_run_lengths(p) == [1, 4, 3, 2, 1, 1]
+
+
+def _old_value(u):
+    """An instruction's value as its dataclass compared it: kind and fields."""
+    if isinstance(u, (Plain, PosTest, NegTest)):
+        return type(u), u.basic.focus, u.basic.method
+    if isinstance(u, Jump):
+        return Jump, u.offset
+    return (type(u),)
+
+
+def test_instructions_are_one_object_per_value():
+    rng = random.Random(2051)
+    basics = BASICS + (Basic("f", "a.b"), Basic("g_1", "x.2"), Basic("f", "2"))
+    corpus = [
+        random_program(rng, rng.randint(1, 16), basics, allow_shift=rng.random() < 0.5)
+        for _ in range(3000)
+    ]
+    distinct = {}
+    for p in corpus:
+        back = parse_program(print_program(p))
+        for got, want in ((back.prefix, p.prefix), (back.period, p.period)):
+            assert len(got) == len(want), print_program(p)
+            assert all(x is y for x, y in zip(got, want)), print_program(p)
+        distinct.update((id(u), u) for u in p.prefix + p.period)
+    # every pair of instructions in the corpus is one of these pairs
+    distinct = list(distinct.values())
+    # every value the draws can make: three kinds per basic, #0 to #18, ! and ~
+    assert len(distinct) == 3 * len(basics) + 19 + 2
+    for a in distinct:
+        for b in distinct:
+            assert (a is b) == (_old_value(a) == _old_value(b)), (a, b)

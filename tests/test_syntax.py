@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -31,13 +33,16 @@ from pgakit import (
 )
 from pgakit.syntax import (
     EXPANSION_LIMIT,
+    HALT,
     JUMP_LIMIT,
     Concat,
     Instr,
+    ProgramError,
     Repeat,
     contains_shift,
     position,
 )
+from pgakit.threads import _INTERNED
 
 from strategies import BASICS, chain_spec, deep_spec, programs
 
@@ -287,3 +292,58 @@ def test_is_pgajs0():
 
 def test_shift_constant():
     assert SHIFT == Shift()
+
+
+_INSTRUCTIONS = [
+    (Plain, (Basic("f", "a"),)),
+    (PosTest, (Basic("f", "a.b"),)),
+    (NegTest, (Basic("g", "1"),)),
+    (Jump, (3,)),
+    (Jump, (JUMP_LIMIT,)),
+    (Halt, ()),
+    (Shift, ()),
+]
+
+
+@pytest.mark.parametrize("kind, fields", _INSTRUCTIONS)
+def test_equal_instructions_are_one_object(kind, fields):
+    u = kind(*fields)
+    assert kind(*fields) is u
+    assert copy.copy(u) is u
+    assert copy.deepcopy(u) is u
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(u, protocol)) is u
+    assert parse_instruction(print_program(seq(u))) is u
+
+
+def test_instructions_keep_fields_repr_and_immutability():
+    assert repr(Jump(3)) == "Jump(offset=3)"
+    assert repr(HALT) == "Halt()"
+    assert repr(Plain(Basic("f", "a"))) == "Plain(basic=Basic(focus='f', method='a'))"
+    u = PosTest(Basic("f", "a"))
+    with pytest.raises(AttributeError):
+        u.basic = Basic("f", "b")
+    with pytest.raises(AttributeError):
+        del Jump(3).offset
+    assert u.basic == Basic("f", "a") and Jump(3).offset == 3
+    with pytest.raises(TypeError):
+        Plain()
+
+
+def test_refused_instruction_is_not_stored():
+    reserved = Basic("cnt", "inc")
+    size = len(_INTERNED)
+    for make in (lambda: Plain(reserved), lambda: NegTest(reserved),
+                 lambda: Jump(-1), lambda: Jump(JUMP_LIMIT + 1)):
+        for _ in range(2):  # refused again, not found
+            with pytest.raises(ProgramError):
+                make()
+        assert len(_INTERNED) == size
+
+
+@pytest.mark.parametrize("offset", [True, False, 2.0, "3", None])
+def test_jump_offset_must_be_an_int(offset):
+    # Jump(True) printed as `#True`, which does not parse back
+    with pytest.raises(TypeError):
+        Jump(offset)
+    assert print_program(seq(Jump(1), HALT)) == "#1; !"

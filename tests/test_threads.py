@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -37,6 +40,22 @@ def test_tau_merges_branches():
 
 def test_basic_str():
     assert str(a) == "f.a"
+
+
+def test_equal_basics_are_one_object():
+    assert Basic("f", "a") is a
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert repr(a) == "Basic(focus='f', method='a')"
+    with pytest.raises(AttributeError):
+        a.focus = "g"
+    assert a.focus == "f"
+    # the dot splits differently: two values that print alike
+    assert Basic("f.a", "b") is not Basic("f", "a.b")
+    assert len({Basic("f.a", "b"), Basic("f", "a.b")}) == 2
+    spec = T("x = <y> f.a <y>\ny = <x> f.a <x>")
+    assert spec.states["x"].action is spec.states["y"].action is a
 
 
 def test_validate_rejects_dangling():
