@@ -9,7 +9,7 @@ lean on.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from .syntax import (
     HALT,
@@ -67,6 +67,9 @@ def compile_spec(spec: ThreadSpec) -> InstructionSequence:
             raise CompileError(f"action {str(action)!r} is not a program basic")
 
     size = 3 * len(index)
+    # per-call tables, so a repeated test or jump makes no constructor call
+    tests = {action: PosTest(action) for action in actions}
+    jumps: Dict[int, Jump] = {}
     units: List[Instruction] = []
     for name, i in index.items():
         body = spec.states[name]
@@ -74,10 +77,12 @@ def compile_spec(spec: ThreadSpec) -> InstructionSequence:
             units += (HALT, HALT, HALT)
         elif isinstance(body, Post):
             # each jump goes forward to the first slot of its target's block
+            d = (3 * index[body.then] - 3 * i - 1) % size or size
+            e = (3 * index[body.else_] - 3 * i - 2) % size or size
             units += (
-                PosTest(body.action),
-                Jump((3 * index[body.then] - 3 * i - 1) % size or size),
-                Jump((3 * index[body.else_] - 3 * i - 2) % size or size),
+                tests[body.action],
+                jumps.get(d) or jumps.setdefault(d, Jump(d)),
+                jumps.get(e) or jumps.setdefault(e, Jump(e)),
             )
         else:
             units += (Jump(0),) * 3

@@ -1,27 +1,25 @@
 """Turning instruction sequences into finite-state threads.
 
 Each position of the canonical sequence becomes at most one thread state.
-Jumps are not states: they are resolved by walking position to position
-until a non-jump is reached, with a dead end (offset zero, past the end of
-a finite sequence, or a revisited position) meaning deadlock.
+Jumps are not states: one linear pass over the positions lands every jump
+on the first non-jump position its chain reaches, with a dead end (offset
+zero, past the end of a finite sequence, or a revisited position) landing
+on the end position, which means deadlock.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict, List
 
 from .syntax import (
     Halt,
     InstructionSequence,
-    Instruction,
     Jump,
     NegTest,
     Plain,
-    PosTest,
     ShiftPresentError,
     contains_shift,
     normalize_shifts,
-    position,
 )
 from .threads import (
     DEADLOCK,
@@ -32,32 +30,29 @@ from .threads import (
 )
 
 
-def _resolver(s: InstructionSequence, units: tuple) -> Callable[[int], int]:
-    """Jump resolution over `units`, the instructions of s by position:
-    resolve(j) follows the chain from unfolded index j to the first
-    non-jump position, or to the end position len(s) when it deadlocks by
-    running off a finite sequence or revisiting a jump (offset zero at
-    once).  Each jump on a walked chain stores its landing, once."""
-    end = len(units)
-    landing: Dict[int, int] = {}
-
-    def resolve(j: int) -> int:
-        pos = position(s, j)
-        chain: Dict[int, None] = {}
-        while pos < end and isinstance(units[pos], Jump):
-            if pos in landing:
-                pos = landing[pos]
-                break
-            if pos in chain:
-                pos = end
-                break
-            chain[pos] = None
-            pos = position(s, pos + units[pos].offset)
-        for jump in chain:
-            landing[jump] = pos
-        return pos
-
-    return resolve
+def _landings(s: InstructionSequence, units: tuple) -> List[int]:
+    """land[i] for every unfolded index i up to len(s) + 1: the first
+    non-jump position that the chain from i reaches, or the end position
+    len(s) when the chain deadlocks by running off a finite sequence or
+    revisiting a position (offset zero at once).  Each chain is walked once."""
+    end, p, n = len(units), len(s.prefix), len(s.period)
+    land = [-1 if type(u) is Jump else i for i, u in enumerate(units)] + [end]
+    for i in range(end):
+        chain = []
+        j = i
+        while land[j] == -1:  # a jump not yet resolved; -2 while walked
+            land[j] = -2
+            chain.append(j)
+            j += units[j].offset
+            if j >= end:
+                j = p + (j - p) % n if n else end
+        r = end if land[j] == -2 else land[j]
+        for j in chain:
+            land[j] = r
+    if n:  # the two indices past the last position wrap into the period
+        land[end] = land[p]
+    land.append(land[p + 1] if n else end)
+    return land
 
 
 def extract(s: InstructionSequence) -> ThreadSpec:
@@ -68,32 +63,29 @@ def extract(s: InstructionSequence) -> ThreadSpec:
     if contains_shift(s):
         raise ShiftPresentError("extraction requires a Shift-free sequence")
     units = s.prefix + s.period
-    resolve = _resolver(s, units)
-    order = [resolve(0)]  # positions in discovery order; grows while read
+    end = len(units)
+    land = _landings(s, units)
+    order = [land[0]]  # positions in discovery order; grows while read
     names = {order[0]: "X0"}
-
-    def target(j: int) -> str:
-        pos = resolve(j)
-        if pos not in names:
-            names[pos] = f"X{len(order)}"
-            order.append(pos)
-        return names[pos]
-
     states: Dict[str, Body] = {}
     for pos in order:
-        u = units[pos] if pos < len(units) else None
+        u = units[pos] if pos < end else None
         if u is None:
             body: Body = DEADLOCK
-        elif isinstance(u, Halt):
+        elif type(u) is Halt:
             body = STOP
-        elif isinstance(u, Plain):
-            nxt = target(pos + 1)
-            body = Post(u.basic, nxt, nxt)
-        elif isinstance(u, PosTest):
-            body = Post(u.basic, target(pos + 1), target(pos + 2))
         else:
-            assert isinstance(u, NegTest)
-            body = Post(u.basic, target(pos + 2), target(pos + 1))
+            # a PosTest's then is position + 1; a NegTest's is position + 2
+            then, else_ = land[pos + 1], land[pos + 2]
+            if type(u) is NegTest:
+                then, else_ = else_, then
+            elif type(u) is Plain:
+                else_ = then
+            for t in (then, else_):
+                if t not in names:
+                    names[t] = f"X{len(order)}"
+                    order.append(t)
+            body = Post(u.basic, names[then], names[else_])
         states[names[pos]] = body
     return ThreadSpec(states, "X0")
 
@@ -108,21 +100,16 @@ def _jump_collapse(s: InstructionSequence) -> InstructionSequence:
     final landing non-jump position, or zero when the chain deadlocks.
     Wrap-around landings inside the period get the smallest positive offset."""
     units = s.prefix + s.period
-    resolve = _resolver(s, units)
-
-    def collapse(pos: int, u: Instruction) -> Instruction:
-        if not isinstance(u, Jump):
-            return u
-        r = resolve(pos)
-        if r == len(units):
-            return Jump(0)
-        if r > pos:
-            return Jump(r - pos)
-        return Jump(r - pos + len(s.period))
-
-    collapsed = tuple(collapse(pos, u) for pos, u in enumerate(units))
+    end = len(units)
+    land = _landings(s, units)
+    collapsed = []
+    for pos, u in enumerate(units):
+        if type(u) is Jump:
+            r = land[pos]
+            u = Jump(0 if r == end else r - pos if r > pos else r - pos + len(s.period))
+        collapsed.append(u)
     p = len(s.prefix)
-    return InstructionSequence(collapsed[:p], collapsed[p:])
+    return InstructionSequence(tuple(collapsed[:p]), tuple(collapsed[p:]))
 
 
 def structurally_congruent(a: InstructionSequence, b: InstructionSequence) -> bool:

@@ -105,18 +105,21 @@ DEADLOCK = Deadlock()
 STOP = Stop()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Post:
     """Perform an action, then continue as `then` on a True reply and as
-    `else_` on False.  A tau action never branches: else_ is forced to then."""
+    `else_` on False.  A tau action never branches: else_ is forced to then.
+    The constructor is written out, as a generated one plus `__post_init__`
+    costs about twice as much; the dataclass makes the rest."""
 
     action: Action
     then: str
     else_: str
 
-    def __post_init__(self) -> None:
-        if isinstance(self.action, Tau):
-            object.__setattr__(self, "else_", self.then)
+    def __init__(self, action: Action, then: str, else_: str) -> None:
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "then", then)
+        object.__setattr__(self, "else_", then if type(action) is Tau else else_)
 
 
 Body = Union[Deadlock, Stop, Post]
@@ -287,25 +290,29 @@ def parse_thread(text: str) -> ThreadSpec:
     """Parse the one-state-per-line format.  The first state named is the
     root.  `#` at line start or after whitespace begins a comment."""
     states: Dict[str, Body] = {}
+    basics: Dict[tuple, Basic] = {}  # a hit makes no Basic call
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _LINE_RE.match(raw)
-        if m["line"] is None:
+        # every group of the pattern, in the order it names them
+        line, name, rhs, kind, tau, then, focus, method, action, else_ = (
+            _LINE_RE.match(raw).groups())
+        if line is None:
             continue
-        name = m["name"]
         if name is None:
-            raise ThreadSyntaxError(f"line {lineno}: cannot parse {m['line']!r}")
+            raise ThreadSyntaxError(f"line {lineno}: cannot parse {line!r}")
         if name in states:
             raise ThreadSyntaxError(f"line {lineno}: duplicate state {name!r}")
-        if m["action"] is not None:
-            raise ThreadSyntaxError(f"line {lineno}: bad action {m['action']!r}")
-        if m["body"] is None:
-            raise ThreadSyntaxError(f"line {lineno}: cannot parse body {m['rhs']!r}")
-        if m["then"] is not None:
-            body: Body = Post(Basic(m["focus"], m["method"]), m["then"], m["else_"])
-        elif m["tau"] is not None:
-            body = Post(TAU, m["tau"], m["tau"])
+        if action is not None:
+            raise ThreadSyntaxError(f"line {lineno}: bad action {action!r}")
+        if kind is None:
+            raise ThreadSyntaxError(f"line {lineno}: cannot parse body {rhs!r}")
+        if then is not None:
+            key = focus, method
+            basic = basics.get(key) or basics.setdefault(key, Basic(focus, method))
+            body: Body = Post(basic, then, else_)
+        elif tau is not None:
+            body = Post(TAU, tau, tau)
         else:
-            body = STOP if m["body"] == "S" else DEADLOCK
+            body = STOP if kind == "S" else DEADLOCK
         states[name] = body
     if not states:
         raise ThreadSyntaxError("no states defined")

@@ -28,6 +28,7 @@ from pgakit import (
     behaviour_via_counter,
     bisimilar,
     build_exec_mechanism,
+    compile_spec,
     compose,
     corollary1_pipeline,
     counter_new,
@@ -37,6 +38,7 @@ from pgakit import (
     parse_program,
     parse_thread,
     print_program,
+    print_thread,
     run_exec,
     structurally_congruent,
     theorem3_witness,
@@ -307,6 +309,29 @@ def test_extraction_of_a_100k_jump_ladder():
     started = time.monotonic()
     assert structurally_congruent(ladder, collapsed)
     _report("structural congruence of a 100,001-instruction jump ladder", started, limit=2.0)
+
+
+# --- the compile round trip at scale -----------------------------------------
+
+def test_round_trip_of_a_100k_state_deep_spec():
+    # s{i} goes on to s{i+1} on True and at most four states ahead on False
+    rng = random.Random(2054)
+    n = 10**5
+    states = {}
+    for i in range(n - 1):
+        jump = min(n - 1, i + rng.randint(1, 4))
+        states[f"s{i}"] = Post(rng.choice((a, b)), f"s{i + 1}", f"s{jump}")
+    states[f"s{n - 1}"] = STOP
+    spec = ThreadSpec(states, "s0")
+    started = time.monotonic()
+    parsed = T(print_thread(spec))
+    assert parsed == spec
+    p = compile_spec(parsed)
+    assert len(p) == 3 * n
+    read = P(print_program(p))
+    assert read == p
+    assert bisimilar(extract(read), spec)
+    _report("compile round trip of a 100,000-state deep spec", started, limit=10.0)
 
 
 # --- criterion 8: stress family ----------------------------------------------

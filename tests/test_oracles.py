@@ -48,6 +48,11 @@ after stripping its comment with a fifth.  Results must be
 equal and print identically; errors must have the same class and
 message.
 
+`_memo_extract` is extraction as it was before jumps were resolved into
+one landing list: a resolver closure that followed each chain through
+`position` and kept a memo of where walked jumps land, called once per
+successor.  Results must be equal and print identically.
+
 `_old_run_lengths` counted the run lengths of the explorer by comparing
 each instruction with its neighbour; the count over runs must give the
 same lengths.  `_old_value` is how instructions compared while they were
@@ -111,6 +116,7 @@ from pgakit import (
     relabel,
     run_exec,
     theorem3_witness,
+    transform_to_pgajs0,
     validate,
 )
 from pgakit.execmech import _CNT, _LEAF, _PGS, _SHOW, _landing, _run_lengths
@@ -1404,6 +1410,135 @@ def test_extraction_matches_per_jump_walk_and_relabel():
             assert print_program(collapsed) == print_program(_old_jump_collapse(p)), where
             chained += collapsed != p
     assert chained > 500
+
+
+def _memo_resolver(s, units):
+    end = len(units)
+    landing = {}
+
+    def resolve(j):
+        pos = position(s, j)
+        chain = {}
+        while pos < end and isinstance(units[pos], Jump):
+            if pos in landing:
+                pos = landing[pos]
+                break
+            if pos in chain:
+                pos = end
+                break
+            chain[pos] = None
+            pos = position(s, pos + units[pos].offset)
+        for jump in chain:
+            landing[jump] = pos
+        return pos
+
+    return resolve
+
+
+def _memo_extract(s):
+    if contains_shift(s):
+        raise ShiftPresentError("extraction requires a Shift-free sequence")
+    units = s.prefix + s.period
+    resolve = _memo_resolver(s, units)
+    order = [resolve(0)]
+    names = {order[0]: "X0"}
+
+    def target(j):
+        pos = resolve(j)
+        if pos not in names:
+            names[pos] = f"X{len(order)}"
+            order.append(pos)
+        return names[pos]
+
+    states = {}
+    for pos in order:
+        u = units[pos] if pos < len(units) else None
+        if u is None:
+            body = DEADLOCK
+        elif isinstance(u, Halt):
+            body = STOP
+        elif isinstance(u, Plain):
+            nxt = target(pos + 1)
+            body = Post(u.basic, nxt, nxt)
+        elif isinstance(u, PosTest):
+            body = Post(u.basic, target(pos + 1), target(pos + 2))
+        else:
+            body = Post(u.basic, target(pos + 2), target(pos + 1))
+        states[names[pos]] = body
+    return ThreadSpec(states, "X0")
+
+
+# chains through short and long periods: dead ends, cycles of jumps alone,
+# and offsets that wrap the period several times
+_CHAIN_TEXTS = (
+    "#0", "#1", "#2", "!", "(#1)*", "(#0)*", "(#2)*", "(#5)*", "(f.a)*", "(+f.a)*",
+    "(-f.a)*", "#1; (#1)*", "#3; (#7)*", "(#1; f.a)*", "(#3; f.a)*", "(#4; -f.a)*",
+    "+f.a; #2; (#3; f.b)*", "-f.a; #9; f.b; (#2; #4; !)*", "(+f.a; #11)*",
+    "(#2; #2; -f.b; #0)*", "#2; #2; #2; (#7; #6)*", "+f.a; #1; #1; #1",
+    "-f.a; #2; #2; #9", "(#1; #1; #1; #1; f.a)*", "f.a; (#1; #2)*",
+)
+
+
+def _chained_program(rng):
+    """A prefix and a period of up to 8 instructions, most of them jumps,
+    whose offsets reach past the period several times."""
+    q = rng.choice((0, 1, 2, rng.randint(3, 8)))
+    units = []
+    for _ in range(rng.randint(1, 6) + q):
+        if rng.random() < 0.6:
+            units.append(Jump(rng.choice((0, 1, 2, 3, rng.randint(4, 40)))))
+        else:
+            b = rng.choice(BASICS)
+            units.append(rng.choice((Plain(b), PosTest(b), NegTest(b), HALT)))
+    cut = len(units) - q
+    return InstructionSequence(tuple(units[:cut]), tuple(units[cut:]))
+
+
+def _large_threads_programs():
+    """The compiled chains and deep specs of the large-threads workload: a
+    chain through `corollary1_pipeline`, a deep spec and its renamed copy
+    with duplicated states through `compile_spec`."""
+    rng = random.Random(2052)
+    programs = []
+    for n in (125, 250, 500, 1000):
+        labels = [rng.choice(BASICS) for _ in range(n - 1)]
+        programs.append(corollary1_pipeline(chain_spec(labels, STOP)))
+        programs.append(corollary1_pipeline(chain_spec(labels, DEADLOCK, "d")))
+    for n in (1000, 3000):
+        deep = deep_spec(rng, n)
+        programs += [compile_spec(deep), compile_spec(renamed_copy(rng, deep, "u"))]
+    return programs
+
+
+def _assert_extract_matches_memo(programs):
+    for p in programs:
+        s = normalize_shifts(p)
+        got, want = _result(extract, s), _result(_memo_extract, s)
+        assert got == want, print_program(p)
+        if not isinstance(got, tuple):
+            assert print_thread(got) == print_thread(want), print_program(p)
+
+
+def test_extraction_matches_memo_resolver_on_corpora():
+    programs = draw_cases(PROPERTIES["transform"], 2024, 1000)
+    programs += [transform_to_pgajs0(p) for p in programs[:300]]
+    programs += draw_cases(PROPERTIES["exec"], 2025, 500)
+    _assert_extract_matches_memo(programs)
+
+
+def test_extraction_matches_memo_resolver_on_jump_chains():
+    rng = random.Random(2053)
+    programs = [parse_program(text) for text in _CHAIN_TEXTS]
+    programs += [_chained_program(rng) for _ in range(3000)]
+    assert {len(p.period) for p in programs} >= {0, 1, 2, 3}
+    _assert_extract_matches_memo(programs)
+    for p in programs:
+        assert _jump_collapse(p) == _old_jump_collapse(p), print_program(p)
+
+
+def test_extraction_matches_memo_resolver_at_scale():
+    _assert_extract_matches_memo([_ladder(50_000, 2), _ladder(50_000, 1)])
+    _assert_extract_matches_memo(_large_threads_programs())
 
 
 def _with_orphans(rng, spec, basics):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from pgakit import (
     STOP,
     Stop,
     TAU,
+    Tau,
     ThreadSpec,
     ThreadSyntaxError,
     abstract_tau,
@@ -34,6 +36,8 @@ def test_tau_merges_branches():
     # a tau step cannot branch: both continuations are forced equal
     body = Post(TAU, "x", "y")
     assert body.else_ == "x"
+    # any Tau value, not only the TAU object
+    assert Post(Tau(), "x", "y") == body
     fin = Branch(TAU, Stop(), Deadlock())
     assert fin.else_ == Stop()
 
@@ -56,6 +60,30 @@ def test_equal_basics_are_one_object():
     assert len({Basic("f.a", "b"), Basic("f", "a.b")}) == 2
     spec = T("x = <y> f.a <y>\ny = <x> f.a <x>")
     assert spec.states["x"].action is spec.states["y"].action is a
+
+
+def test_post_is_a_frozen_value():
+    body = Post(a, "x", "y")
+    assert body == Post(a, "x", "y") and hash(body) == hash(Post(a, "x", "y"))
+    assert body != Post(a, "x", "x") and body != Post(b, "x", "y")
+    assert hash(body) == hash((a, "x", "y"))  # the dataclass hash of its fields
+    assert repr(body) == "Post(action=Basic(focus='f', method='a'), then='x', else_='y')"
+    assert body != (a, "x", "y") and Post(TAU, "x", "x") != (TAU, "x", "x")
+    for field in ("action", "then", "else_"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(body, field, "z")
+    with pytest.raises(TypeError):
+        Post(a, "x")
+
+
+def test_post_copies_and_pickles_to_an_equal_value():
+    for body in (Post(a, "x", "y"), Post(TAU, "x", "y")):
+        copies = [copy.copy(body), copy.deepcopy(body)]
+        copies += [pickle.loads(pickle.dumps(body, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert other == body and repr(other) == repr(body)
+            assert other.action is body.action or body.action == TAU
 
 
 def test_validate_rejects_dangling():
