@@ -12,9 +12,10 @@ it by the two-mode equations, laid out from the table in `altsem` that
 `extract_alt` reads too; its `pgs.drop` steps move the program service on.
 `run_exec` explores the mechanism with both services on the fly, hiding
 silent steps as it goes.  It asks the `hdeq` queries once per instruction,
-whatever the position and counter, and takes a run of equal instructions,
-such as a run of jump-shifts, or a skipping countdown in one step once the
-mechanism has shown the rounds that it repeats.
+whatever the position and counter.  Once the mechanism has shown a round
+between two drops that it repeats, one rule takes the rounds ahead in one
+step, by binary search in prefix sums over the positions: a run of
+jump-shifts and a skipping countdown alike.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .altsem import (
@@ -45,7 +46,6 @@ from .services import (
     Reply,
     Service,
     _state_names,
-    counter_new,
 )
 from .syntax import (
     HALT,
@@ -226,7 +226,7 @@ def run_exec(
     """Execute a #0-jumps-only program through the mechanism, with the
     program service and a zeroed counter, and hide all service traffic.
 
-    The configurations (mechanism state, program service, counter) are
+    The configurations (mechanism state, program position, counter) are
     explored on the fly from the root; only the root and the targets of
     visible actions become states.  A silent walk that comes back to a
     configuration, or to a mechanism state and program position with no
@@ -234,12 +234,11 @@ def run_exec(
     `hdeq` queries from a state are walked once per instruction, whatever
     the position and counter.  A round between two drops that returns to
     its mechanism state with no test finding the counter zero repeats at
-    every position that answers its queries alike, while the counter keeps
-    its tests nonzero.  So the rest of a run of equal instructions is taken
-    in one step when its round changes the counter untested or not at all;
-    and once one round keeps the counter and one lowers it, on opposite
-    replies to one query, a countdown lands at once, by binary search in a
-    prefix count.  The budget caps the configurations walked."""
+    every position whose instruction answers its queries alike, while the
+    counter keeps its tests nonzero.  Once a round comes back, the rounds
+    known from its state are taken in one step, by binary search in prefix
+    sums over the positions: a run of jump-shifts and a skipping countdown
+    alike.  The budget caps the configurations walked."""
     if not is_pgajs0(p):
         raise NotPgajs0Error("execution requires a program with only #0 jumps")
     if alphabet is not None and not basics_of(p) <= set(alphabet.basics):
@@ -248,49 +247,26 @@ def run_exec(
     return _explore(build_exec_mechanism(pgs.alphabet), pgs, budget or Budget())
 
 
-def _run_lengths(s: InstructionSequence) -> List[Optional[int]]:
-    """For each position, how many positions from it on hold the same
-    instruction, wrapping into the period; None where that never ends."""
-    q = len(s.period)
-    if not q:
-        return _counted_down(s.prefix)
-    if q == 1:  # a primitive period of one instruction repeats it forever
-        runs: List[Optional[int]] = [None]
-    else:
-        # a primitive period of two or more instructions holds two that
-        # differ, so no run wraps all the way round it
-        runs = _counted_down(s.period * 2)[:q]
-    return _counted_down(s.prefix, s.period[0], runs[0]) + runs
-
-
-def _counted_down(units: tuple, after=None, ahead: Optional[int] = 0) -> list:
-    """n, n - 1, ..., 1 for each run of n equal instructions, in order; a
-    last run of `after` goes on for `ahead` more (None: forever)."""
-    lengths: List[Optional[int]] = []
-    u = n = None
-    for u, run in groupby(units):
-        n = len(list(run))
-        lengths.extend(range(n, 0, -1))
-    if n and u is after:
-        lengths[-n:] = [None] * n if ahead is None else range(n + ahead, ahead, -1)
-    return lengths
-
-
 _LEAF, _PGS, _CNT, _SHOW = range(4)
 
 
-def _landing(s: InstructionSequence, counts: List[int], i: int, k: int) -> Optional[int]:
-    """The position just past the k-th counted position from position i on;
-    counts[j] counts those before j over prefix and period, or prefix and
-    end of a finite sequence.  Passes over the period go by division."""
-    p, e = len(s.prefix), len(counts) - 1
-    k += counts[i]
-    if k > counts[e]:
-        per = counts[e] - counts[p]
-        if not per:
-            return None
-        k = counts[p] + (k - counts[p] - 1) % per + 1
-    return position(s, bisect_left(counts, k))
+def _landing(
+    s: InstructionSequence, sums: List[int], i: int, k: int
+) -> Optional[Tuple[int, int]]:
+    """Where the weights of the positions from position i on first add up
+    to k, as (t, passes): index t of `sums` plus that many whole periods.
+    sums[t] adds the weights before t, over prefix and period, or prefix
+    and end of a finite sequence, whose end repeats as a period of one.
+    Passes over the period go by division; None if they never get there."""
+    p, e = len(s.prefix), len(sums) - 1
+    k += sums[i]
+    if k <= sums[e]:
+        return bisect_left(sums, k, i), 0
+    per = sums[e] - sums[p]
+    if not per:
+        return None
+    passes, k = divmod(k - sums[p] - 1, per)
+    return bisect_left(sums, sums[p] + k + 1, p), passes
 
 
 def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
@@ -315,33 +291,30 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
             thens.append(None)
             elses.append(None)
 
-    s, heads = pgs.sequence, pgs._heads
-    runs = _run_lengths(s)
-    cnt = counter_new(0)
-    # services by key; replies by (service key, method), so each distinct
-    # service state answers each method once
-    services: Dict[str, Service] = {pgs.key(): pgs, cnt.key(): cnt}
-    replies: Dict[Tuple[str, str], Tuple[str, Reply]] = {}
-    TRUE, FALSE, BLOCKED = Reply.TRUE, Reply.FALSE, Reply.BLOCKED
+    s, alphabet, heads = pgs.sequence, pgs.alphabet, pgs._heads
+    p, e = len(s.prefix), len(heads)
+    TRUE, BLOCKED = Reply.TRUE, Reply.BLOCKED
+    # (kind, position or counter, method) -> (position or counter after,
+    # reply), so each service state answers each method once
+    replies: Dict[Tuple[int, int, str], Tuple[int, Reply]] = {}
 
-    def enter(svc: Service) -> str:
-        key = svc.key()
-        services.setdefault(key, svc)
-        return key
-
-    def first_reply(key: str, method: str) -> Tuple[str, Reply]:
-        svc, r = services[key].apply(method)
-        got = replies[(key, method)] = (enter(svc), r)
+    def first_reply(kind: int, v: int, method: str) -> Tuple[int, Reply]:
+        if kind == _CNT:
+            svc, r = CounterService(v).apply(method)
+            got = replies[(kind, v, method)] = (svc.content, r)
+        else:
+            svc, r = PgsService(s, alphabet, v, False, heads).apply(method)
+            got = replies[(kind, v, method)] = (svc.position, r)
         return got
 
     # (state, instruction at the position) -> where its `hdeq` queries lead
     # (None: deadlock) and their replies, which that instruction decides
     chains: Dict[tuple, Tuple[Optional[int], tuple]] = {}
 
-    def chain(at: tuple, pk: str) -> Tuple[Optional[int], tuple]:
+    def chain(at: tuple, v: int) -> Tuple[Optional[int], tuple]:
         m, asked = at[0], ()
         while m is not None and kinds[m] == _PGS and methods[m] != "drop":
-            _, r = replies.get((pk, methods[m])) or first_reply(pk, methods[m])
+            _, r = replies.get((_PGS, v, methods[m])) or first_reply(_PGS, v, methods[m])
             asked += ((methods[m], r),)
             m = thens[m] if r is TRUE else elses[m]
             if r is BLOCKED or len(asked) > len(kinds):  # wedged, or a cycle
@@ -349,68 +322,92 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
         got = chains[at] = (m, asked)
         return got
 
-    def rest_of_run(pk: str, prev: int, c: int, d: int):
-        """The position and counter past the rounds left in the run after the
-        one that dropped from `prev`, each adding d to the counter c:
-        DEADLOCK if the run never ends, None if no round is left."""
-        more = runs[prev]
-        if more is None:
-            return DEADLOCK
-        if more > 1:
-            return position(s, services[pk].position + more - 1), c + d * (more - 1)
+    # per state a drop landed in: its rounds by the program queries and
+    # replies they asked -> change to the counter, and lowest test less the
+    # value on entry (None: no test)
+    rounds: Dict[int, Dict[tuple, Tuple[int, Optional[int]]]] = {}
+    # per state: prefix counts of the positions no round of it covers, and
+    # prefix sums of the change each covered one makes, in size; the sign of
+    # those changes (0: mixed) and the lowest test of any round
+    tables: Dict[int, tuple] = {}
+    distinct = set(heads)
+    # prefix sums over the positions by the weight of each instruction,
+    # shared by the states and rounds that weigh them alike
+    arrays: Dict[frozenset, List[int]] = {}
 
-    # (state a drop landed in, queries and replies of a round back to it) ->
-    # its change to the counter and lowest test, less the value on entry
-    rounds: Dict[Tuple[int, tuple], Tuple[int, int]] = {}
-    tallies: Dict[Tuple[str, Reply], List[int]] = {}  # prefix counts by reply
+    def prefix(weights: Dict[Optional[Instruction], int]) -> List[int]:
+        key = frozenset(weights.items())
+        got = arrays.get(key)
+        if got is None:
+            got = arrays[key] = list(accumulate(map(weights.__getitem__, heads), initial=0))
+        return got
 
-    def countdown(m2: int, query: str, pk: str, c: int):
-        """Where rounds from m2 stop repeating, once one that keeps the counter
-        and one that lowers it were seen, with opposite replies to one query."""
-        both = [rounds.get((m2, ((query, r),))) for r in (TRUE, FALSE)]
-        if None in both:
+    def table(m2: int) -> tuple:
+        known = rounds[m2]
+        ds = [d for d, _ in known.values()]
+        lows = [low for _, low in known.values() if low is not None]
+        bare, size = {}, {}
+        for h in distinct:  # the end of a finite program answers no query
+            moved = next((abs(d) for asked, (d, _) in known.items() if all(
+                (h is alphabet._by_text[q[len("hdeq:"):]]) == (r is TRUE) for q, r in asked
+            )), None)
+            bare[h], size[h] = int(moved is None), moved or 0
+        got = tables[m2] = (
+            prefix(bare),
+            prefix(size),
+            1 if min(ds) >= 0 else -1 if max(ds) <= 0 else 0,
+            min(lows, default=None),
+        )
+        return got
+
+    def repeat(m2: int, i: int, c: int):
+        """The position and counter past the rounds known from m2, from
+        position i with counter c: at the first position none covers, or
+        where a test would find the counter zero.  DEADLOCK if neither
+        comes, None if no round is taken."""
+        bare, size, sign, low = tables.get(m2) or table(m2)
+        if not sign or (low is not None and c + low < 1):
             return None
-        keep, down = sorted(both, reverse=True)
-        d, low = down[0], min(keep[1], down[1])
-        if keep[0] or d >= 0 or c + low < 1:
-            return None
-        k = (c + low - 1) // -d + 1  # rounds that lower it, each entered above -low
-        reply = (TRUE, FALSE)[both.index(down)]
-        counts = tallies.get((query, reply))
-        if counts is None:
-            u = pgs.alphabet._by_text[query[len("hdeq:"):]]
-            flags = ((h == u) == (reply is TRUE) for h in heads)
-            counts = tallies[(query, reply)] = list(accumulate(flags, initial=0))
-        pos = _landing(s, counts, services[pk].position, k)
-        if pos is None:  # the period holds no round that lowers the counter
+        stops = []
+        got = _landing(s, bare, i, 1)  # just past the first bare position
+        if got is not None:
+            stops.append((got[0] - 1, got[1]))
+        if sign < 0:  # a round that lowers the counter tested it
+            stops.append(_landing(s, size, i, c + low))
+        stops = [t for t in stops if t is not None]
+        if not stops:
             return DEADLOCK
-        return pos, c + d * k
+        t, passes = min(stops, key=lambda stop: stop[0] + stop[1] * (e - p))
+        if t == i and not passes:
+            return None
+        moved = size[t] - size[i] + passes * (size[e] - size[p])
+        return position(s, t), c + sign * moved
 
     resolved: Dict[tuple, object] = {}  # configuration -> visible configuration or leaf
     limit = budget.max_states
 
-    def resolve(m: int, pk: str, ck: str):
+    def resolve(m: int, v: int, c: int):
         walked: Dict[tuple, None] = {}
-        pairs = set()  # (mechanism state, pgs key) since the last counter test
+        pairs = set()  # (mechanism state, position) since the last counter test
         mark = None  # (mechanism state, counter) where the last drop landed
-        # since the mark: whether the counter was tested, program queries and
-        # replies, its lowest value tested, and whether no test found it zero
-        # and nothing cleared it
-        tested, asked, low, plain = False, (), 0, True
+        # since the mark: program queries and replies, the lowest counter
+        # value tested (None: none), and whether no test found it zero and
+        # nothing cleared it
+        asked, low, plain = (), None, True
         room = limit - len(resolved)
         while True:
             if kinds[m] == _PGS and methods[m] != "drop":
-                at = (m, heads[services[pk].position])
-                m, queries = chains.get(at) or chain(at, pk)
+                at = (m, heads[v])
+                m, queries = chains.get(at) or chain(at, v)
                 if m is None:
                     got = DEADLOCK
                     break
                 asked += queries
-            cfg = (m, pk, ck)
+            cfg = (m, v, c)
             got = resolved.get(cfg)
             if got is not None:
                 break
-            if cfg in walked or (m, pk) in pairs:
+            if cfg in walked or (m, v) in pairs:
                 got = DEADLOCK
                 break
             if len(walked) >= room:
@@ -418,7 +415,7 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
                     f"run_exec explored more than {limit} configurations"
                 )
             walked[cfg] = None
-            pairs.add((m, pk))
+            pairs.add((m, v))
             kind = kinds[m]
             if kind == _SHOW:
                 got = cfg
@@ -427,40 +424,38 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
                 got = bodies[m]
                 break
             method = methods[m]
-            key = ck if kind == _CNT else pk
-            nxt, r = replies.get((key, method)) or first_reply(key, method)
+            here = c if kind == _CNT else v
+            nxt, r = replies.get((kind, here, method)) or first_reply(kind, here, method)
             if r is BLOCKED:
                 got = DEADLOCK
                 break
             if kind == _CNT:
                 if method != "inc":
                     pairs.clear()
-                    tested = True
-                    c = services[ck].content
                     plain = plain and c > 0 and method != "clr"
-                    low = min(low, c)
-                ck = nxt
+                    low = c if low is None else min(low, c)
+                c = nxt
             else:  # a drop
                 if r is TRUE:
                     m2 = thens[m]
-                    c = services[ck].content
                     if mark is not None and mark[0] == m2:
                         if plain and thens[m] == elses[m]:
-                            rounds[(m2, asked)] = (c - mark[1], low - mark[1])
-                        jump = countdown(m2, asked[0][0], nxt, c) if len(asked) == 1 else None
-                        if jump is None and (not tested or mark[1] == c):
-                            jump = rest_of_run(nxt, services[pk].position, c, c - mark[1])
+                            known = rounds.setdefault(m2, {})
+                            if asked not in known:
+                                known[asked] = (
+                                    c - mark[1], None if low is None else low - mark[1]
+                                )
+                                tables.pop(m2, None)
+                        jump = repeat(m2, nxt, c) if m2 in rounds else None
                         if jump is DEADLOCK:
                             got = DEADLOCK
                             break
                         if jump is not None:
-                            pos, c = jump
-                            nxt = enter(PgsService(s, pgs.alphabet, pos, False, heads))
-                            ck = enter(CounterService(c))
-                            if tested:
+                            nxt, c = jump
+                            if tables[m2][3] is not None:
                                 pairs.clear()
-                    mark, tested, asked, low, plain = (m2, c), False, (), c, True
-                pk = nxt
+                    mark, asked, low, plain = (m2, c), (), None, True
+                v = nxt
             m = thens[m] if r is TRUE else elses[m]
         for cfg in walked:
             resolved[cfg] = got
@@ -468,7 +463,7 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
 
     # emitted configurations, in discovery order, with what each resolves to
     emitted: Dict[tuple, object] = {}
-    root = (index[mech.root], pgs.key(), cnt.key())
+    root = (index[mech.root], pgs.position, 0)
     queue = deque([root])
     emitted[root] = None
     while queue:
@@ -476,8 +471,8 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
         got = resolve(*cfg)
         emitted[cfg] = got
         if isinstance(got, tuple):
-            m, pk, ck = got
-            for target in ((thens[m], pk, ck), (elses[m], pk, ck)):
+            m, v, c = got
+            for target in ((thens[m], v, c), (elses[m], v, c)):
                 if target not in emitted:
                     emitted[target] = None
                     queue.append(target)
@@ -486,9 +481,9 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
     states: Dict[str, Body] = {}
     for cfg, got in emitted.items():
         if isinstance(got, tuple):
-            m, pk, ck = got
+            m, v, c = got
             got = Post(
-                bodies[m].action, names[(thens[m], pk, ck)], names[(elses[m], pk, ck)]
+                bodies[m].action, names[(thens[m], v, c)], names[(elses[m], v, c)]
             )
         states[names[cfg]] = got
     return ThreadSpec(states, names[root])

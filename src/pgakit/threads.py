@@ -358,13 +358,8 @@ def to_dot(spec: ThreadSpec) -> str:
         if isinstance(body.action, Tau):
             out.append(f"  {_gvquote(name)} -> {_gvquote(body.then)} [label=\"tau\"];")
         else:
-            out.append(
-                f"  {_gvquote(name)} -> {_gvquote(body.then)}"
-                f" [label=\"{body.action}:+\"];"
-            )
-            out.append(
-                f"  {_gvquote(name)} -> {_gvquote(body.else_)}"
-                f" [label=\"{body.action}:-\"];"
-            )
+            for target, branch in ((body.then, "+"), (body.else_, "-")):
+                label = _gvquote(f"{body.action}:{branch}")
+                out.append(f"  {_gvquote(name)} -> {_gvquote(target)} [label={label}];")
     out.append("}")
     return "\n".join(out)

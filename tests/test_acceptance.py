@@ -365,5 +365,5 @@ def test_witness_exec_n30():
     started = time.monotonic()
     # the countdown is taken in one step: one value at a time it walked
     # 440,228 configurations
-    assert bisimilar(run_exec(p, Budget(100_000)), w)
+    assert bisimilar(run_exec(p, Budget(20_087)), w)
     _report("witness-exec n=30, 105,786 instructions", started, limit=10.0)

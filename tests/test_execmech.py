@@ -27,7 +27,10 @@ from pgakit import (
     theorem3_witness,
     corollary1_pipeline,
     behaviour_via_counter,
+    abstract_tau,
+    counter_new,
 )
+from pgakit.execmech import _explore
 
 from strategies import programs
 
@@ -219,6 +222,78 @@ def test_run_exec_budget_counts_configurations():
     pgs = pgs_new(p)
     with pytest.raises(BudgetExceededError):
         compose(build_exec_mechanism(pgs.alphabet), "pgs", pgs, Budget(2500))
+
+
+def test_run_exec_fits_the_budgets_of_its_one_step_rounds():
+    # the configurations walked when shift runs and skipping countdowns are
+    # taken in one step (n = 30 is in the acceptance tests)
+    for n, budget in ((1, 251), (2, 431), (3, 647), (4, 899), (5, 1187), (6, 1511), (10, 3167)):
+        w = theorem3_witness(n)
+        assert bisimilar(run_exec(corollary1_pipeline(w), Budget(budget)), w), n
+
+
+def test_run_exec_counts_down_past_non_shifts_in_one_step():
+    # a #0 after 5,000 jump-shifts skips on over non-shifts only, into the end
+    # of a finite program or round a period; one value at a time it walked
+    # three configurations per value
+    shifts = (SHIFT,) * 5000 + (Jump(0), Plain(fa))
+    for period in ((), (Plain(fa),), (Plain(fa), PosTest(fa))):
+        p = InstructionSequence(shifts, period)
+        assert bisimilar(run_exec(p, Budget(30)), extract_pgajs(p)), period
+
+
+# Hand-made controls for the explorer.  Each runs one round per position,
+# picked by `hdeq` queries; a counter step that finds zero shows g.zero, and
+# at the end of the program the counter is shown as that many g.tick.
+_SHOW_COUNTER = """
+e = <t> cnt.dec <s>
+t = <e> g.tick <e>
+z = <s> g.zero <s>
+s = S"""
+
+
+def _assert_explorer_matches_product(control, units):
+    mech = parse_thread(control + _SHOW_COUNTER)
+    p = InstructionSequence(units, ())
+    product = compose(compose(mech, "pgs", pgs_new(p)), "cnt", counter_new(0))
+    assert bisimilar(_explore(mech, pgs_new(p), Budget()), abstract_tau(product))
+
+
+def test_explorer_walks_rounds_step_by_step_when_one_would_find_zero():
+    # a round over a shift tests the counter at c, one over f.a at c and
+    # c - 1; with counter 1 at a run of f.a, that run is not taken at once
+    control = """r = <a1> pgs.hdeq:~ <r2>
+a1 = <a2> cnt.dec <z>
+a2 = <a3> cnt.inc <a3>
+a3 = <r> pgs.drop <r>
+r2 = <b1> pgs.hdeq:f.a <r3>
+b1 = <b2> cnt.dec <z>
+b2 = <b3> cnt.dec <z>
+b3 = <b4> cnt.inc <b4>
+b4 = <b5> cnt.inc <b5>
+b5 = <r> pgs.drop <r>
+r3 = <u1> pgs.hdeq:! <r4>
+u1 = <u2> cnt.inc <u2>
+u2 = <u3> g.up <u3>
+u3 = <r> pgs.drop <r>
+r4 = <d1> pgs.hdeq:#0 <e>
+d1 = <d2> cnt.dec <z>
+d2 = <d3> g.down <d3>
+d3 = <r> pgs.drop <r>"""
+    units = (Halt(), Halt(), Plain(fa), SHIFT, Jump(0), SHIFT, Plain(fa), Plain(fa))
+    _assert_explorer_matches_product(control, units)
+
+
+def test_explorer_walks_rounds_step_by_step_when_they_move_the_counter_both_ways():
+    # a round over a shift adds one, one over f.a takes one away
+    control = """r = <a1> pgs.hdeq:~ <r2>
+a1 = <a2> cnt.inc <a2>
+a2 = <r> pgs.drop <r>
+r2 = <b1> pgs.hdeq:f.a <e>
+b1 = <b2> cnt.dec <z>
+b2 = <r> pgs.drop <r>"""
+    units = (SHIFT, SHIFT, Plain(fa), SHIFT, SHIFT, Plain(fa), SHIFT, Plain(fa))
+    _assert_explorer_matches_product(control, units)
 
 
 def test_one_mechanism_runs_many_programs():

@@ -53,11 +53,10 @@ one landing list: a resolver closure that followed each chain through
 `position` and kept a memo of where walked jumps land, called once per
 successor.  Results must be equal and print identically.
 
-`_old_run_lengths` counted the run lengths of the explorer by comparing
-each instruction with its neighbour; the count over runs must give the
-same lengths.  `_old_value` is how instructions compared while they were
-dataclasses, by kind and fields; now that each value is one object,
-identity must agree with it.
+`_old_run_lengths` counts the run lengths that `_old_explore` reads by
+comparing each instruction with its neighbour.  `_old_value` is how
+instructions compared while they were dataclasses, by kind and fields;
+now that each value is one object, identity must agree with it.
 """
 
 import random
@@ -119,7 +118,7 @@ from pgakit import (
     transform_to_pgajs0,
     validate,
 )
-from pgakit.execmech import _CNT, _LEAF, _PGS, _SHOW, _landing, _run_lengths
+from pgakit.execmech import _CNT, _LEAF, _PGS, _SHOW, _landing
 from pgakit.extraction import _jump_collapse
 from pgakit.threads import Body, _breadth_first
 from pgakit.corpus import random_program, random_spec
@@ -503,6 +502,31 @@ def test_explorer_matches_layered_route_on_witnesses():
         assert relabel(run_exec(p)) == relabel(_layered_run_exec(p)), n
 
 
+def _old_run_lengths(s):
+    p, q = len(s.prefix), len(s.period)
+    if q == 1:
+        runs = [None]
+    else:
+        twice = s.period * 2
+        runs = [1] * len(twice)
+        for i in range(len(twice) - 2, -1, -1):
+            if twice[i] == twice[i + 1]:
+                runs[i] = runs[i + 1] + 1
+        runs = runs[:q]
+    prefix_runs = [1] * p
+    after = s.period[0] if q else None
+    ahead = runs[0] if q else 0
+    for i in range(p - 1, -1, -1):
+        u = s.prefix[i]
+        if u != after:
+            ahead = 1
+        elif ahead is not None:
+            ahead += 1
+        prefix_runs[i] = ahead
+        after = u
+    return prefix_runs + runs
+
+
 def _old_explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
     """The thread of `mech` run with `pgs` and a zeroed counter, with all
     service traffic hidden, one counter value at a time."""
@@ -526,7 +550,7 @@ def _old_explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpe
             elses.append(None)
 
     s = pgs.sequence
-    runs = _run_lengths(s)
+    runs = _old_run_lengths(s)
     cnt = counter_new(0)
     # services by key; replies by (service key, method), so each distinct
     # service state answers each method once
@@ -703,17 +727,16 @@ def test_explorer_matches_one_value_at_a_time_on_shift_runs():
 
 
 def test_explorer_matches_one_value_at_a_time_on_long_mixed_runs(monkeypatch):
-    # every landing, and whether it went past the period at least twice or
-    # reached the end of a finite program
+    # every landing, and whether it went past the whole period at least twice
+    # after the first unfolding, or reached the end of a finite program
     landings = []
 
-    def landing(s, counts, i, k):
-        p, e = len(s.prefix), len(counts) - 1
-        per = counts[e] - counts[p]
-        wraps = bool(s.period) and counts[i] + k > counts[e] + 2 * per
-        at_end = not s.period and counts[i] + k > counts[e - 1]
-        landings.append((wraps, at_end))
-        return _landing(s, counts, i, k)
+    def landing(s, sums, i, k):
+        got = _landing(s, sums, i, k)
+        if got is not None:
+            t, passes = got
+            landings.append((passes >= 3, not s.period and t + passes >= len(sums) - 1))
+        return got
 
     monkeypatch.setattr("pgakit.execmech._landing", landing)
     _assert_explorers_agree(_mixed_run_programs(2040, 1500))
@@ -722,34 +745,41 @@ def test_explorer_matches_one_value_at_a_time_on_long_mixed_runs(monkeypatch):
     assert sum(at_end for _, at_end in landings) > 50
 
 
-def _walked_landing(s, counted, i, k):
-    """`_landing` one position at a time: past the end of a finite sequence
-    the position stays put, and a period with nothing counted never lands."""
-    for _ in range(k * (len(s) + 1) + len(s) + 1):
-        if counted(instruction_at(s, i)):
-            k -= 1
-        i = position(s, i + 1)
-        if not k:
-            return i
+def _walked_landing(s, weight, i, k):
+    """`_landing` one position at a time, as the unfolded index reached:
+    past the end of a finite sequence the position stays put, and a period
+    that weighs nothing never gets there."""
+    t, total = i, 0
+    for _ in range((k + 1) * (len(s) + 1)):
+        if total >= k:
+            return t
+        total += weight(instruction_at(s, t))
+        t += 1
     return None
 
 
 def test_landing_matches_walk_over_positions():
     rng = random.Random(2041)
     units = (SHIFT, SHIFT, Plain(BASICS[0]), Jump(0))
-    for _ in range(3000):
+    for case in range(3000):
         prefix = tuple(rng.choice(units) for _ in range(rng.randint(0, 6)))
         period = tuple(rng.choice(units) for _ in range(rng.randint(0, 5)))
         if not prefix and not period:
             continue
         s = InstructionSequence(prefix, period)
         heads = s.prefix + (s.period or (None,))
-        reply = rng.random() < 0.5
-        counted = lambda u: (u == SHIFT) == reply
-        counts = list(accumulate((counted(h) for h in heads), initial=0))
+        if case % 2:  # weights 0 and 1, as a count of the positions that reply alike
+            reply = rng.random() < 0.5
+            weights = {u: int((u == SHIFT) == reply) for u in units + (None,)}
+        else:
+            weights = {u: rng.randint(0, 2) for u in units + (None,)}
+        sums = list(accumulate((weights[h] for h in heads), initial=0))
         i, k = rng.randrange(len(heads)), rng.randint(1, 25)
-        assert _landing(s, counts, i, k) == _walked_landing(s, counted, i, k), (
-            print_program(s), i, k, reply)
+        got = _landing(s, sums, i, k)
+        if got is not None:
+            t, passes = got
+            got = t + passes * (len(heads) - len(s.prefix))
+        assert got == _walked_landing(s, weights.get, i, k), (print_program(s), i, k, weights)
 
 
 def _assert_same_verdict(pairs):
@@ -1629,46 +1659,6 @@ def test_parse_thread_matches_four_pattern_reader():
         "_: cannot parse body _", "no states defined", "state _ refers to undefined state _",
     }
     assert len(texts) - len(messages) > 1000
-
-
-def _old_run_lengths(s):
-    p, q = len(s.prefix), len(s.period)
-    if q == 1:
-        runs = [None]
-    else:
-        twice = s.period * 2
-        runs = [1] * len(twice)
-        for i in range(len(twice) - 2, -1, -1):
-            if twice[i] == twice[i + 1]:
-                runs[i] = runs[i + 1] + 1
-        runs = runs[:q]
-    prefix_runs = [1] * p
-    after = s.period[0] if q else None
-    ahead = runs[0] if q else 0
-    for i in range(p - 1, -1, -1):
-        u = s.prefix[i]
-        if u != after:
-            ahead = 1
-        elif ahead is not None:
-            ahead += 1
-        prefix_runs[i] = ahead
-        after = u
-    return prefix_runs + runs
-
-
-def test_run_lengths_match_neighbour_walk():
-    programs = (
-        draw_cases(PROPERTIES["exec"], 2025, 500)
-        + list(_mixed_run_programs(2040, 1500))
-        + list(_SHIFT_RUNS)
-        + [corollary1_pipeline(theorem3_witness(n)) for n in range(1, 31)]
-    )
-    for p in programs:
-        assert _run_lengths(p) == _old_run_lengths(p), print_program(p)
-    # prefix runs that go on into the period, for ever or for a while
-    assert _run_lengths(InstructionSequence((SHIFT, SHIFT), (SHIFT,))) == [None]
-    p = InstructionSequence((HALT, SHIFT, SHIFT), (SHIFT, SHIFT, HALT))
-    assert _run_lengths(p) == _old_run_lengths(p) == [1, 4, 3, 2, 1, 1]
 
 
 def _old_value(u):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -283,3 +284,13 @@ def test_to_dot_mentions_all_states():
     for name in ("x", "y", "z"):
         assert f'"{name}"' in dot
     assert "doublecircle" in dot  # stop marker
+
+
+def test_to_dot_quotes_edge_labels():
+    # an action may hold a quote or a backslash; every label stays one DOT string
+    dot = to_dot(T('x = <x> f.a"b <y>\ny = <x> g.c\\d <y>'))
+    assert '"x" -> "x" [label="f.a\\"b:+"];' in dot
+    assert '"y" -> "y" [label="g.c\\\\d:-"];' in dot
+    labels = re.findall(r"\[label=(.*)\];", dot)
+    assert len(labels) == 4
+    assert all(re.fullmatch(r'"(?:[^"\\]|\\.)*"', label) for label in labels), dot
