@@ -2,8 +2,8 @@
 
 Exit codes are stable: 0 success or bisimilar, 1 not-bisimilar or property
 failure, 2 parse or configuration error, or a stdout closed by its reader,
-3 jump-offset overflow, 4 violated precondition (shift present, non-#0 jump,
-alphabet mismatch), 5 state budget exceeded, 6 uncompilable thread input.
+3 jump-offset overflow, 4 violated precondition (shift present, non-#0 jump),
+5 state budget exceeded, 6 uncompilable thread input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .altsem import NotPgajs0Error, behaviour_via_counter, extract_alt
 from .compiler import CompileError, compile_spec, corollary1_pipeline
-from .execmech import AlphabetMismatchError
+from .execmech import Alphabet, build_exec_mechanism
 from .extraction import extract_pgajs
 from .properties import PROPERTIES, draw_cases
 from .services import BudgetExceededError
@@ -120,6 +120,14 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def cmd_mechanism(args) -> int:
+    alphabet = Alphabet.from_sequence(parse_program(_program_arg(args)))
+    mech = build_exec_mechanism(alphabet)
+    print(f"# m = {len(alphabet.basics)} basics, {len(mech.states)} states")
+    print(print_thread(mech))
+    return EXIT_OK
+
+
 # `--theorem` values and the properties they name
 _THEOREMS = {"1": "transform", "2": "counter", "exec": "exec", "roundtrip": "roundtrip"}
 
@@ -207,6 +215,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_compile)
 
+    p = sub.add_parser(
+        "mechanism", help="print the execution mechanism over a program's basics"
+    )
+    add_input(p)
+    p.set_defaults(func=cmd_mechanism)
+
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     p.add_argument("--count", type=int, default=100)
@@ -227,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # The exit code of each error a command raises; the first match counts.
 _ERROR_EXITS = (
     (JumpOverflowError, EXIT_OVERFLOW),
-    ((NotPgajs0Error, ShiftPresentError, AlphabetMismatchError), EXIT_PRECONDITION),
+    ((NotPgajs0Error, ShiftPresentError), EXIT_PRECONDITION),
     (BudgetExceededError, EXIT_BUDGET),
     (CompileError, EXIT_COMPILE),
     ((ProgramError, ThreadError, ConfigError), EXIT_PARSE),

@@ -1,4 +1,4 @@
-"""The four behaviour-preservation properties, and the counter-peak probe.
+"""The four behaviour-preservation properties.
 
 - transform: jump expansion keeps a program's behaviour;
 - counter: the two-mode counter route agrees with plain extraction;
@@ -6,6 +6,7 @@
 - roundtrip: a spec compiled to a zero-jump program behaves as the spec,
   read plainly and through the counter.
 
+`pgakit verify` and the acceptance tests draw and check them from here.
 A printed case reads back to the same case, so any case that `pgakit
 verify` prints can be run again with `--in`.
 """
@@ -13,16 +14,15 @@ verify` prints can be run again with `--in`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from .altsem import behaviour_via_counter, extract_alt, verify_theorem2
+from .altsem import behaviour_via_counter, verify_theorem2
 from .compiler import corollary1_pipeline
 from .corpus import random_program, random_spec
 from .execmech import run_exec
 from .extraction import extract, extract_pgajs
-from .services import CounterService, collapse_counter_divergence, compose
 from .syntax import InstructionSequence, parse_program, print_program
 from .syntax import transform_to_pgajs0
 from .threads import ThreadSpec, bisimilar, parse_thread, print_thread
@@ -77,25 +77,3 @@ def draw_cases(
     """`count` cases drawn in turn from one generator seeded with `seed`."""
     rng = random.Random(seed)
     return [prop.draw(rng, prop.size if size is None else size) for _ in range(count)]
-
-
-@dataclass(frozen=True)
-class _PeakCounter(CounterService):
-    """A counter that keeps in `peak[0]` the largest content it reaches."""
-
-    peak: List[int] = field(default_factory=lambda: [0], compare=False)
-
-    def apply(self, method: str):
-        nxt, reply = super().apply(method)
-        if nxt.content is not None and nxt.content > self.peak[0]:
-            self.peak[0] = nxt.content
-        return _PeakCounter(nxt.content, self.peak), reply
-
-
-def counter_peak(p: InstructionSequence) -> int:
-    """The largest counter content reached by the two-mode thread of the
-    zero-jump program `p`, composed with a zeroed counter as in
-    `behaviour_via_counter`.  It is at most len(p) + 2."""
-    probe = _PeakCounter(0)
-    compose(collapse_counter_divergence(extract_alt(p)), "cnt", probe)
-    return probe.peak[0]

@@ -1,14 +1,16 @@
 """Shared hypothesis strategies for programs and thread specs, builders of
-the large spec families used by scale tests, and the finite projections of
-thread algebra with the bounded-projection oracle for bisimilarity."""
+the large spec families used by scale tests, the finite projections of
+thread algebra with the bounded-projection oracle for bisimilarity, and a
+probe of the counter content the two-mode thread reaches."""
 
-from dataclasses import dataclass
-from typing import Dict, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Union
 
 from hypothesis import strategies as st
 
 from pgakit import (
     Basic,
+    CounterService,
     DEADLOCK,
     Deadlock,
     Halt,
@@ -23,6 +25,9 @@ from pgakit import (
     Stop,
     Tau,
     ThreadSpec,
+    collapse_counter_divergence,
+    compose,
+    extract_alt,
     validate,
 )
 from pgakit.corpus import DEFAULT_BASICS, random_spec
@@ -241,3 +246,28 @@ def projections_agree(a: ThreadSpec, b: ThreadSpec, depth: int) -> bool:
                 seen.add(key)
                 stack.append(key)
     return True
+
+
+# --- counter peak -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _PeakCounter(CounterService):
+    """A counter that keeps in `peak[0]` the largest content it reaches."""
+
+    peak: List[int] = field(default_factory=lambda: [0], compare=False)
+
+    def apply(self, method: str):
+        nxt, reply = super().apply(method)
+        if nxt.content is not None and nxt.content > self.peak[0]:
+            self.peak[0] = nxt.content
+        return _PeakCounter(nxt.content, self.peak), reply
+
+
+def counter_peak(p: InstructionSequence) -> int:
+    """The largest counter content reached by the two-mode thread of the
+    zero-jump program `p`, composed with a zeroed counter as in
+    `behaviour_via_counter`.  It is at most len(p) + 2."""
+    probe = _PeakCounter(0)
+    compose(collapse_counter_divergence(extract_alt(p)), "cnt", probe)
+    return probe.peak[0]

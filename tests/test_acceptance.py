@@ -45,8 +45,8 @@ from pgakit import (
     validate,
 )
 from pgakit.execmech import Alphabet
-from pgakit.properties import PROPERTIES, counter_peak, draw_cases
-from strategies import Branch, chain_spec, project, projections_agree, spec_pair
+from pgakit.properties import PROPERTIES, draw_cases
+from strategies import Branch, chain_spec, counter_peak, project, projections_agree, spec_pair
 
 P = parse_program
 T = parse_thread

@@ -14,9 +14,7 @@ from pgakit import (
     parse_thread,
     verify_theorem2,
 )
-from pgakit.properties import counter_peak
-
-from strategies import programs
+from strategies import counter_peak, programs
 
 P = parse_program
 T = parse_thread

@@ -162,10 +162,16 @@ def test_pgs_key_names_the_position():
 
 # the mechanism
 def test_mechanism_size_formula():
-    for m in (1, 2, 3):
+    # by name prefix: the dispatch chain q, the enactments e, the skip loop
+    # s, and the rest (gend and dead)
+    for m in (0, 1, 2, 3):
         basics = [Basic("f", chr(ord("a") + i)) for i in range(m)]
         mech = build_exec_mechanism(Alphabet.from_basics(basics))
         assert len(mech.states) == 16 * m + 16
+        parts = {"q": 0, "e": 0, "s": 0, "rest": 0}
+        for name in mech.states:
+            parts[name[0] if name[0] in parts else "rest"] += 1
+        assert parts == {"q": 3 * m + 3, "e": 13 * m + 5, "s": 6, "rest": 2}
 
 
 def test_mechanism_is_program_independent():

@@ -1,4 +1,4 @@
-"""No function in the library or the scripts calls itself by name.
+"""No function in the library calls itself by name.
 
 A walk that recurses once per state, position or nesting level overflows
 Python's stack on large inputs, so every walk is written as a loop.  This
@@ -16,11 +16,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _sources():
-    for parts in (("src", "pgakit"), ("scripts",)):
-        folder = os.path.join(ROOT, *parts)
-        for name in sorted(os.listdir(folder)):
-            if name.endswith(".py"):
-                yield os.path.join(folder, name)
+    folder = os.path.join(ROOT, "src", "pgakit")
+    assert os.path.isdir(folder), folder
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            yield os.path.join(folder, name)
 
 
 def _self_calls(path):

@@ -1,11 +1,11 @@
 """Every module-level function, class and name of the library is used.
 
 A definition in `src/pgakit/*.py` must be named somewhere besides its own
-definition and its re-export in `__init__.py`: in the library, the
-scripts, the tests or the benchmark.  A string that is a whole name or a
-dotted path to one (`getattr`, `monkeypatch.setattr`) names it too; a
-docstring does not.  Dunder names are exempt.  Uses only `ast`, and only
-reads the files.
+definition and its re-export in `__init__.py`: in the library, the tests
+or the benchmark.  A string that is a whole name or a dotted path to one
+(`getattr`, `monkeypatch.setattr`) names it too; a docstring does not.
+Dunder names are exempt.  A missing root fails the check.  Uses only
+`ast`, and only reads the files.
 """
 
 import ast
@@ -17,8 +17,10 @@ LIBRARY = os.path.join(ROOT, "src", "pgakit")
 
 
 def _sources():
-    for parts in (("src",), ("scripts",), ("tests",), ("perfbench",)):
-        for folder, _, names in sorted(os.walk(os.path.join(ROOT, *parts))):
+    for root in ("src", "tests", "perfbench"):
+        top = os.path.join(ROOT, root)
+        assert os.path.isdir(top), top
+        for folder, _, names in sorted(os.walk(top)):
             for name in sorted(names):
                 if name.endswith(".py"):
                     yield os.path.join(folder, name)

@@ -1,8 +1,8 @@
 """Every name a module imports is used in it.
 
 Covers the library modules, except `__init__.py`, whose imports are its
-public names, the scripts, the tests and the benchmark.  Uses only `ast`,
-so it needs no linter; it only reads the files.
+public names, the tests and the benchmark; a missing root fails the check.
+Uses only `ast`, so it needs no linter; it only reads the files.
 """
 
 import ast
@@ -12,8 +12,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _sources():
-    for parts in (("src", "pgakit"), ("scripts",), ("tests",), ("perfbench",)):
+    for parts in (("src", "pgakit"), ("tests",), ("perfbench",)):
         folder = os.path.join(ROOT, *parts)
+        assert os.path.isdir(folder), folder
         for name in sorted(os.listdir(folder)):
             if name.endswith(".py") and name != "__init__.py":
                 yield os.path.join(folder, name)
