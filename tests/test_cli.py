@@ -1,7 +1,5 @@
 import io
 import json
-import os
-import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,8 +9,6 @@ from hypothesis import strategies as st
 
 from pgakit import Alphabet, build_exec_mechanism, parse_program, parse_thread
 from pgakit.cli import EXIT_OVERFLOW, EXIT_PARSE, main
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -204,39 +200,6 @@ def test_verify_prints_cases_it_can_read_back(capsys, theorem):
     again, out, _ = run(capsys, "verify", "--theorem", theorem, "--in", case["program"], "--json")
     assert again == code
     assert json.loads(out)["cases"][0]["verdict"] == case["verdict"]
-
-
-def test_python_m_pgakit_exits_as_documented(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
-    )
-    # a buffered stdout, as by default, still holds text when its reader goes
-    env.pop("PYTHONUNBUFFERED", None)
-
-    def pgakit(*argv):
-        return subprocess.run([sys.executable, "-m", "pgakit", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
-
-    done = pgakit("bisim", "x = S", "y = D")
-    assert (done.returncode, done.stdout) == (1, "not-bisimilar\n")
-    done = pgakit("normalize", "f.a;;")
-    assert done.returncode == EXIT_PARSE and done.stdout == ""
-    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
-    # readers that close at once, and after one line, while the control of
-    # 1000 basics (about 500 kB, more than a pipe holds) is still unwritten
-    program = "; ".join(f"f.m{i}" for i in range(1000))
-    for lines in (0, 1):
-        err = tmp_path / f"stderr{lines}"
-        with open(err, "w") as to_err, subprocess.Popen(
-            [sys.executable, "-m", "pgakit", "mechanism", program],
-            env=env, stdout=subprocess.PIPE, stderr=to_err, text=True,
-        ) as proc:
-            head = [proc.stdout.readline() for _ in range(lines)]
-            proc.stdout.close()
-            assert proc.wait(timeout=60) == EXIT_PARSE
-        assert head == ["# m = 1000 basics, 16016 states\n"][:lines]
-        assert err.read_text() == ""
 
 
 def test_closed_stdout_is_a_documented_exit(monkeypatch):
