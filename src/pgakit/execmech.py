@@ -11,8 +11,9 @@ The thread finds the instruction at the head by `hdeq` queries and enacts
 it by the two-mode equations, laid out from the table in `altsem` that
 `extract_alt` reads too; its `pgs.drop` steps move the program service on.
 `run_exec` explores the mechanism with both services on the fly, hiding
-silent steps as it goes.  It asks the `hdeq` queries once per instruction,
-whatever the position and counter.  Once the mechanism has shown a round
+silent steps as it goes.  It reads each alphabet's mechanism once per
+process, and asks its `hdeq` queries once per instruction, for every
+program, position and counter.  Once the mechanism has shown a round
 between two drops that it repeats, one rule takes the rounds ahead in one
 step, by binary search in prefix sums over the positions: a run of
 jump-shifts and a skipping countdown alike.
@@ -23,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
@@ -231,8 +233,10 @@ def run_exec(
     visible actions become states.  A silent walk that comes back to a
     configuration, or to a mechanism state and program position with no
     counter test on the way, spins forever and ends in deadlock.  The
-    `hdeq` queries from a state are walked once per instruction, whatever
-    the position and counter.  A round between two drops that returns to
+    mechanism is read once per alphabet in a process.  The `hdeq` queries
+    from a state are walked once per instruction in that process, whatever
+    the program, position and counter: the instruction alone decides the
+    replies.  A round between two drops that returns to
     its mechanism state with no test finding the counter zero repeats at
     every position whose instruction answers its queries alike, while the
     counter keeps its tests nonzero.  Once a round comes back, the rounds
@@ -244,7 +248,7 @@ def run_exec(
     if alphabet is not None and not basics_of(p) <= set(alphabet.basics):
         raise AlphabetMismatchError("the program has basics outside the alphabet")
     pgs = pgs_new(p, alphabet)
-    return _explore(build_exec_mechanism(pgs.alphabet), pgs, budget or Budget())
+    return _explore(_control(pgs.alphabet), pgs, budget or Budget())
 
 
 _LEAF, _PGS, _CNT, _SHOW = range(4)
@@ -269,12 +273,18 @@ def _landing(
     return bisect_left(sums, sums[p] + k + 1, p), passes
 
 
-def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
-    """The thread of `mech` run with `pgs` and a zeroed counter, with all
-    service traffic hidden, as `run_exec` describes."""
+@lru_cache(maxsize=16)
+def _control(alphabet: Alphabet) -> tuple:
+    """The alphabet's mechanism, read once for every program over it."""
+    return _tables(build_exec_mechanism(alphabet))
+
+
+def _tables(mech: ThreadSpec) -> tuple:
+    """The explorer's tables of a control: per state its name, kind, body,
+    method, and True and False successors; the root; and the chains of
+    `hdeq` queries, filled in as runs reach them."""
     sids = list(mech.states)
     index = {sid: i for i, sid in enumerate(sids)}
-    # per mechanism state: kind, body, method, True and False successors
     kinds, bodies, methods, thens, elses = [], [], [], [], []
     for sid in sids:
         body = mech.states[sid]
@@ -290,7 +300,18 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
             methods.append(None)
             thens.append(None)
             elses.append(None)
+    # (state, instruction at the position) -> where its `hdeq` queries lead
+    # (None: deadlock) and their replies, which that instruction decides
+    # for every program over the alphabet (the end of a finite one, None,
+    # answers every query False)
+    chains: Dict[tuple, Tuple[Optional[int], tuple]] = {}
+    return sids, index[mech.root], kinds, bodies, methods, thens, elses, chains
 
+
+def _explore(control: tuple, pgs: PgsService, budget: Budget) -> ThreadSpec:
+    """The thread of a control that `_tables` read, run with `pgs` and a
+    zeroed counter, with all service traffic hidden, as `run_exec` says."""
+    sids, root, kinds, bodies, methods, thens, elses, chains = control
     s, alphabet, heads = pgs.sequence, pgs.alphabet, pgs._heads
     p, e = len(s.prefix), len(heads)
     TRUE, BLOCKED = Reply.TRUE, Reply.BLOCKED
@@ -306,10 +327,6 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
             svc, r = PgsService(s, alphabet, v, False, heads).apply(method)
             got = replies[(kind, v, method)] = (svc.position, r)
         return got
-
-    # (state, instruction at the position) -> where its `hdeq` queries lead
-    # (None: deadlock) and their replies, which that instruction decides
-    chains: Dict[tuple, Tuple[Optional[int], tuple]] = {}
 
     def chain(at: tuple, v: int) -> Tuple[Optional[int], tuple]:
         m, asked = at[0], ()
@@ -463,7 +480,7 @@ def _explore(mech: ThreadSpec, pgs: PgsService, budget: Budget) -> ThreadSpec:
 
     # emitted configurations, in discovery order, with what each resolves to
     emitted: Dict[tuple, object] = {}
-    root = (index[mech.root], pgs.position, 0)
+    root = (root, pgs.position, 0)
     queue = deque([root])
     emitted[root] = None
     while queue:

@@ -4,7 +4,7 @@
 - counter: the two-mode counter route agrees with plain extraction;
 - exec: the execution mechanism agrees with plain extraction;
 - roundtrip: a spec compiled to a zero-jump program behaves as the spec,
-  read plainly and through the counter.
+  read plainly, through the counter and run by the execution mechanism.
 
 `pgakit verify` and the acceptance tests draw and check them from here.
 A printed case reads back to the same case, so any case that `pgakit
@@ -54,9 +54,8 @@ def _exec_holds(p: InstructionSequence) -> bool:
 
 def _roundtrip_holds(spec: ThreadSpec) -> bool:
     compiled = corollary1_pipeline(spec)
-    return bisimilar(extract_pgajs(compiled), spec) and bisimilar(
-        behaviour_via_counter(compiled), spec
-    )
+    routes = (extract_pgajs, behaviour_via_counter, run_exec)
+    return all(bisimilar(route(compiled), spec) for route in routes)
 
 
 PROPERTIES: Dict[str, Property] = {

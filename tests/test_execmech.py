@@ -23,6 +23,7 @@ from pgakit import (
     parse_program,
     parse_thread,
     pgs_new,
+    print_thread,
     run_exec,
     theorem3_witness,
     corollary1_pipeline,
@@ -30,7 +31,8 @@ from pgakit import (
     abstract_tau,
     counter_new,
 )
-from pgakit.execmech import _explore
+from pgakit.execmech import _control, _explore, _tables
+from pgakit.properties import PROPERTIES, draw_cases
 
 from strategies import programs
 
@@ -205,7 +207,60 @@ def test_run_exec_over_basics_that_do_not_parse_back():
     for b in (Basic("f", "a-b"), Basic("f.a", "b")):
         for p in (_over(b, compiled), InstructionSequence((Plain(b), Halt()), ())):
             assert bisimilar(run_exec(p), extract_pgajs(p)), (b, p)
+            assert print_thread(run_exec(p)) == _fresh(p), (b, p)
         assert pgs_new(p).apply("hdeq:" + str(b))[1] == Reply.TRUE
+
+
+# one control per alphabet, shared by the calls over it
+def _fresh(p, alphabet=None):
+    """The printed thread of p run by a control built for this call alone."""
+    pgs = pgs_new(p, alphabet)
+    control = _tables(build_exec_mechanism(pgs.alphabet))
+    return print_thread(_explore(control, pgs, Budget()))
+
+
+def test_shared_control_changes_no_output():
+    corpus = draw_cases(PROPERTIES["exec"], 2025, 500)
+    corpus += [corollary1_pipeline(theorem3_witness(n)) for n in range(1, 7)]
+    fresh = [_fresh(p) for p in corpus]
+    _control.cache_clear()
+    assert [print_thread(run_exec(p)) for p in corpus] == fresh  # cold
+    assert [print_thread(run_exec(p)) for p in corpus] == fresh  # warm
+    assert [print_thread(run_exec(p)) for p in reversed(corpus)] == fresh[::-1]
+    wide = Alphabet.from_basics([fa, fb, Basic("f", "c"), Basic("g", "m")])
+    for p in corpus:
+        assert print_thread(run_exec(p, alphabet=wide)) == _fresh(p, wide)
+
+
+def test_control_is_built_once_per_alphabet(monkeypatch):
+    built = []
+
+    def tables(mech):
+        built.append(mech)
+        return _tables(mech)
+
+    monkeypatch.setattr("pgakit.execmech._tables", tables)
+    _control.cache_clear()
+    for i in range(10):
+        run_exec(P("f.a; " + "~; " * i + "!"))
+        run_exec(P("+f.b; " + "~; " * i + "#0; f.a"))
+    assert len(built) == 2
+    # more alphabets than the cache holds: each comes back after eviction
+    size = _control.cache_info().maxsize
+    programs = [P(f"f.a; g{i}.m; !") for i in range(size + 3)]
+    for p in programs + programs:
+        assert print_thread(run_exec(p)) == _fresh(p), p
+    assert len(built) == 2 + 2 * len(programs)
+    assert _control.cache_info().currsize == size
+
+
+def test_control_is_sound_after_a_budget_error():
+    w = theorem3_witness(2)
+    p = corollary1_pipeline(w)
+    _control.cache_clear()
+    with pytest.raises(BudgetExceededError):
+        run_exec(p, Budget(50))
+    assert bisimilar(run_exec(p, Budget(431)), w)
 
 
 def test_run_exec_rejects_positive_jumps():
@@ -262,7 +317,7 @@ def _assert_explorer_matches_product(control, units):
     mech = parse_thread(control + _SHOW_COUNTER)
     p = InstructionSequence(units, ())
     product = compose(compose(mech, "pgs", pgs_new(p)), "cnt", counter_new(0))
-    assert bisimilar(_explore(mech, pgs_new(p), Budget()), abstract_tau(product))
+    assert bisimilar(_explore(_tables(mech), pgs_new(p), Budget()), abstract_tau(product))
 
 
 def test_explorer_walks_rounds_step_by_step_when_one_would_find_zero():
