@@ -23,7 +23,7 @@ from .syntax import (
     parse_instruction,
     transform_to_pgajs0,
 )
-from .threads import Post, Stop, Tau, ThreadSpec, _breadth_first
+from .threads import TAU, Post, Stop, ThreadSpec, _breadth_first
 
 
 class CompileError(Exception):
@@ -44,15 +44,12 @@ def compile_spec(spec: ThreadSpec) -> InstructionSequence:
     unfolding, so branching always reaches the target block's first slot."""
     # blocks follow relabel's breadth-first order; unreachable states get none
     index = _breadth_first(spec)
-    if any(
-        isinstance(b, Post) and isinstance(b.action, Tau)
-        for n, b in spec.states.items() if n in index
-    ):
-        raise TauPresentError("silent steps cannot be compiled; abstract them first")
     # checked in the order of `states`, so the first bad action is reported
     actions = dict.fromkeys(
         b.action for n, b in spec.states.items() if n in index and isinstance(b, Post)
     )
+    if TAU in actions:
+        raise TauPresentError("silent steps cannot be compiled; abstract them first")
     for action in actions:
         if action.focus in RESERVED_FOCI:
             raise ReservedFocusActionError(
@@ -60,11 +57,11 @@ def compile_spec(spec: ThreadSpec) -> InstructionSequence:
             )
         # the program must print as text that parses back to it
         try:
-            reads_back = parse_instruction(str(action)) == Plain(action)
+            reads_back = parse_instruction(action._text) == Plain(action)
         except ProgramError:
             reads_back = False
         if not reads_back:
-            raise CompileError(f"action {str(action)!r} is not a program basic")
+            raise CompileError(f"action {action._text!r} is not a program basic")
 
     size = 3 * len(index)
     # per-call tables, so a repeated test or jump makes no constructor call

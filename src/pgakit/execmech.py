@@ -114,11 +114,17 @@ class Alphabet:
 
     @staticmethod
     def from_basics(basics) -> "Alphabet":
-        return Alphabet(tuple(sorted(set(basics), key=lambda b: (b.focus, b.method))))
+        return _sorted_alphabet(frozenset(basics))
 
     @staticmethod
     def from_sequence(s: InstructionSequence) -> "Alphabet":
         return Alphabet.from_basics(basics_of(s))
+
+
+@lru_cache(maxsize=16)
+def _sorted_alphabet(basics: frozenset) -> Alphabet:
+    """One alphabet per set of basics in use; a refused set raises again."""
+    return Alphabet(tuple(sorted(basics, key=lambda b: (b.focus, b.method))))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ def _landings(s: InstructionSequence, units: tuple) -> List[int]:
     revisiting a position (offset zero at once).  Each chain is walked once."""
     end, p, n = len(units), len(s.prefix), len(s.period)
     land = [-1 if type(u) is Jump else i for i, u in enumerate(units)] + [end]
-    for i in range(end):
+    for i in [i for i, r in enumerate(land) if r == -1]:
         chain = []
         j = i
         while land[j] == -1:  # a jump not yet resolved; -2 while walked

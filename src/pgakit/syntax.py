@@ -4,14 +4,17 @@ A sequence term is built from six instruction kinds with concatenation and
 an iterated-forever postfix star.  Every term denotes a canonical sequence:
 a finite prefix plus an optional primitive period, minimized so that two
 terms behave alike under unfolding iff their sequences compare equal.  Each
-instruction value exists once per process (see `threads._Interned`), so
-sequences compare instruction by instruction by identity.
+instruction value exists once per process and stores its text (see
+`threads._Interned`), so sequences compare instruction by instruction by
+identity, and the scans below work once per distinct instruction.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .threads import _INTERNED, Basic, _Interned
@@ -51,7 +54,7 @@ class ShiftPresentError(ProgramError):
 
 
 class _Instruction(_Interned):
-    __slots__ = ("_text",)  # how it prints, from `_format` and the fields
+    __slots__ = ()  # `_text` is how it prints, from `_format` and the fields
 
     def _check(self) -> None:
         if hasattr(self, "basic") and self.basic.focus in RESERVED_FOCI:
@@ -551,20 +554,17 @@ def transform_to_pgajs0(s: InstructionSequence) -> InstructionSequence:
     instructions."""
     if contains_shift(s):
         raise ShiftPresentError("input still contains shift instructions")
-    size = sum(u.offset + 1 if isinstance(u, Jump) else 1 for u in s.prefix + s.period)
+    counts = Counter(s.prefix + s.period)
+    size = sum(u.offset * n for u, n in counts.items() if type(u) is Jump) + len(s)
     if size > EXPANSION_LIMIT:
         raise JumpOverflowError(
             f"expanding the jumps gives {size} instructions, over {EXPANSION_LIMIT}"
         )
-
-    def expand(units: Tuple[Instruction, ...]) -> Tuple[Instruction, ...]:
-        out: List[Instruction] = []
-        for u in units:
-            if isinstance(u, Jump) and u.offset > 0:
-                out.extend([SHIFT] * u.offset)
-                out.append(Jump(0))
-            else:
-                out.append(u)
-        return tuple(out)
-
-    return InstructionSequence(expand(s.prefix), expand(s.period))
+    # one expansion per distinct instruction
+    table = {
+        u: (SHIFT,) * u.offset + (Jump(0),) if type(u) is Jump else (u,) for u in counts
+    }
+    return InstructionSequence(
+        tuple(chain.from_iterable(map(table.__getitem__, s.prefix))),
+        tuple(chain.from_iterable(map(table.__getitem__, s.period))),
+    )

@@ -3,7 +3,10 @@
 A thread is a rooted map from state names to bodies.  A body either stops,
 deadlocks, or performs one action and branches on the boolean reply.  The
 silent action tau ignores the reply, so tau bodies carry a single successor
-(enforced structurally by the Post constructor).
+(enforced structurally by the Post constructor).  Large threads cost few
+Python steps per state: `Post` sets its fields through its slot descriptors,
+a spec checks all its references in one containment test, `bisimilar` walks
+to class roots inline, and a `Basic` stores its text when first made.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Mapping, Union
 
 
@@ -45,9 +50,10 @@ class _Interned:
     """A value that exists once per process: constructing an equal value
     again returns the first object, so equality and hashing are identity and
     run in C, and copies and pickles give the same object back.  `_check`
-    runs when a value is first made; a refused value is not stored."""
+    runs when a value is first made, and stores in `_text` how the value
+    prints; a refused value is not stored."""
 
-    __slots__ = ()
+    __slots__ = ("_text",)
 
     def __new__(cls, *fields):
         self = _INTERNED.get((cls, fields))
@@ -60,9 +66,6 @@ class _Interned:
             self._check()
             _INTERNED[cls, fields] = self
         return self
-
-    def _check(self) -> None:
-        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -84,8 +87,11 @@ class Basic(_Interned):
 
     __slots__ = ("focus", "method")
 
+    def _check(self) -> None:
+        object.__setattr__(self, "_text", f"{self.focus}.{self.method}")
+
     def __str__(self) -> str:
-        return f"{self.focus}.{self.method}"
+        return self._text
 
 
 Action = Union[Tau, Basic]
@@ -110,16 +116,21 @@ class Post:
     """Perform an action, then continue as `then` on a True reply and as
     `else_` on False.  A tau action never branches: else_ is forced to then.
     The constructor is written out, as a generated one plus `__post_init__`
-    costs about twice as much; the dataclass makes the rest."""
+    costs about twice as much, and sets the fields through the slots'
+    own descriptors; the dataclass makes the rest."""
 
     action: Action
     then: str
     else_: str
 
     def __init__(self, action: Action, then: str, else_: str) -> None:
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "then", then)
-        object.__setattr__(self, "else_", then if type(action) is Tau else else_)
+        _set_action(self, action)
+        _set_then(self, then)
+        _set_else(self, then if type(action) is Tau else else_)
+
+
+# the slot descriptors set a field past the frozen class's __setattr__
+_set_action, _set_then, _set_else = (f.__set__ for f in (Post.action, Post.then, Post.else_))
 
 
 Body = Union[Deadlock, Stop, Post]
@@ -138,13 +149,18 @@ class ThreadSpec:
         states = self.states
         if self.root not in states:
             raise DanglingStateError(f"root state {self.root!r} is not defined")
-        for name, body in states.items():
-            if isinstance(body, Post):
-                for target in (body.then, body.else_):
-                    if target not in states:
-                        raise DanglingStateError(
-                            f"state {name!r} refers to undefined state {target!r}"
-                        )
+        # one containment test of every successor, run in C
+        posts = [*filter(_is_post, states.values())]
+        if set(states).issuperset(chain(map(_then, posts), map(_else, posts))):
+            return
+        name, target = next(  # the first dangling state
+            (n, t) for n, b in states.items() if isinstance(b, Post)
+            for t in (b.then, b.else_) if t not in states)
+        raise DanglingStateError(f"state {name!r} refers to undefined state {target!r}")
+
+
+_is_post = Post.__instancecheck__
+_then, _else = attrgetter("then"), attrgetter("else_")
 
 
 def _breadth_first(spec: ThreadSpec) -> Dict[str, int]:
@@ -194,21 +210,15 @@ def bisimilar(a: ThreadSpec, b: ThreadSpec) -> bool:
     deterministic automata, decided by Hopcroft & Karp's union-find pair
     walk (1971): merge the classes of the roots, then of every pair of
     successors reached through matching bodies.  The roots are bisimilar
-    iff no merged pair differs in body kind or action.  With path
-    compression this takes O(n log n) for n states in both specs."""
+    iff no merged pair differs in body kind or action.  Each walk to a
+    class root halves its path on the way, and a merge links one root under
+    the other with no rank, which takes O(n log n) for n states in both
+    specs (Tarjan & van Leeuwen 1984)."""
     # states of a are 0..len(a)-1, states of b follow, since names may clash
-    ids_a = {name: i for i, name in enumerate(a.states)}
-    ids_b = {name: i + len(ids_a) for i, name in enumerate(b.states)}
-    parent = list(range(len(ids_a) + len(ids_b)))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    n = len(a.states)
+    ids_a = dict(zip(a.states, range(n)))
+    ids_b = dict(zip(b.states, range(n, n + len(b.states))))
+    parent = list(range(n + len(b.states)))
     parent[ids_a[a.root]] = ids_b[b.root]
     stack = [(a.root, b.root)]
     while stack:
@@ -222,8 +232,12 @@ def bisimilar(a: ThreadSpec, b: ThreadSpec) -> bool:
         if ba.action != bb.action:
             return False
         for ta, tb in ((ba.then, bb.then), (ba.else_, bb.else_)):
-            ra = find(ids_a[ta])
-            rb = find(ids_b[tb])
+            ra = ids_a[ta]
+            while (up := parent[ra]) != ra:
+                parent[ra] = ra = parent[up]
+            rb = ids_b[tb]
+            while (up := parent[rb]) != rb:
+                parent[rb] = rb = parent[up]
             if ra != rb:
                 parent[ra] = rb
                 stack.append((ta, tb))
@@ -332,7 +346,7 @@ def print_thread(spec: ThreadSpec) -> str:
         elif isinstance(body.action, Tau):
             lines.append(f"{name} = tau <{body.then}>")
         else:
-            lines.append(f"{name} = <{body.then}> {body.action} <{body.else_}>")
+            lines.append(f"{name} = <{body.then}> {body.action._text} <{body.else_}>")
     return "\n".join(lines)
 
 
@@ -359,7 +373,7 @@ def to_dot(spec: ThreadSpec) -> str:
             out.append(f"  {_gvquote(name)} -> {_gvquote(body.then)} [label=\"tau\"];")
         else:
             for target, branch in ((body.then, "+"), (body.else_, "-")):
-                label = _gvquote(f"{body.action}:{branch}")
+                label = _gvquote(f"{body.action._text}:{branch}")
                 out.append(f"  {_gvquote(name)} -> {_gvquote(target)} [label={label}];")
     out.append("}")
     return "\n".join(out)

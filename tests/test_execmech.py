@@ -74,6 +74,26 @@ def test_alphabet_rejects_reserved_foci():
         Alphabet.from_basics([Basic("cnt", "inc")])
 
 
+def test_alphabet_is_one_object_per_set_of_basics():
+    # programs over the same basics share their alphabet, in any order
+    one = pgs_new(P("f.a; +f.b; !")).alphabet
+    assert pgs_new(P("(-f.b; #0; f.a)*")).alphabet is one
+    assert Alphabet.from_basics([fb, fa, fb]) is one
+    assert pgs_new(P("f.a; !")).alphabet is not one
+    # a refused set raises on the first build and again on every later call
+    alike = InstructionSequence((Plain(Basic("f.a", "b")), Plain(Basic("f", "a.b"))), ())
+    for _ in range(3):
+        with pytest.raises(AlphabetError):
+            Alphabet.from_basics([Basic("cnt", "inc")])
+        with pytest.raises(AlphabetError):
+            pgs_new(alike)
+    # an explicit alphabet wins over the program's own
+    wide = Alphabet.from_basics([fa, fb, Basic("g", "m")])
+    assert pgs_new(P("f.a; +f.b; !"), wide).alphabet is wide
+    assert print_thread(run_exec(P("f.a; +f.b; !"), alphabet=wide)) == print_thread(
+        run_exec(P("f.a; +f.b; !")))
+
+
 def test_alphabet_membership():
     alpha = Alphabet.from_basics([fa])
     assert Plain(fa) in alpha.instructions

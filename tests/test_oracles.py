@@ -53,6 +53,12 @@ one landing list: a resolver closure that followed each chain through
 `position` and kept a memo of where walked jumps land, called once per
 successor.  Results must be equal and print identically.
 
+`_old_check_references` is the reference check of `ThreadSpec` as it was
+before it tested every successor at once: a walk over each successor of
+each state.  `_old_transform_to_pgajs0` expanded the jumps one instruction
+at a time.  The new code must accept what they accept, and raise the same
+class with the same message otherwise.
+
 `_old_run_lengths` counts the run lengths that `_old_explore` reads by
 comparing each instruction with its neighbour.  `_old_value` is how
 instructions compared while they were dataclasses, by kind and fields;
@@ -68,6 +74,7 @@ from typing import Dict, Optional, Tuple
 
 from pgakit import (
     DEADLOCK,
+    DanglingStateError,
     SHIFT,
     STOP,
     TAU,
@@ -125,6 +132,7 @@ from pgakit.corpus import random_program, random_spec
 from pgakit.properties import PROPERTIES, draw_cases
 from pgakit.services import _state_names
 from pgakit.syntax import (
+    EXPANSION_LIMIT,
     HALT,
     JUMP_LIMIT,
     Concat,
@@ -1336,7 +1344,8 @@ _OLD_ACTION_RE = re.compile(r"^([A-Za-z_]\w*)\.(\S+)$")
 _OLD_COMMENT_RE = re.compile(r"(^|\s)#.*$")
 
 
-def _old_parse_thread(text):
+def _old_read_thread(text):
+    """The states and root of a thread text, before the spec checks them."""
     states = {}
     root = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -1369,7 +1378,11 @@ def _old_parse_thread(text):
             root = name
     if root is None:
         raise ThreadSyntaxError("no states defined")
-    return ThreadSpec(states, root)
+    return states, root
+
+
+def _old_parse_thread(text):
+    return ThreadSpec(*_old_read_thread(text))
 
 
 def _result(f, *args):
@@ -1659,6 +1672,102 @@ def test_parse_thread_matches_four_pattern_reader():
         "_: cannot parse body _", "no states defined", "state _ refers to undefined state _",
     }
     assert len(texts) - len(messages) > 1000
+
+
+def _old_check_references(states, root):
+    if root not in states:
+        raise DanglingStateError(f"root state {root!r} is not defined")
+    for name, body in states.items():
+        if isinstance(body, Post):
+            for target in (body.then, body.else_):
+                if target not in states:
+                    raise DanglingStateError(
+                        f"state {name!r} refers to undefined state {target!r}"
+                    )
+
+
+def _break_references(rng, spec):
+    """The states and root of the spec with up to three references turned
+    to names no state has: the root, or a `then` or `else_` of a state."""
+    states = dict(spec.states)
+    root = spec.root
+    for k in range(rng.randint(0, 3)):
+        name = rng.choice(list(states))
+        body = states[name]
+        where = rng.random()
+        if where < 0.15:
+            root = f"gone{k}"
+        elif isinstance(body, Post):
+            then, else_ = body.then, body.else_
+            if where < 0.6:
+                then = f"gone{k}"
+            else:
+                else_ = f"gone{k}"
+            states[name] = Post(body.action, then, else_)
+    return states, root
+
+
+def test_reference_check_matches_per_state_walk():
+    rng = random.Random(2054)
+    specs = _family_specs()
+    specs += [random_spec(rng, max_states=8, allow_tau=i % 3 == 0) for i in range(3000)]
+    cases = [_break_references(rng, spec) for spec in specs]
+    for text in _thread_corpus():
+        read = _result(_old_read_thread, text)
+        if isinstance(read[0], dict):
+            cases.append(read)
+    messages = []
+    for states, root in cases:
+        want = _result(_old_check_references, states, root)
+        got = _result(ThreadSpec, states, root)
+        if want is None:
+            assert isinstance(got, ThreadSpec) and got.states is states, (states, root)
+        else:
+            assert got == want, (states, root)
+            messages.append(re.sub(r"'[^']*'", "_", want[1]))
+    assert set(messages) == {"root state _ is not defined",
+                             "state _ refers to undefined state _"}
+    assert 1000 < len(messages) < len(cases) - 1000
+
+
+def _old_transform_to_pgajs0(s):
+    if contains_shift(s):
+        raise ShiftPresentError("input still contains shift instructions")
+    size = sum(u.offset + 1 if isinstance(u, Jump) else 1 for u in s.prefix + s.period)
+    if size > EXPANSION_LIMIT:
+        raise JumpOverflowError(
+            f"expanding the jumps gives {size} instructions, over {EXPANSION_LIMIT}"
+        )
+
+    def expand(units):
+        out = []
+        for u in units:
+            if isinstance(u, Jump) and u.offset > 0:
+                out.extend([SHIFT] * u.offset)
+                out.append(Jump(0))
+            else:
+                out.append(u)
+        return tuple(out)
+
+    return InstructionSequence(expand(s.prefix), expand(s.period))
+
+
+def test_jump_expansion_matches_per_instruction_loop():
+    rng = random.Random(2055)
+    programs = [_jumpy_program(rng) for _ in range(1500)]
+    programs += [random_program(rng, 16, allow_shift=True) for _ in range(500)]
+    programs += draw_cases(PROPERTIES["transform"], 2024, 300)
+    programs += _large_threads_programs()[:4]
+    limit = EXPANSION_LIMIT
+    programs += [parse_program(text) for text in (
+        f"f.a; #{limit - 2}; !", f"f.a; #{limit - 1}; !", f"(#{limit // 3}; +f.a; #{limit // 3})*",
+        f"(#{limit // 2}; f.a; #{limit // 2})*", f"#{JUMP_LIMIT}; #{JUMP_LIMIT}")]
+    kinds = set()
+    for p in programs:
+        got = _result(transform_to_pgajs0, p)
+        _assert_same_result(got, _result(_old_transform_to_pgajs0, p), print_program, print_program(p))
+        kinds.add(got[0] if isinstance(got, tuple) else InstructionSequence)
+    assert kinds == {InstructionSequence, ShiftPresentError, JumpOverflowError}
 
 
 def _old_value(u):

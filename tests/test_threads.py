@@ -44,18 +44,24 @@ def test_tau_merges_branches():
 
 
 def test_basic_str():
-    assert str(a) == "f.a"
+    assert str(a) == "f.a" and f"{a}" == "f.a"
+    # the dot splits differently: two actions that print alike
+    assert str(Basic("f.a", "b")) == str(Basic("f", "a.b")) == "f.a.b"
+    assert print_thread(T("x = <x> f.a.b <x>")) == "x = <x> f.a.b <x>"
 
 
 def test_equal_basics_are_one_object():
     assert Basic("f", "a") is a
     assert copy.copy(a) is a
     assert copy.deepcopy(a) is a
-    assert pickle.loads(pickle.dumps(a)) is a
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) is a
     assert repr(a) == "Basic(focus='f', method='a')"
     with pytest.raises(AttributeError):
         a.focus = "g"
-    assert a.focus == "f"
+    with pytest.raises(AttributeError):
+        del a.method
+    assert a.focus == "f" and a.method == "a" and str(a) == "f.a"
     # the dot splits differently: two values that print alike
     assert Basic("f.a", "b") is not Basic("f", "a.b")
     assert len({Basic("f.a", "b"), Basic("f", "a.b")}) == 2
@@ -73,6 +79,9 @@ def test_post_is_a_frozen_value():
     for field in ("action", "then", "else_"):
         with pytest.raises(FrozenInstanceError):
             setattr(body, field, "z")
+        with pytest.raises(FrozenInstanceError):
+            delattr(body, field)
+    assert body == Post(a, "x", "y") and not hasattr(body, "__dict__")
     with pytest.raises(TypeError):
         Post(a, "x")
 
@@ -84,6 +93,7 @@ def test_post_copies_and_pickles_to_an_equal_value():
                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for other in copies:
             assert other == body and repr(other) == repr(body)
+            assert hash(other) == hash(body) and other.else_ == body.else_
             assert other.action is body.action or body.action == TAU
 
 
