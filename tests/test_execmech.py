@@ -8,6 +8,7 @@ from pgakit import (
     Basic,
     Budget,
     BudgetExceededError,
+    DEADLOCK,
     Halt,
     InstructionSequence,
     Jump,
@@ -16,6 +17,7 @@ from pgakit import (
     PosTest,
     Reply,
     SHIFT,
+    ThreadSpec,
     bisimilar,
     build_exec_mechanism,
     compose,
@@ -375,6 +377,35 @@ b1 = <b2> cnt.dec <z>
 b2 = <r> pgs.drop <r>"""
     units = (SHIFT, SHIFT, Plain(fa), SHIFT, SHIFT, Plain(fa), SHIFT, Plain(fa))
     _assert_explorer_matches_product(control, units)
+
+
+def test_explorer_keeps_no_round_whose_test_found_zero():
+    # a round over f.a shows g.nz unless the counter is zero, one over f.b
+    # adds one; the first two f.a find zero, the last two find one
+    control = """r = <k> pgs.hdeq:f.a <r2>
+k = <k1> cnt.isz <n1>
+k1 = <r> pgs.drop <r>
+n1 = <n2> g.nz <n2>
+n2 = <r> pgs.drop <r>
+r2 = <b1> pgs.hdeq:f.b <e>
+b1 = <b2> cnt.inc <b2>
+b2 = <r> pgs.drop <r>"""
+    units = (Plain(fa), Plain(fa), Plain(fb), Plain(fa), Plain(fa))
+    _assert_explorer_matches_product(control, units)
+
+
+def test_explorer_deadlocks_on_rounds_that_never_stop():
+    # a round over f.a adds two and takes one away, so its test never finds
+    # zero: round the period forever, with the counter growing, is deadlock
+    control = """r = <a1> pgs.hdeq:f.a <e>
+a1 = <a2> cnt.inc <a2>
+a2 = <a3> cnt.inc <a3>
+a3 = <a4> cnt.dec <z>
+a4 = <r> pgs.drop <r>"""
+    mech = parse_thread(control + _SHOW_COUNTER)
+    p = InstructionSequence((), (Plain(fa),))
+    got = _explore(_tables(mech), pgs_new(p), Budget(100))
+    assert bisimilar(got, ThreadSpec({"d": DEADLOCK}, "d"))
 
 
 def test_one_mechanism_runs_many_programs():

@@ -4,16 +4,18 @@ import os
 import subprocess
 import sys
 
+import pgakit
 from pgakit import parse_thread
 from pgakit.cli import EXIT_PARSE
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the processes run the library these tests imported, wherever it is
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pgakit.__file__)))
 
 
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+        p for p in (SRC, env.get("PYTHONPATH")) if p
     )
     # a buffered stdout, as by default, still holds text when its reader goes
     env.pop("PYTHONUNBUFFERED", None)
