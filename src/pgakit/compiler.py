@@ -1,10 +1,11 @@
 """Compiling finite-state threads back into instruction sequences.
 
 Every state becomes a fixed block of three instructions inside one endless
-repetition: a positive test plus two forward jumps for branching states,
-three halts for Stop, three #0 for Deadlock.  Extraction of the result is
-bisimilar to the input thread, which is the round-trip property the tests
-lean on.
+repetition: a positive test plus two forward jumps for a state whose
+branches differ, a plain instruction, a forward jump and an unreachable #0
+for one whose branches are equal, three halts for Stop, three #0 for
+Deadlock.  Extraction of the result is bisimilar to the input thread,
+which is the round-trip property the tests lean on.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ class ReservedFocusActionError(CompileError):
 
 def compile_spec(spec: ThreadSpec) -> InstructionSequence:
     """Translate a silent-step-free thread into a pure-period sequence of
-    3-instruction state blocks.  Jump offsets are forward distances in the
-    unfolding, so branching always reaches the target block's first slot."""
+    3-instruction state blocks: `+a; #d; #e` for `<y> a <z>`, and
+    `a; #d; #0` when y and z are the same state.  Jump offsets are forward
+    distances in the unfolding, so branching always reaches the target
+    block's first slot."""
     # blocks follow relabel's breadth-first order; unreachable states get none
     index = _breadth_first(spec)
     # checked in the order of `states`, so the first bad action is reported
@@ -64,9 +67,10 @@ def compile_spec(spec: ThreadSpec) -> InstructionSequence:
             raise CompileError(f"action {action._text!r} is not a program basic")
 
     size = 3 * len(index)
-    # per-call tables, so a repeated test or jump makes no constructor call
+    # per-call tables, so a repeated instruction makes no constructor call
     tests = {action: PosTest(action) for action in actions}
-    jumps: Dict[int, Jump] = {}
+    plains = {action: Plain(action) for action in actions}
+    jumps: Dict[int, Jump] = {0: Jump(0)}
     units: List[Instruction] = []
     for name, i in index.items():
         body = spec.states[name]
@@ -75,12 +79,15 @@ def compile_spec(spec: ThreadSpec) -> InstructionSequence:
         elif isinstance(body, Post):
             # each jump goes forward to the first slot of its target's block
             d = (3 * index[body.then] - 3 * i - 1) % size or size
-            e = (3 * index[body.else_] - 3 * i - 2) % size or size
-            units += (
-                tests[body.action],
-                jumps.get(d) or jumps.setdefault(d, Jump(d)),
-                jumps.get(e) or jumps.setdefault(e, Jump(e)),
-            )
+            then = jumps.get(d) or jumps.setdefault(d, Jump(d))
+            if body.then == body.else_:
+                # a plain instruction always goes on to #d, so slot 3 is
+                # never reached; #0 fills it, as one position when expanded
+                units += (plains[body.action], then, jumps[0])
+            else:
+                e = (3 * index[body.else_] - 3 * i - 2) % size or size
+                else_ = jumps.get(e) or jumps.setdefault(e, Jump(e))
+                units += (tests[body.action], then, else_)
         else:
             units += (Jump(0),) * 3
     return InstructionSequence((), tuple(units))

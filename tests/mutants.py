@@ -55,6 +55,7 @@ _EXTRACT_CHAINS = "tests/test_oracles.py::test_extraction_matches_per_jump_walk_
 _PROJECTIONS = "tests/test_oracles.py::test_bisimilar_matches_projections_to_depth_n_plus_m"
 _EXTRACTION = "tests/test_extraction.py::"
 _THREADS = "tests/test_threads.py::"
+_COMPILER = "tests/test_compiler.py::"
 _PYTHON_M = "tests/test_scripts.py::test_python_m_pgakit_exits_as_documented"
 
 MUTANTS = (
@@ -189,6 +190,29 @@ MUTANTS = (
            (_EXTRACT_WALK, _EXTRACT_CHAINS),
            equivalent="every name goes into both `names` and `order`, so the"
            " two always have the same length"),
+    # --- the compiler --------------------------------------------------------
+    Mutant("equal branches compile as a positive test", "compiler.py",
+           "            if body.then == body.else_:\n", "            if False:\n",
+           (_COMPILER + "test_single_state_loop",
+            _COMPILER + "test_equal_branches_compile_as_a_plain_instruction",
+            "tests/test_acceptance.py::test_witness_exec_n30",
+            "tests/test_oracles.py::test_compile_matches_validate_first_route")),
+    Mutant("branches that differ compile as a plain instruction", "compiler.py",
+           "units += (tests[body.action], then, else_)",
+           "units += (plains[body.action], then, else_)",
+           (_COMPILER + "test_compile_roundtrip_examples",
+            _COMPILER + "test_equal_branches_compile_as_a_plain_instruction",
+            "tests/test_oracles.py::test_compile_matches_validate_first_route")),
+    Mutant("the third slot of a plain block halts", "compiler.py",
+           "units += (plains[body.action], then, jumps[0])",
+           "units += (plains[body.action], then, HALT)",
+           (_COMPILER + "test_slot_three_of_a_plain_block_is_never_reached",
+            _COMPILER + "test_compile_roundtrip_property",
+            _COMPILER + "test_pipeline_roundtrip_property",
+            _WITNESS_EXEC, _BUDGETS),
+           equivalent="a plain instruction always goes on to the #d after it,"
+           " and every jump lands on the first slot of a block, so no run"
+           " reaches the third slot"),
     # --- bisimilarity --------------------------------------------------------
     Mutant("bisimilar ignores actions", "threads.py",
            "        if ba.action != bb.action:\n", "        if ba.action is None:\n",

@@ -262,11 +262,11 @@ def test_stars_nested_ten_thousand_deep():
 
 
 def test_print_parse_roundtrip_of_100k_instructions():
-    p = corollary1_pipeline(theorem3_witness(30))
-    assert len(p) == 105786
+    p = corollary1_pipeline(theorem3_witness(39))
+    assert len(p) == 112_717
     started = time.monotonic()
     assert P(print_program(p)) == p
-    _report("print-parse round trip 105,786 instructions", started, limit=2.0)
+    _report("print-parse round trip 112,717 instructions", started, limit=2.0)
 
 
 def test_thread_lines_with_long_whitespace_runs():
@@ -361,9 +361,13 @@ def test_witness_exec_n4_to_6():
 def test_witness_exec_n30():
     w = theorem3_witness(30)
     p = corollary1_pipeline(w)
-    assert len(p) == 105_786
+    assert len(p) == 54_853
     started = time.monotonic()
-    # the countdown is taken in one step: one value at a time it walked
-    # 440,228 configurations
-    assert bisimilar(run_exec(p, Budget(20_087)), w)
-    _report("witness-exec n=30, 105,786 instructions", started, limit=10.0)
+    # the budgets are the exact walks: rounds are taken in one step
+    assert bisimilar(run_exec(p, Budget(8_498)), w)
+    w = theorem3_witness(39)
+    p = corollary1_pipeline(w)
+    assert len(p) == 112_717
+    assert bisimilar(run_exec(p, Budget(13_484)), w)
+    _report("witness-exec n=30 and n=39, 54,853 and 112,717 instructions", started,
+            limit=10.0)

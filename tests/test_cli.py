@@ -95,13 +95,13 @@ def test_bisim_threads(capsys):
 def test_compile(capsys):
     code, out, _ = run(capsys, "compile", "x = <x> f.a <x>")
     assert code == 0
-    assert out.strip() == "(+f.a; #2; #1)*"
+    assert out.strip() == "(f.a; #2; #0)*"
 
 
 def test_compile_pgajs0(capsys):
     code, out, _ = run(capsys, "compile", "--pgajs0", "x = <x> f.a <x>")
     assert code == 0
-    assert out.strip() == "(+f.a; ~; ~; #0; ~; #0)*"
+    assert out.strip() == "(f.a; ~; ~; #0; #0)*"
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])

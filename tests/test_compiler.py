@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings
 
 from pgakit import (
+    HALT,
     Halt,
+    InstructionSequence,
     Jump,
+    Plain,
     ReservedFocusActionError,
     TauPresentError,
     abstract_tau,
@@ -16,9 +19,12 @@ from pgakit import (
     is_pgajs0,
     parse_program,
     parse_thread,
+    print_thread,
+    theorem3_witness,
 )
 from pgakit import compiler, threads
 from pgakit.cli import main
+from pgakit.properties import PROPERTIES, draw_cases
 from pgakit.threads import _breadth_first
 
 from strategies import specs
@@ -38,7 +44,7 @@ def test_deadlock_compiles_to_zero_jumps():
 
 def test_single_state_loop():
     spec = T("x = <x> f.a <x>")
-    assert compile_spec(spec) == P("(+f.a; #2; #1)*")
+    assert compile_spec(spec) == P("(f.a; #2; #0)*")
 
 
 def test_blocks_are_three_wide():
@@ -54,6 +60,31 @@ def test_offsets_wrap_backwards():
     # then-jump at index 1 goes back to block 0: a full lap minus one
     assert out.period[1] == Jump(5)
     assert out.period[2] == Jump(1)
+
+
+def test_equal_branches_compile_as_a_plain_instruction():
+    # y's block is a plain instruction; x's, whose branches differ, is not
+    out = compile_spec(T("x = <y> f.a <x>\ny = <x> f.b <x>"))
+    assert out == P("(+f.a; #2; #4; f.b; #2; #0)*")
+
+
+def test_slot_three_of_a_plain_block_is_never_reached():
+    # a plain instruction always goes on to the #d after it, and every jump
+    # lands on the first slot of a block; a halt reached there would show
+    specs = draw_cases(PROPERTIES["roundtrip"], 7, 200)
+    specs += [theorem3_witness(n) for n in range(1, 7)]
+    plain_blocks = 0
+    for spec in specs:
+        p = compile_spec(spec)
+        units = list(p.period)
+        for k in range(0, len(units), 3):
+            if type(units[k]) is Plain:
+                plain_blocks += 1
+                units[k + 2] = HALT
+        swapped = InstructionSequence(p.prefix, tuple(units))
+        assert print_thread(extract(swapped)) == print_thread(extract(p)), print_thread(spec)
+    # 72 in the corpus, 110 in the witnesses
+    assert plain_blocks == 182
 
 
 def test_compile_roundtrip_examples():

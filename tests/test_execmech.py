@@ -309,8 +309,8 @@ def test_run_exec_budget_counts_configurations():
 
 def test_run_exec_fits_the_budgets_of_its_one_step_rounds():
     # the configurations walked when shift runs and skipping countdowns are
-    # taken in one step (n = 30 is in the acceptance tests)
-    for n, budget in ((1, 251), (2, 431), (3, 647), (4, 899), (5, 1187), (6, 1511), (10, 3167)):
+    # taken in one step (n = 30 and 39 are in the acceptance tests)
+    for n, budget in ((1, 146), (2, 238), (3, 344), (4, 464), (5, 598), (6, 746), (10, 1478)):
         w = theorem3_witness(n)
         assert bisimilar(run_exec(corollary1_pipeline(w), Budget(budget)), w), n
 

@@ -170,7 +170,7 @@ def test_print_parse_roundtrip_long_programs():
     rng = random.Random(2038)
     chain = chain_spec([rng.choice(BASICS) for _ in range(999)], STOP)
     long_programs = [corollary1_pipeline(chain), compile_spec(deep_spec(rng, 3000))]
-    assert [len(p) for p in long_programs] == [5997, 9000]
+    assert [len(p) for p in long_programs] == [4998, 9000]
     for p in long_programs:
         assert P(print_program(p)) == p
 
@@ -261,6 +261,8 @@ def test_transform_rejects_shifts():
 def test_transform_expands_jumps():
     assert transform_to_pgajs0(P("#2; f.a; !")) == P("~; ~; #0; f.a; !")
     assert transform_to_pgajs0(P("(+f.a; #2; #1)*")) == P("(+f.a; ~; ~; #0; ~; #0)*")
+    # what x = <x> f.a <x> compiles to
+    assert transform_to_pgajs0(P("(f.a; #2; #0)*")) == P("(f.a; ~; ~; #0; #0)*")
 
 
 def test_transform_refuses_expansions_over_the_limit():
