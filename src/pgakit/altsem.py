@@ -117,10 +117,10 @@ def _lay_out(steps, names, exits, moved=None):
 # extract_alt names the states at one position by index into: g{i} and its
 # chain g{i}a..c (0-3), s{i} and its chain s{i}a..b (4-6), the guarded and
 # skipping states of the next position (7, 8), and the deadlock (9).  Each
-# kind is laid out once, over these indices.
+# kind is laid out once over them: a skip always follows a drop, a deadlock never.
 def _alt_layout(kind):
     skipping = _COUNTDOWN + (_FLY_OVER if kind is Shift else _MOVE_ON)
-    exits, moved = {_READ: 0, _SKIP: 4, _DEAD: 9}, {_READ: 7, _SKIP: 8, _DEAD: 9}
+    exits, moved = {_READ: 0, _DEAD: 9}, {_READ: 7, _SKIP: 8}
     return _lay_out(_GUARDED[kind], (0, 1, 2, 3), exits, moved) + _lay_out(
         skipping, (4, 5, 6), exits, moved
     )

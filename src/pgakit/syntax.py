@@ -515,7 +515,6 @@ def _absorb(units: Iterable[Instruction]) -> List[Instruction]:
         else:
             out.append(u)
             run = 0
-    assert run == 0, "trailing shift run"
     return out
 
 
@@ -531,9 +530,8 @@ def normalize_shifts(s: InstructionSequence) -> InstructionSequence:
         prefix.append(Jump(0))
         return InstructionSequence(tuple(_absorb(prefix)), ())
     if all(isinstance(u, Shift) for u in period):
-        # endless shifting never launches another instruction
-        while prefix and isinstance(prefix[-1], Shift):
-            prefix.pop()
+        # endless shifting never launches another instruction; the prefix
+        # ends in no shift, as the rollback moved those into the period
         return InstructionSequence(tuple(_absorb(prefix)), (Jump(0),))
     k = 0
     while isinstance(period[-1 - k], Shift):

@@ -57,6 +57,13 @@ _EXTRACTION = "tests/test_extraction.py::"
 _THREADS = "tests/test_threads.py::"
 _COMPILER = "tests/test_compiler.py::"
 _PYTHON_M = "tests/test_scripts.py::test_python_m_pgakit_exits_as_documented"
+_SYNTAX = "tests/test_syntax.py::"
+_ALTSEM = "tests/test_altsem.py::"
+_EVERY_KIND = _ALTSEM + "test_two_mode_equations_of_every_kind"
+_EXECMECH = "tests/test_execmech.py::"
+_TOKEN_TEXT = ("the kind of a punctuation token is its own text, and no other"
+               " token's text is a punctuation mark")
+_PARSE_ERRORS = _SYNTAX + "test_parse_errors_name_what_was_found_and_where"
 
 MUTANTS = (
     # --- the landing search of the explorer ---------------------------------
@@ -123,6 +130,10 @@ MUTANTS = (
            "if not sign or (low is not None and c + low < 1):",
            "if low is not None and c + low < 1:",
            (_BOTH_WAYS,)),
+    Mutant("a tested round taken in one step keeps the walk before it", "execmech.py",
+           "                            if tables[m2][3] is not None:\n"
+           "                                pairs.clear()\n", "",
+           (_EXECMECH + "test_explorer_forgets_its_walk_after_rounds_that_tested_the_counter",)),
     Mutant("a round is recorded after a test that found zero", "execmech.py",
            'plain = plain and c > 0 and method != "clr"',
            'plain = plain and method != "clr"',
@@ -255,6 +266,316 @@ MUTANTS = (
     Mutant("a closed stdout is not pointed at devnull", "cli.py",
            "os.dup2(devnull.fileno(), sys.stdout.fileno())", "pass",
            (_PYTHON_M,)),
+    # --- the execution mechanism ---------------------------------------------
+    Mutant("the dispatch never asks for the alphabet's last instruction", "execmech.py",
+           'nxt = f"q{i + 1}" if i + 1 < len(units) else "gend"',
+           'nxt = f"q{i + 1}" if i + 2 < len(units) else "gend"',
+           (_EXECMECH + "test_run_exec_examples",)),
+    Mutant("an exhausted program stops", "execmech.py",
+           '    lay_out(_GUARDED[Jump], ("gend",), moved=exits)\n',
+           '    states["gend"] = STOP\n',
+           (_EXECMECH + "test_run_exec_examples",)),
+    Mutant("a halt deadlocks in the mechanism", "execmech.py",
+           "            states[e] = STOP\n", "            states[e] = DEADLOCK\n",
+           (_EXECMECH + "test_run_exec_examples",)),
+    Mutant("the skipping loop flies over every head", "execmech.py",
+           'states["schk"] = Post(hdeq(SHIFT), "sshr", "sdrop")',
+           'states["schk"] = Post(hdeq(SHIFT), "sshr", "sshr")',
+           (_EXECMECH + "test_run_exec_examples",)),
+    # --- the two-mode equations ----------------------------------------------
+    Mutant("a halt moves on", "altsem.py",
+           "    Halt: (),\n", "    Halt: ((_DROP, _READ, _READ),),\n",
+           (_ALTSEM + "test_halt_state",)),
+    Mutant("a guarded shift adds nothing to the counter", "altsem.py",
+           "    Shift: ((_DROP, _NEXT, _NEXT), (_INC, _READ, _READ)),",
+           "    Shift: ((_DROP, _READ, _READ),),",
+           (_ALTSEM + "test_verify_examples",)),
+    Mutant("a guarded shift's increment branches", "altsem.py",
+           "    Shift: ((_DROP, _NEXT, _NEXT), (_INC, _READ, _READ)),",
+           "    Shift: ((_DROP, _NEXT, _NEXT), (_INC, _READ, _SKIP)),",
+           (_EVERY_KIND,)),
+    Mutant("guarded #0 at counter zero reads on", "altsem.py",
+           "    Jump: ((_ISZ, _DEAD, _NEXT), (_DROP, _SKIP, _SKIP)),",
+           "    Jump: ((_ISZ, _READ, _NEXT), (_DROP, _SKIP, _SKIP)),",
+           ("tests/test_cli.py::test_extract_alt_of_a_zero_jump", _EVERY_KIND)),
+    Mutant("guarded #0 with a nonzero counter lands at once", "altsem.py",
+           "    Jump: ((_ISZ, _DEAD, _NEXT), (_DROP, _SKIP, _SKIP)),",
+           "    Jump: ((_ISZ, _DEAD, _NEXT), (_DROP, _READ, _READ)),",
+           (_ALTSEM + "test_skip_flies_over_shift_runs_for_free",)),
+    Mutant("a plain instruction leaves the counter as it is", "altsem.py",
+           "    Plain: _PERFORM + ((_BASIC, _READ, _READ),),",
+           "    Plain: _PERFORM[:1] + ((_BASIC, _READ, _READ),),",
+           (_ALTSEM + "test_plain_gets_clear_prefix",)),
+    Mutant("a positive test goes on alike on a false reply", "altsem.py",
+           "    PosTest: _PERFORM + ((_BASIC, _READ, _NEXT),) + _SKIP_ONE,",
+           "    PosTest: _PERFORM + ((_BASIC, _READ, _READ),) + _SKIP_ONE,",
+           (_ALTSEM + "test_verify_examples",)),
+    Mutant("a negative test reads on in skipping mode", "altsem.py",
+           "    NegTest: _PERFORM + ((_BASIC, _NEXT, _READ),) + _SKIP_ONE,",
+           "    NegTest: _PERFORM + ((_BASIC, _NEXT, _SKIP),) + _SKIP_ONE,",
+           (_EVERY_KIND,)),
+    Mutant("a failed test skips no instruction", "altsem.py",
+           "_SKIP_ONE = ((_INC, _NEXT, _NEXT), (_INC, _SKIP, _SKIP))",
+           "_SKIP_ONE = ((_INC, _SKIP, _SKIP),)",
+           (_ALTSEM + "test_verify_examples",)),
+    Mutant("the last increment of a failed test branches", "altsem.py",
+           "_SKIP_ONE = ((_INC, _NEXT, _NEXT), (_INC, _SKIP, _SKIP))",
+           "_SKIP_ONE = ((_INC, _NEXT, _NEXT), (_INC, _SKIP, _READ))",
+           (_EVERY_KIND,)),
+    Mutant("the clear step branches", "altsem.py",
+           "_PERFORM = ((_DROP, _NEXT, _NEXT), (_CLR, _NEXT, _NEXT))",
+           "_PERFORM = ((_DROP, _NEXT, _NEXT), (_CLR, _NEXT, _READ))",
+           (_EVERY_KIND,)),
+    Mutant("a drop branches on a reply it never gets", "altsem.py",
+           "_PERFORM = ((_DROP, _NEXT, _NEXT), (_CLR, _NEXT, _NEXT))",
+           "_PERFORM = ((_DROP, _NEXT, _READ), (_CLR, _NEXT, _NEXT))",
+           ("tests/test_oracles.py::test_two_mode_builders_keep_their_invariants_on_a_corpus",)),
+    Mutant("the countdown tests before it counts", "altsem.py",
+           "_COUNTDOWN = ((_DEC, _NEXT, _NEXT), (_ISZ, _READ, _NEXT))",
+           "_COUNTDOWN = ((_ISZ, _READ, _NEXT), (_DEC, _NEXT, _NEXT))",
+           (_ALTSEM + "test_verify_examples",)),
+    Mutant("the countdown's decrement branches", "altsem.py",
+           "_COUNTDOWN = ((_DEC, _NEXT, _NEXT), (_ISZ, _READ, _NEXT))",
+           "_COUNTDOWN = ((_DEC, _NEXT, _READ), (_ISZ, _READ, _NEXT))",
+           (_EVERY_KIND,)),
+    Mutant("flying over a shift costs a count", "altsem.py",
+           "_FLY_OVER = ((_INC, _NEXT, _NEXT),) + _MOVE_ON", "_FLY_OVER = _MOVE_ON",
+           (_ALTSEM + "test_skip_flies_over_shift_runs_for_free",)),
+    Mutant("skipping mode reads the next position", "altsem.py",
+           "_MOVE_ON = ((_DROP, _SKIP, _SKIP),)", "_MOVE_ON = ((_DROP, _READ, _READ),)",
+           (_ALTSEM + "test_verify_examples",)),
+    Mutant("a drop is never a state of its own", "altsem.py",
+           "        if action is _DROP and moved is not None:\n",
+           "        if action is _DROP:\n",
+           (_EXECMECH + "test_mechanism_size_formula",)),
+    Mutant("the last step of a chain goes nowhere", "altsem.py",
+           "    follow = exits.get(_NEXT)\n", "    follow = None\n",
+           (_EXECMECH + "test_mechanism_size_formula",)),
+    Mutant("guarded #0 at counter zero skips on", "altsem.py",
+           "exits, moved = {_READ: 0, _DEAD: 9}, {_READ: 7, _SKIP: 8}",
+           "exits, moved = {_READ: 0, _DEAD: 8}, {_READ: 7, _SKIP: 8}",
+           (_ALTSEM + "test_behaviour_examples",)),
+    Mutant("a drop reads the same position again", "altsem.py",
+           "exits, moved = {_READ: 0, _DEAD: 9}, {_READ: 7, _SKIP: 8}",
+           "exits, moved = {_READ: 0, _DEAD: 9}, {_READ: 0, _SKIP: 8}",
+           (_ALTSEM + "test_behaviour_examples",)),
+    Mutant("the end of a finite program reads as a halt", "altsem.py",
+           "units += (Jump(0),)  # the end position", "units += (Halt(),)  # the end position",
+           (_ALTSEM + "test_verify_examples",)),
+    Mutant("the end of a finite program reads as #1", "altsem.py",
+           "units += (Jump(0),)  # the end position", "units += (Jump(1),)  # the end position",
+           ("tests/test_cli.py::test_extract_alt_of_a_zero_jump", _ALTSEM + "test_verify_examples"),
+           equivalent="only the kind of the instruction at the end is read"),
+    Mutant("skipping past the end of a finite program wraps to its start", "altsem.py",
+           'g, k, n = f"g{i}", f"s{i}", position(s, i + 1)',
+           'g, k, n = f"g{i}", f"s{i}", (i + 1) % len(units)',
+           (_ALTSEM + "test_verify_examples",)),
+    # --- the thread reader and the reference check ----------------------------
+    Mutant("tau may touch its target", "threads.py",
+           r"tau\s+<(?P<tau>", r"tau\s*<(?P<tau>",
+           (_THREADS + "test_parse_thread_rejects_garbage",)),
+    Mutant("an action may touch the target before it", "threads.py",
+           r"|<(?P<then>{_NAME})>\s+", r"|<(?P<then>{_NAME})>\s*",
+           (_THREADS + "test_parse_thread_rejects_garbage",)),
+    Mutant("a run of words may split inside a word", "threads.py",
+           r'_WORDS = r"\S*(?:\s+[^\s#]\S*)*"', r'_WORDS = r"\S*(?:\s*[^\s#]\S*)*"',
+           (_THREADS + "test_parse_thread_says_what_is_wrong",
+            _THREADS + "test_parse_thread_method_tokens", _THREADS + "test_parse_thread_rejects_garbage"),
+           equivalent="the greedy run of non-space characters before the loop"
+           " takes each word whole, so the loop only ever starts at whitespace"),
+    Mutant("a line of only a comment is not skipped", "threads.py",
+           "        if line is None:\n            continue\n",
+           "        if line is None:\n            line = raw\n",
+           (_THREADS + "test_parse_thread_skips_blank_lines_and_comments",)),
+    Mutant("a later state of the same name replaces the first", "threads.py",
+           "        if name in states:\n", "        if False:\n",
+           (_THREADS + "test_parse_thread_rejects_duplicates",)),
+    Mutant("a bad action is reported as a body that does not parse", "threads.py",
+           "        if action is not None:\n", "        if False:\n",
+           (_THREADS + "test_parse_thread_says_what_is_wrong",)),
+    Mutant("the last state named is the root", "threads.py",
+           "return ThreadSpec(states, next(iter(states)))", "return ThreadSpec(states, name)",
+           (_THREADS + "test_parse_thread_first_line_is_root",)),
+    Mutant("an undefined root is let through", "threads.py",
+           "        if self.root not in states:\n", "        if False:\n",
+           (_THREADS + "test_spec_refuses_undefined_root",)),
+    Mutant("else branches are not checked", "threads.py",
+           "chain(map(_then, posts), map(_else, posts))", "map(_then, posts)",
+           (_THREADS + "test_spec_refuses_dangling_target",)),
+    Mutant("the last dangling state is named", "threads.py",
+           "(n, t) for n, b in states.items() if isinstance(b, Post)",
+           "(n, t) for n, b in reversed(states.items()) if isinstance(b, Post)",
+           (_THREADS + "test_spec_refuses_dangling_target",)),
+    # --- the program reader --------------------------------------------------
+    Mutant("end of input is placed at a comment on an earlier line", "syntax.py",
+           'comment = text.find("//", text.rfind("\\n") + 1)',
+           'comment = text.find("//")',
+           (_PARSE_ERRORS,)),
+    Mutant("a comment that opens the text is not where input ends", "syntax.py",
+           "return src, comment if comment >= 0 else len(text)",
+           "return src, comment if comment > 0 else len(text)",
+           (_PARSE_ERRORS,)),
+    Mutant("an underscore cannot start a name", "syntax.py",
+           'elif c.isalpha() or c == "_":', "elif c.isalpha():",
+           (_SYNTAX + "test_names_may_start_with_an_underscore",)),
+    Mutant("the token after a piece is always end of input", "syntax.py",
+           'toks.append((";", ";", end) if end < len(src) else ("EOF", "", eof))',
+           'toks.append(("EOF", "", eof))',
+           (_PARSE_ERRORS,)),
+    Mutant("columns count from zero", "syntax.py",
+           'return kind(message, line, offset - src.rfind("\\n", 0, offset))',
+           'return kind(message, line, offset - src.rfind("\\n", 0, offset) - 1)',
+           (_PARSE_ERRORS,)),
+    Mutant("end of input is shown as no text", "syntax.py",
+           "found {tok[1] or 'end of input'!r}", "found {tok[1]!r}",
+           (_PARSE_ERRORS,)),
+    Mutant("no rescan for a later bad character", "syntax.py",
+           "    _tokens(src, start, len(src), eof)\n    raise error\n",
+           "    raise error\n",
+           (_PARSE_ERRORS,)),
+    Mutant("a missing jump offset is read as the next token", "syntax.py",
+           '        if toks[i + 1][0] != "NAT":\n',
+           "        if False:\n",
+           (_PARSE_ERRORS,)),
+    Mutant("a reserved focus is refused with no position", "syntax.py",
+           "    if focus[1] in RESERVED_FOCI:\n        raise _error(",
+           "    if False:\n        raise _error(",
+           (_PARSE_ERRORS,)),
+    Mutant("only the first digit before the last 19 is checked", "syntax.py",
+           "if any(int(d) for d in digits[:-width]):",
+           "if digits[:-width] and int(digits[0]):",
+           (_SYNTAX + "test_jump_offsets_are_decimal_numbers",)),
+    Mutant("a text with no comment is searched for one", "syntax.py",
+           '    if "//" not in text:\n', "    if False:\n",
+           (_PARSE_ERRORS, _SYNTAX + "test_comments_and_whitespace"),
+           equivalent="with no comment, the search finds none and the"
+           " substitution changes nothing; the test only saves the work"),
+    Mutant("opened stars are counted by token text", "syntax.py",
+           'while toks[i][0] == "(":', 'while toks[i][1] == "(":',
+           (_PARSE_ERRORS, _SYNTAX + "test_nested_repetition_collapses"),
+           equivalent=_TOKEN_TEXT),
+    Mutant("closed stars are counted by token text", "syntax.py",
+           'while toks[i][0] == ")" and closes < depth:',
+           'while toks[i][1] == ")" and closes < depth:',
+           (_PARSE_ERRORS, _SYNTAX + "test_nested_repetition_collapses"),
+           equivalent=_TOKEN_TEXT),
+    Mutant("a star's mark is found by token text", "syntax.py",
+           'if toks[i + 1][0] != "*":', 'if toks[i + 1][1] != "*":',
+           (_PARSE_ERRORS,), equivalent=_TOKEN_TEXT),
+    Mutant("the dot after a focus is found by token text", "syntax.py",
+           '    if toks[i + 1][0] != ".":\n        raise',
+           '    if toks[i + 1][1] != ".":\n        raise',
+           (_PARSE_ERRORS,), equivalent=_TOKEN_TEXT),
+    Mutant("the dots of a method are found by token text", "syntax.py",
+           '        if toks[i + 1][0] != ".":\n            break',
+           '        if toks[i + 1][1] != ".":\n            break',
+           (_PARSE_ERRORS, _SYNTAX + "test_method_may_contain_dots"),
+           equivalent=_TOKEN_TEXT),
+    # --- stars and the piece cache -------------------------------------------
+    Mutant("a piece closes more stars than are open", "syntax.py",
+           'while toks[i][0] == ")" and closes < depth:',
+           'while toks[i][0] == ")":',
+           (_PARSE_ERRORS,)),
+    Mutant("a star left open at the end is not reported", "syntax.py",
+           "    if stack:\n        raise _unexpected(",
+           "    if False:\n        raise _unexpected(",
+           (_PARSE_ERRORS,)),
+    Mutant("a cached piece is not read again", "syntax.py",
+           "if r is None or r[2] > r[0] + len(stack):", "if r is None:",
+           (_PARSE_ERRORS,)),
+    Mutant("every piece is read again", "syntax.py",
+           "if r is None or r[2] > r[0] + len(stack):", "if True:",
+           (_PARSE_ERRORS, _SYNTAX + "test_print_parse_roundtrip"),
+           equivalent="reading a piece gives the same result every time; the"
+           " cache only saves the work"),
+    Mutant("a loop after a loop takes its place", "syntax.py",
+           "    prefix, period = stack.pop()\n    if period is None:\n",
+           "    prefix, period = stack.pop()\n    if True:\n",
+           (_SYNTAX + "test_repetition_absorbs_tail",)),
+    Mutant("iterating a list that ends in a loop drops its prefix", "syntax.py",
+           "body_prefix, body_period = prefix, period",
+           "body_prefix, body_period = [], period",
+           (_SYNTAX + "test_nested_repetition_collapses",)),
+    Mutant("a term read after a loop is kept", "syntax.py",
+           "        elif period is None:\n            prefix.append(t.instruction)\n",
+           "        else:\n            prefix.append(t.instruction)\n",
+           (_SYNTAX + "test_repetition_absorbs_tail",)),
+    # --- canonical forms -----------------------------------------------------
+    Mutant("each prime is divided out only once", "syntax.py",
+           "while d % f == 0 and period[d // f:] == period[:n - d // f]:",
+           "if d % f == 0 and period[d // f:] == period[:n - d // f]:",
+           (_SYNTAX + "test_repeated_power_collapses",)),
+    Mutant("trial division steps over odd factors", "syntax.py",
+           "        f += 1\n", "        f += 2\n",
+           (_SYNTAX + "test_repeated_power_collapses",)),
+    Mutant("a last prime factor of 2 is dropped", "syntax.py",
+           "    if n > 1:\n        factors.append(n)", "    if n > 2:\n        factors.append(n)",
+           (_SYNTAX + "test_repeated_power_collapses",)),
+    Mutant("trial division goes on past the square root", "syntax.py",
+           "while f * f <= n:", "while f + f <= n:",
+           (_SYNTAX + "test_repeated_power_collapses", _SYNTAX + "test_canonical_idempotent"),
+           equivalent="a prime factor above the square root is found either"
+           " way, as the part of n left over or by a division"),
+    Mutant("the rollback rotates the period the wrong way", "syntax.py",
+           "period = period[m - r:] + period[:m - r]", "period = period[r:] + period[:r]",
+           (_SYNTAX + "test_prefix_rollback_is_maximal",)),
+    Mutant("the rollback stops one instruction short", "syntax.py",
+           "while k < n and prefix[n - 1 - k] == period[-1 - k % m]:",
+           "while k < n - 1 and prefix[n - 1 - k] == period[-1 - k % m]:",
+           (_SYNTAX + "test_repetition_unfolds_once",)),
+    Mutant("an empty sequence is allowed", "syntax.py",
+           "        if not prefix and not period:\n", "        if False:\n",
+           (_SYNTAX + "test_empty_program_rejected",)),
+    Mutant("a jump is made without first looking it up", "syntax.py",
+           "return _INTERNED.get((cls, (offset,))) or super().__new__(cls, offset)",
+           "return super().__new__(cls, offset)",
+           (_SYNTAX + "test_equal_instructions_are_one_object",),
+           equivalent="the shared constructor looks the value up itself; the"
+           " lookup here only saves a call"),
+    Mutant("every number up to the root counts as a factor", "syntax.py",
+           "        if n % f == 0:\n            factors.append(f)",
+           "        if True:\n            factors.append(f)",
+           (_SYNTAX + "test_repeated_power_collapses",),
+           equivalent="a number that does not divide the period's length is"
+           " never divided out, as the root search tests that first"),
+    Mutant("a position at the prefix's end is taken as is", "syntax.py",
+           "    if i < p:\n        return i\n", "    if i <= p:\n        return i\n",
+           (_SYNTAX + "test_instruction_at_and_heads",),
+           equivalent="index p is position p either way: the end of a finite"
+           " sequence, or the first position of the period"),
+    # --- shift normalization and jump expansion -------------------------------
+    Mutant("a shift run adds nothing to the jump that ends it", "syntax.py",
+           "out.append(Jump(u.offset + run))", "out.append(Jump(u.offset))",
+           (_SYNTAX + "test_shift_boosts_following_jump",)),
+    Mutant("a shift run carries on past a non-jump", "syntax.py",
+           "            out.append(u)\n            run = 0\n",
+           "            out.append(u)\n",
+           (_SYNTAX + "test_shift_runs_fold_together",)),
+    Mutant("a finite program's end gets no #0 to absorb its shifts", "syntax.py",
+           "        prefix.append(Jump(0))\n", "",
+           (_SYNTAX + "test_trailing_shift_boosts_virtual_terminal",)),
+    Mutant("a period that ends in shifts is not rotated", "syntax.py",
+           "    if k:\n        # rotate", "    if False:\n        # rotate",
+           (_SYNTAX + "test_periodic_trailing_shifts_rotate",)),
+    Mutant("the loop's first pass closes every prefix", "syntax.py",
+           "if prefix and isinstance(prefix[-1], Shift):", "if prefix:",
+           (_SYNTAX + "test_periodic_trailing_shifts_rotate",
+            _SYNTAX + "test_normalize_removes_all_shifts", _SYNTAX + "test_normalize_idempotent"),
+           equivalent="a prefix that ends in no shift absorbs to itself, and the"
+           " canonical form rolls the copied pass back into the period"),
+    Mutant("the expansion limit is exceeded by one", "syntax.py",
+           "    if size > EXPANSION_LIMIT:\n        raise JumpOverflowError(\n"
+           '            f"expanding',
+           "    if size > EXPANSION_LIMIT + 1:\n        raise JumpOverflowError(\n"
+           '            f"expanding',
+           (_SYNTAX + "test_transform_refuses_expansions_over_the_limit",)),
+    Mutant("a jump's own #0 is left out of the size", "syntax.py",
+           "sum(u.offset * n for u, n in counts.items() if type(u) is Jump) + len(s)",
+           "sum(u.offset * n for u, n in counts.items() if type(u) is Jump)",
+           (_SYNTAX + "test_transform_refuses_expansions_over_the_limit",)),
+    Mutant("a jump expands to one shift too few", "syntax.py",
+           "u: (SHIFT,) * u.offset + (Jump(0),)", "u: (SHIFT,) * (u.offset - 1) + (Jump(0),)",
+           (_SYNTAX + "test_transform_expands_jumps",)),
 )
 
 

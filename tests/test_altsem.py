@@ -12,6 +12,7 @@ from pgakit import (
     extract_pgajs,
     parse_program,
     parse_thread,
+    print_thread,
     verify_theorem2,
 )
 from strategies import counter_peak, programs
@@ -39,6 +40,42 @@ def test_plain_gets_clear_prefix():
     assert body.action == Basic("cnt", "clr")
     nxt = spec.states[body.then]
     assert nxt.action == Basic("f", "a")
+
+
+# The two-mode equations of every instruction kind, in a period so that
+# each position has both readings: g{i} performs the instruction at i, s{i}
+# counts down to the pending landing site.
+_EVERY_KIND = """g0 = <g0a> cnt.clr <g0a>
+g0a = <g1> f.a <g1>
+s0 = <s0a> cnt.dec <s0a>
+s0a = <g0> cnt.isz <s1>
+g1 = <g1a> cnt.clr <g1a>
+g1a = <g2> f.b <g1b>
+g1b = <g1c> cnt.inc <g1c>
+g1c = <s2> cnt.inc <s2>
+s1 = <s1a> cnt.dec <s1a>
+s1a = <g1> cnt.isz <s2>
+g2 = <g2a> cnt.clr <g2a>
+g2a = <g2b> f.a <g3>
+g2b = <g2c> cnt.inc <g2c>
+g2c = <s3> cnt.inc <s3>
+s2 = <s2a> cnt.dec <s2a>
+s2a = <g2> cnt.isz <s3>
+g3 = <g4> cnt.inc <g4>
+s3 = <s3a> cnt.dec <s3a>
+s3a = <g3> cnt.isz <s3b>
+s3b = <s4> cnt.inc <s4>
+g4 = <dd> cnt.isz <s5>
+s4 = <s4a> cnt.dec <s4a>
+s4a = <g4> cnt.isz <s5>
+g5 = S
+s5 = <s5a> cnt.dec <s5a>
+s5a = <g5> cnt.isz <s0>
+dd = D"""
+
+
+def test_two_mode_equations_of_every_kind():
+    assert print_thread(extract_alt(P("(f.a; +f.b; -f.a; ~; #0; !)*"))) == _EVERY_KIND
 
 
 def test_state_count_linear_in_positions():

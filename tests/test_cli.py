@@ -2,13 +2,15 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgakit import Alphabet, build_exec_mechanism, parse_program, parse_thread
-from pgakit.cli import EXIT_OVERFLOW, EXIT_PARSE, main
+from pgakit import Alphabet, build_exec_mechanism, parse_program, parse_thread, print_program
+from pgakit.cli import EXIT_FAIL, EXIT_OVERFLOW, EXIT_PARSE, main
+from pgakit.properties import PROPERTIES, draw_cases
 
 
 def run(capsys, *argv):
@@ -27,6 +29,9 @@ def test_normalize_shifts(capsys):
     code, out, _ = run(capsys, "normalize", "--shifts", "~; #2; !")
     assert code == 0
     assert out.strip() == "#3; !; #0"
+    # CI runs this one with the installed command too
+    code, out, _ = run(capsys, "normalize", "--shifts", "f.a; ~; ~; (~)*")
+    assert (code, out) == (0, "f.a; (#0)*\n")
 
 
 def test_normalize_reads_file(tmp_path, capsys):
@@ -67,6 +72,15 @@ def test_extract_modes_share_state_names(capsys):
         code, out, _ = run(capsys, "extract", mode, "+f.a; ~; #0; !")
         assert code == 0
         assert out.startswith("X0 = "), mode
+
+
+def test_extract_alt_of_a_zero_jump(capsys):
+    # guarded #0 deadlocks at counter zero, else counts down; the end of the
+    # program reads as #0 too.  CI runs this with the installed command.
+    code, out, _ = run(capsys, "extract", "--alt", "#0")
+    assert code == 0
+    assert out == ("X0 = <X1> cnt.isz <X2>\nX1 = D\nX2 = <X3> cnt.dec <X3>\n"
+                   "X3 = <X4> cnt.isz <X2>\nX4 = <X1> cnt.isz <X2>\n")
 
 
 def test_extract_via_counter(capsys):
@@ -171,6 +185,16 @@ def test_verify_single_case(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "2", "--in", "(+f.a; ~; #0; !)*")
     assert code == 0
     assert out.strip() == "pass"
+
+
+def test_verify_names_its_first_failure(capsys, monkeypatch):
+    # a check that fails on programs of more than one instruction
+    prop = replace(PROPERTIES["transform"], check=lambda p: len(p) < 2)
+    monkeypatch.setitem(PROPERTIES, "transform", prop)
+    code, out, _ = run(capsys, "verify", "--theorem", "1", "--count", "5", "--seed", "7")
+    drawn = [p for p in draw_cases(prop, 7, 5) if len(p) >= 2]
+    assert code == EXIT_FAIL
+    assert out == f"{5 - len(drawn)}/5 pass\nfirst failure: {print_program(drawn[0])}\n"
 
 
 def test_verify_json(capsys):

@@ -26,6 +26,7 @@ from pgakit import (
     parse_thread,
     pgs_new,
     print_thread,
+    relabel,
     run_exec,
     theorem3_witness,
     corollary1_pipeline,
@@ -335,11 +336,13 @@ z = <s> g.zero <s>
 s = S"""
 
 
-def _assert_explorer_matches_product(control, units):
+def _assert_explorer_matches_product(control, units, period=()):
     mech = parse_thread(control + _SHOW_COUNTER)
-    p = InstructionSequence(units, ())
+    p = InstructionSequence(units, period)
     product = compose(compose(mech, "pgs", pgs_new(p)), "cnt", counter_new(0))
-    assert bisimilar(_explore(_tables(mech), pgs_new(p), Budget()), abstract_tau(product))
+    got = _explore(_tables(mech), pgs_new(p), Budget())
+    assert bisimilar(got, abstract_tau(product))
+    return print_thread(relabel(got))
 
 
 def test_explorer_walks_rounds_step_by_step_when_one_would_find_zero():
@@ -406,6 +409,37 @@ a4 = <r> pgs.drop <r>"""
     p = InstructionSequence((), (Plain(fa),))
     got = _explore(_tables(mech), pgs_new(p), Budget(100))
     assert bisimilar(got, ThreadSpec({"d": DEADLOCK}, "d"))
+
+
+def test_explorer_forgets_its_walk_after_rounds_that_tested_the_counter():
+    # f.c rounds raise the counter and, since their drop's branches differ,
+    # are never taken at once; an f.a round tests and lowers it, an f.b round
+    # leaves it.  From the f.b at position 4 with counter 2, the rounds ahead
+    # are taken in one step, to that f.b again with counter 0.  The walk
+    # there is new, as the rounds taken tested the counter: the f.a after it
+    # finds zero.  Taken for a silent loop, it would end in deadlock.
+    control = """r = <a1> pgs.hdeq:f.a <r2>
+a1 = <a2> cnt.dec <z>
+a2 = <r> pgs.drop <r>
+r2 = <b1> pgs.hdeq:f.b <r3>
+b1 = <r> pgs.drop <r>
+r3 = <c1> pgs.hdeq:f.c <e>
+c1 = <c2> cnt.inc <c2>
+c2 = <r> pgs.drop <e>"""
+    fc = Plain(Basic("f", "c"))
+    got = _assert_explorer_matches_product(control, (fc,) * 3, (Plain(fa), Plain(fb)))
+    assert got == "X0 = <X1> g.zero <X1>\nX1 = S"
+
+
+def test_explorer_deadlocks_on_a_blocked_reply_or_a_cycle_of_queries():
+    # a counter method it does not know wedges the counter, a query outside
+    # the alphabet the program service; queries that lead back to the first
+    # one never reach a step that moves
+    for step in ("q = <s> cnt.frob <s>", "q = <s> pgs.hdeq:g.a <s>",
+                 "q = <q2> pgs.hdeq:f.b <q2>\nq2 = <q> pgs.hdeq:! <q>"):
+        control = "r = <q> g.go <q>\n" + step
+        got = _assert_explorer_matches_product(control, (Plain(fa), Halt()))
+        assert got == "X0 = <X1> g.go <X1>\nX1 = D", step
 
 
 def test_one_mechanism_runs_many_programs():

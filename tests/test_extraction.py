@@ -121,6 +121,12 @@ def test_not_congruent_different_actions():
     assert not structurally_congruent(P("f.a; !"), P("f.b; !"))
 
 
+def test_congruence_refuses_shifts():
+    for a, b in ((P("~; #0"), P("#1")), (P("#1"), P("(f.a; ~)*"))):
+        with pytest.raises(ShiftPresentError):
+            structurally_congruent(a, b)
+
+
 def test_congruence_is_finer_than_bisimilarity():
     # same behaviour, different shape: bisimilar but not congruent
     a = P("#1; f.a; !")

@@ -1,9 +1,13 @@
-"""Library layers against their earlier algorithms.
+"""Library layers against their earlier algorithms, and seeded corpora.
 
-Each layer keeps one reference here, except `run_exec`, which keeps two
+Most layers keep one reference here, except `run_exec`, which keeps two
 (see below).  `tests/mutants.py` lists hand-made mutants of the library
 and the tests that must kill them; a reference goes only when every
-mutant there is still killed without it.
+mutant there is still killed without it.  The references of the program
+reader, the canonical form, the jump expansion, the two-mode builders,
+`parse_thread` and the reference check of `ThreadSpec` went that way:
+their mutants are killed by direct tests in the per-module files.  Their
+seeded corpora stay here, as invariants of the code that remains.
 
 The copies below are the algorithms that `abstract_tau`, the program
 service and the naming pass of `compose` used before they were made
@@ -14,11 +18,6 @@ equal (`==`) and print identically, not just bisimilar.  `bisimilar` must
 give the verdict of projections to depth n + m (`projections_agree` in
 `tests/strategies.py`), which decide bisimilarity of specs of n and m
 states.
-
-`_old_extract_alt` and `_old_build_exec_mechanism` are the two builders as
-they were written before both read one table of the two-mode equations:
-one hand-written enactment per instruction kind.  The table-driven builders
-must give the same states under the same names.
 
 `_layered_run_exec` is the execution route as it was before `run_exec`
 explored configurations on the fly: compose the mechanism with the
@@ -35,18 +34,6 @@ reference fast enough for programs of long mixed shift runs, whose
 counter products the layered route cannot build in tier-1 time.
 `_walked_landing` is the explorer's landing search one position at a time.
 
-`_old_roll_back` is the canonical-form rollback as it was before it
-rotated the period once: one rotation per trailing prefix instruction
-that matches the period's last element.  It must give equal sequences.
-`_old_primitive` finds the primitive root by trying every divisor of the
-period length; the search over prime factors must give the same root.
-
-`_old_parse_program` is the parser as it was before it read programs in
-one pass: a tokenizer, a recursive-descent parser building a `Term`, and a
-recursive flattening.  On every input the one-pass parser must give an
-equal sequence, or raise the same exception class at the same line and
-column.
-
 `_old_extract`, `_old_jump_collapse` and `_old_compile_spec` are
 extraction, jump collapsing and the compiler as they were before each
 walked its input once: extraction built a state for every non-jump
@@ -58,19 +45,21 @@ flag; its abstracting arm is checked against `abstract_tau` followed by
 state with branches as `+a; #d; #e`; `compile_spec` lays out one whose
 branches are equal as `a; #d; #0`.  So the old output is compared block
 by block: each equal-branch block must be exactly that rewrite, and every
-other block must be identical.
-`_old_parse_thread` read a thread line with four regular expressions
-after stripping its comment with a fifth.  Results must be
-equal and print identically; errors must have the same class and
-message.  The per-jump walk is quadratic in the length of a jump chain,
-so the 10^5-position ladder of `#2` jumps, whose chains run to its end,
-is not checked against it; `test_acceptance.py` pins its extraction.
+other block must be identical.  The per-jump walk is quadratic in the
+length of a jump chain, so the 10^5-position ladder of `#2` jumps, whose
+chains run to its end, is not checked against it; `test_acceptance.py`
+pins its extraction.
 
-`_old_check_references` is the reference check of `ThreadSpec` as it was
-before it tested every successor at once: a walk over each successor of
-each state.  `_old_transform_to_pgajs0` expanded the jumps one instruction
-at a time.  The new code must accept what they accept, and raise the same
-class with the same message otherwise.
+The corpora: every text of the parser corpus either parses to a sequence
+that a print/parse round trip keeps, or raises a `ProgramError` whose line
+and column fall inside the text.  Primitive roots repeat to their period
+and are primitive; rolled-back sequences unfold as their input and roll
+in all they can.  Jump expansion raises exactly where its size or shifts
+call for it, and otherwise keeps the behaviour.  Both two-mode builders
+branch only on tests, and both routes give the behaviour of plain
+extraction.  Every thread text either reads back through `print_thread`
+or fails with one of the known messages, and a broken reference names
+the first dangling state.
 
 `_old_value` is how instructions compared while they were dataclasses, by
 kind and fields; now that each value is one object, identity must agree
@@ -107,15 +96,14 @@ from pgakit import (
     Reply,
     ReservedFocusActionError,
     Service,
-    Shift,
     Stop,
     Tau,
     TauPresentError,
     ThreadError,
     ThreadSpec,
-    ThreadSyntaxError,
     abstract_tau,
     bisimilar,
+    behaviour_via_counter,
     build_exec_mechanism,
     collapse_counter_divergence,
     compile_spec,
@@ -147,20 +135,17 @@ from pgakit.syntax import (
     EXPANSION_LIMIT,
     HALT,
     JUMP_LIMIT,
-    Concat,
-    Instr,
     JumpOverflowError,
     ProgramError,
     ProgramSyntaxError,
     RESERVED_FOCI,
-    Repeat,
     ReservedFocusError,
     ShiftPresentError,
     _primitive,
     contains_shift,
     instruction_at,
+    is_pgajs0,
     position,
-    to_canonical,
     instruction_text,
     print_program,
 )
@@ -264,114 +249,6 @@ def _old_state_names(sids):
         taken.add(name)
         names.append(name)
     return names
-
-
-_CLR = Basic("cnt", "clr")
-_INC = Basic("cnt", "inc")
-_DEC = Basic("cnt", "dec")
-_ISZ = Basic("cnt", "isz")
-
-
-def _old_extract_alt(s):
-    p = len(s.prefix)
-    q = len(s.period)
-    finite = q == 0
-    total = p + q + (1 if finite else 0)
-
-    def instr(i):
-        if finite and i == p + q:
-            return Jump(0)
-        if i < p:
-            return s.prefix[i]
-        return s.period[i - p]
-
-    def succ(i):
-        if finite:
-            return min(i + 1, total - 1)
-        return i + 1 if i + 1 < total else p
-
-    states = {}
-    for i in range(total):
-        u = instr(i)
-        g = f"g{i}"
-        nxt = f"g{succ(i)}"
-        if isinstance(u, Halt):
-            states[g] = STOP
-        elif isinstance(u, Shift):
-            states[g] = Post(_INC, nxt, nxt)
-        elif isinstance(u, Jump):
-            states[g] = Post(_ISZ, "dd", f"s{succ(i)}")
-        elif isinstance(u, Plain):
-            states[g] = Post(_CLR, f"{g}a", f"{g}a")
-            states[f"{g}a"] = Post(u.basic, nxt, nxt)
-        elif isinstance(u, PosTest):
-            states[g] = Post(_CLR, f"{g}a", f"{g}a")
-            states[f"{g}a"] = Post(u.basic, nxt, f"{g}b")
-            states[f"{g}b"] = Post(_INC, f"{g}c", f"{g}c")
-            states[f"{g}c"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
-        else:
-            assert isinstance(u, NegTest)
-            states[g] = Post(_CLR, f"{g}a", f"{g}a")
-            states[f"{g}a"] = Post(u.basic, f"{g}b", nxt)
-            states[f"{g}b"] = Post(_INC, f"{g}c", f"{g}c")
-            states[f"{g}c"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
-        states[f"s{i}"] = Post(_DEC, f"s{i}a", f"s{i}a")
-        if isinstance(u, Shift):
-            states[f"s{i}a"] = Post(_ISZ, g, f"s{i}b")
-            states[f"s{i}b"] = Post(_INC, f"s{succ(i)}", f"s{succ(i)}")
-        else:
-            states[f"s{i}a"] = Post(_ISZ, g, f"s{succ(i)}")
-    states["dd"] = DEADLOCK
-    return validate(ThreadSpec(states, "g0"))
-
-
-def _old_build_exec_mechanism(alphabet):
-    states = {}
-    units = alphabet.instructions
-
-    def hdeq(u):
-        return Basic("pgs", "hdeq:" + instruction_text(u))
-
-    drop = Basic("pgs", "drop")
-    for i, u in enumerate(units):
-        nxt = f"q{i + 1}" if i + 1 < len(units) else "gend"
-        states[f"q{i}"] = Post(hdeq(u), f"e{i}", nxt)
-    states["gend"] = Post(_ISZ, "dead", "sq")
-    states["dead"] = DEADLOCK
-    states["sq"] = Post(_DEC, "sisz", "sisz")
-    states["sisz"] = Post(_ISZ, "q0", "schk")
-    states["schk"] = Post(hdeq(SHIFT), "sshr", "sdrop")
-    states["sshr"] = Post(_INC, "sshd", "sshd")
-    states["sshd"] = Post(drop, "sq", "sq")
-    states["sdrop"] = Post(drop, "sq", "sq")
-    for i, u in enumerate(units):
-        e = f"e{i}"
-        if isinstance(u, Halt):
-            states[e] = STOP
-        elif isinstance(u, Shift):
-            states[e] = Post(drop, f"{e}b", f"{e}b")
-            states[f"{e}b"] = Post(_INC, "q0", "q0")
-        elif isinstance(u, Jump):
-            states[e] = Post(_ISZ, "dead", f"{e}b")
-            states[f"{e}b"] = Post(drop, "sq", "sq")
-        elif isinstance(u, Plain):
-            states[e] = Post(drop, f"{e}b", f"{e}b")
-            states[f"{e}b"] = Post(_CLR, f"{e}c", f"{e}c")
-            states[f"{e}c"] = Post(u.basic, "q0", "q0")
-        elif isinstance(u, PosTest):
-            states[e] = Post(drop, f"{e}b", f"{e}b")
-            states[f"{e}b"] = Post(_CLR, f"{e}c", f"{e}c")
-            states[f"{e}c"] = Post(u.basic, "q0", f"{e}d")
-            states[f"{e}d"] = Post(_INC, f"{e}f", f"{e}f")
-            states[f"{e}f"] = Post(_INC, "sq", "sq")
-        else:
-            assert isinstance(u, NegTest)
-            states[e] = Post(drop, f"{e}b", f"{e}b")
-            states[f"{e}b"] = Post(_CLR, f"{e}c", f"{e}c")
-            states[f"{e}c"] = Post(u.basic, f"{e}d", "q0")
-            states[f"{e}d"] = Post(_INC, f"{e}f", f"{e}f")
-            states[f"{e}f"] = Post(_INC, "sq", "sq")
-    return validate(ThreadSpec(states, "q0"))
 
 
 def _assert_same(got, want):
@@ -816,7 +693,21 @@ def test_bisimilar_matches_projections_on_large_families():
     assert _assert_same_verdict(pairs) == [True, False] * 8
 
 
-def test_two_mode_builders_match_hand_written_equations():
+# counter steps that test nothing, and the drop, which finds an instruction
+# wherever these threads take it
+_UNTESTED = {Basic("cnt", "clr"), Basic("cnt", "inc"), Basic("cnt", "dec"), Basic("pgs", "drop")}
+
+
+def _assert_no_untested_branch(spec):
+    for name, body in spec.states.items():
+        if isinstance(body, Post) and body.action in _UNTESTED:
+            assert body.then == body.else_, (name, body)
+
+
+def test_two_mode_builders_keep_their_invariants_on_a_corpus():
+    # each state goes on alike on both replies of a step that tests nothing,
+    # the mechanism has 16m + 16 states, and both routes give the behaviour
+    # of plain extraction
     rng = random.Random(2038)
     corpus = [
         random_program(rng, max_len=16, allow_shift=True, pgajs0=True)
@@ -824,216 +715,24 @@ def test_two_mode_builders_match_hand_written_equations():
     ]
     # runs of shifts ending a finite program, and inside a period
     corpus += [InstructionSequence((SHIFT,) * k + (Jump(0),), ()) for k in range(4)]
-    corpus += [InstructionSequence((), (SHIFT,) * k + (Jump(0), Halt()))
+    corpus += [InstructionSequence((), (SHIFT,) * k + (Jump(0), HALT))
                for k in range(1, 4)]
     corpus += [corollary1_pipeline(theorem3_witness(n)) for n in (1, 2, 3)]
     assert any(not p.period for p in corpus) and any(p.period for p in corpus)
+    alphabets = {Alphabet.from_basics(Basic("f", chr(ord("a") + i)) for i in range(m))
+                 for m in (1, 2, 3, 4)}
     for p in corpus:
-        _assert_same(extract_alt(p), _old_extract_alt(p))
-        alphabet = Alphabet.from_sequence(p)
-        _assert_same(build_exec_mechanism(alphabet), _old_build_exec_mechanism(alphabet))
-    for m in (1, 2, 3, 4):
-        alphabet = Alphabet.from_basics(Basic("f", chr(ord("a") + i)) for i in range(m))
-        _assert_same(build_exec_mechanism(alphabet), _old_build_exec_mechanism(alphabet))
+        _assert_no_untested_branch(extract_alt(p))
+        assert bisimilar(behaviour_via_counter(p), extract_pgajs(p)), print_program(p)
+        assert bisimilar(run_exec(p), extract_pgajs(p)), print_program(p)
+        alphabets.add(Alphabet.from_sequence(p))
+    for alphabet in alphabets:
+        mech = build_exec_mechanism(alphabet)
+        assert len(mech.states) == 16 * len(alphabet.basics) + 16
+        _assert_no_untested_branch(mech)
 
 
-# --- the parser before the one-pass reader -----------------------------------
-
-_OLD_PUNCT = {";", "(", ")", "*", "!", "~", "#", "+", "-", "."}
-
-
-class _OldToken:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _old_tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_OldToken("NAT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_OldToken("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _OLD_PUNCT:
-            tokens.append(_OldToken(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ProgramSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(_OldToken("EOF", "", line, col))
-    return tokens
-
-
-class _OldParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind):
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise ProgramSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        self.pos += 1
-        return tok
-
-    def term(self):
-        factors = [self.factor()]
-        while self.peek().kind == ";":
-            self.take(";")
-            factors.append(self.factor())
-        node = factors[-1]
-        for f in reversed(factors[:-1]):
-            node = Concat(f, node)
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take("(")
-            inner = self.term()
-            self.take(")")
-            self.take("*")
-            return Repeat(inner)
-        return Instr(self.instruction())
-
-    def basic(self):
-        focus_tok = self.take("IDENT")
-        self.take(".")
-        m = self.peek()
-        if m.kind not in ("IDENT", "NAT"):
-            raise ProgramSyntaxError(
-                f"expected method name, found {m.text!r}", m.line, m.col
-            )
-        self.pos += 1
-        method = m.text
-        # method names may continue with dots, e.g. f.m.n
-        while self.peek().kind == ".":
-            self.take(".")
-            part = self.peek()
-            if part.kind not in ("IDENT", "NAT"):
-                raise ProgramSyntaxError(
-                    f"expected method name, found {part.text!r}",
-                    part.line,
-                    part.col,
-                )
-            self.pos += 1
-            method += "." + part.text
-        if focus_tok.text in RESERVED_FOCI:
-            raise ReservedFocusError(
-                f"focus {focus_tok.text!r} is reserved",
-                focus_tok.line,
-                focus_tok.col,
-            )
-        return Basic(focus_tok.text, method)
-
-    def instruction(self):
-        tok = self.peek()
-        if tok.kind == "!":
-            self.take("!")
-            return HALT
-        if tok.kind == "~":
-            self.take("~")
-            return SHIFT
-        if tok.kind == "#":
-            self.take("#")
-            nat = self.take("NAT")
-            return Jump(int(nat.text))
-        if tok.kind == "+":
-            self.take("+")
-            return PosTest(self.basic())
-        if tok.kind == "-":
-            self.take("-")
-            return NegTest(self.basic())
-        if tok.kind == "IDENT":
-            return Plain(self.basic())
-        raise ProgramSyntaxError(
-            f"expected an instruction, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
-
-
-def _old_parse_term(text):
-    parser = _OldParser(_old_tokenize(text))
-    term = parser.term()
-    parser.take("EOF")
-    return term
-
-
-def _old_flatten(term):
-    """Prefix and period lists of a term.  A `;`-list is a right-nested
-    Concat chain, so the chain is walked in a loop that appends into one
-    prefix; recursion only enters left operands and starred bodies."""
-    prefix = []
-    while isinstance(term, Concat):
-        lp, lq = _old_flatten(term.left)
-        prefix += lp
-        if lq:
-            # anything after an infinite iteration is unreachable
-            return prefix, lq
-        term = term.right
-    if isinstance(term, Instr):
-        prefix.append(term.instruction)
-        return prefix, []
-    body_p, body_q = _old_flatten(term.body)
-    if body_q:
-        # iterating a term that already ends in a loop keeps that loop
-        return prefix + body_p, body_q
-    return prefix, body_p
-
-
-def _old_parse_program(text):
-    prefix, period = _old_flatten(_old_parse_term(text))
-    return InstructionSequence(tuple(prefix), tuple(period))
-
-
-def _old_parse_instruction(text):
-    parser = _OldParser(_old_tokenize(text))
-    u = parser.instruction()
-    parser.take("EOF")
-    return u
-
+# --- seeded corpora of the program reader and the canonical form -------------
 
 # instruction spellings for nested-star texts: dotted and numeric method
 # names, a reserved focus, and a jump just past the limit
@@ -1100,51 +799,45 @@ def _parser_corpus():
     return texts + [e for t in texts for e in _edits(rng, t, 3)]
 
 
-def _outcome(parse, text):
-    try:
-        return parse(text)
-    except ProgramError as exc:
-        return type(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+def _inside(text, exc):
+    """Whether an error's line and column fall on one of the text's lines,
+    at most one past its end."""
+    lines = text.split("\n")
+    return 1 <= exc.line <= len(lines) and 1 <= exc.col <= len(lines[exc.line - 1]) + 1
 
 
-def test_parser_matches_recursive_descent():
+def test_parser_reads_its_corpus_back_or_fails_inside_the_text():
     outcomes = []
     for text in _parser_corpus():
-        got = _outcome(parse_program, text)
-        assert got == _outcome(_old_parse_program, text), text
-        assert _outcome(parse_instruction, text) == _outcome(_old_parse_instruction, text), text
-        outcomes.append(got if isinstance(got, tuple) else InstructionSequence)
-    kinds = {o[0] if isinstance(o, tuple) else o for o in outcomes}
-    assert kinds == {InstructionSequence, ProgramSyntaxError, ReservedFocusError, JumpOverflowError}
-    assert sum(o is InstructionSequence for o in outcomes) > len(outcomes) // 3
+        try:
+            got = parse_program(text)
+        except ProgramError as exc:
+            assert not isinstance(exc, ProgramSyntaxError) or _inside(text, exc), text
+            got = None
+            outcomes.append(type(exc))
+        else:
+            assert parse_program(print_program(got)) == got, text
+            outcomes.append(InstructionSequence)
+        try:
+            u = parse_instruction(text)
+        except ProgramError as exc:
+            assert not isinstance(exc, ProgramSyntaxError) or _inside(text, exc), text
+        else:
+            assert got == InstructionSequence((u,), ()), text
+    assert set(outcomes) == {InstructionSequence, ProgramSyntaxError, ReservedFocusError,
+                             JumpOverflowError}
+    assert outcomes.count(InstructionSequence) > len(outcomes) // 3
 
 
-def _random_term(rng, depth):
-    roll = rng.random() if depth else 1.0
-    if roll < 0.3:
-        return Repeat(_random_term(rng, depth - 1))
-    if roll < 0.7:
-        return Concat(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
-    return Instr(rng.choice((Plain(BASICS[0]), NegTest(BASICS[1]), Jump(2), HALT, SHIFT)))
+def _is_primitive(units):
+    """Whether no shorter root repeats to `units`: a word is primitive iff
+    it occurs in its own square only at the start and the middle."""
+    codes = {}
+    word = "".join(chr(codes.setdefault(u, len(codes))) for u in units)
+    return (word + word).find(word, 1) == len(word)
 
 
-def test_to_canonical_matches_recursive_flattening():
-    rng = random.Random(2041)
-    for _ in range(500):
-        term = _random_term(rng, 6)
-        prefix, period = _old_flatten(term)
-        assert to_canonical(term) == InstructionSequence(tuple(prefix), tuple(period))
-
-
-def _old_primitive(period):
-    n = len(period)
-    for d in range(1, n + 1):
-        if n % d == 0 and period == period[:d] * (n // d):
-            return period[:d]
-    return period
-
-
-def test_primitive_root_matches_divisor_search():
+def test_primitive_root_repeats_to_the_period_and_is_primitive():
     rng = random.Random(2043)
     units = (Plain(BASICS[0]), PosTest(BASICS[1]), Jump(0), HALT, SHIFT)
     powers = 0
@@ -1157,7 +850,7 @@ def test_primitive_root_matches_divisor_search():
             period[rng.randrange(len(period))] = rng.choice(units)
         period = tuple(period)
         got = _primitive(period)
-        assert got == _old_primitive(period), period
+        assert got * (len(period) // len(got)) == period and _is_primitive(got), period
         powers += len(got) < len(period)
     assert powers > 1000
     assert _primitive((SHIFT,) * 100_000) == (SHIFT,)
@@ -1165,16 +858,7 @@ def test_primitive_root_matches_divisor_search():
     assert _primitive((SHIFT,) * 720_719 + (HALT,)) == (SHIFT,) * 720_719 + (HALT,)
 
 
-def _old_roll_back(prefix, period):
-    period = _primitive(tuple(period))
-    work = list(prefix)
-    while work and work[-1] == period[-1]:
-        period = (period[-1],) + period[:-1]
-        work.pop()
-    return tuple(work), period
-
-
-def test_rollback_matches_one_rotation_per_instruction():
+def test_rollback_unfolds_alike_and_rolls_in_all_it_can():
     rng = random.Random(2042)
     units = (Plain(BASICS[0]), PosTest(BASICS[1]), Jump(0), HALT)
     rolled = 0
@@ -1186,7 +870,9 @@ def test_rollback_matches_one_rotation_per_instruction():
         head = [rng.choice(units) for _ in range(rng.randint(0, 3))]
         prefix = head + tail if rng.random() < 0.8 else head
         s = InstructionSequence(tuple(prefix), tuple(period))
-        assert (s.prefix, s.period) == _old_roll_back(prefix, period), (prefix, period)
+        unfolded = prefix + period * 20
+        assert [instruction_at(s, i) for i in range(len(unfolded))] == unfolded, (prefix, period)
+        assert not s.prefix or s.prefix[-1] != s.period[-1], (prefix, period)
         rolled += len(s.prefix) < len(prefix)
     assert rolled > 1000
 
@@ -1294,54 +980,6 @@ def _old_compile_spec(spec, auto_abstract=False):
         else:
             units.extend([Jump(0), Jump(0), Jump(0)])
     return InstructionSequence((), tuple(units))
-
-
-_OLD_LINE_RE = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(.+?)\s*$")
-_OLD_POST_RE = re.compile(r"^<([A-Za-z_]\w*)>\s+(\S+)\s+<([A-Za-z_]\w*)>$")
-_OLD_TAU_RE = re.compile(r"^tau\s+<([A-Za-z_]\w*)>$")
-_OLD_ACTION_RE = re.compile(r"^([A-Za-z_]\w*)\.(\S+)$")
-_OLD_COMMENT_RE = re.compile(r"(^|\s)#.*$")
-
-
-def _old_read_thread(text):
-    """The states and root of a thread text, before the spec checks them."""
-    states = {}
-    root = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _OLD_COMMENT_RE.sub("", raw).strip()
-        if not line:
-            continue
-        m = _OLD_LINE_RE.match(line)
-        if m is None:
-            raise ThreadSyntaxError(f"line {lineno}: cannot parse {line!r}")
-        name, rhs = m.group(1), m.group(2)
-        if name in states:
-            raise ThreadSyntaxError(f"line {lineno}: duplicate state {name!r}")
-        if rhs == "S":
-            body = STOP
-        elif rhs == "D":
-            body = DEADLOCK
-        elif (mt := _OLD_TAU_RE.match(rhs)) is not None:
-            body = Post(TAU, mt.group(1), mt.group(1))
-        elif (mp := _OLD_POST_RE.match(rhs)) is not None:
-            ma = _OLD_ACTION_RE.match(mp.group(2))
-            if ma is None:
-                raise ThreadSyntaxError(
-                    f"line {lineno}: bad action {mp.group(2)!r}"
-                )
-            body = Post(Basic(ma.group(1), ma.group(2)), mp.group(1), mp.group(3))
-        else:
-            raise ThreadSyntaxError(f"line {lineno}: cannot parse body {rhs!r}")
-        states[name] = body
-        if root is None:
-            root = name
-    if root is None:
-        raise ThreadSyntaxError("no states defined")
-    return states, root
-
-
-def _old_parse_thread(text):
-    return ThreadSpec(*_old_read_thread(text))
 
 
 def _result(f, *args):
@@ -1580,31 +1218,20 @@ def _thread_corpus():
     return texts
 
 
-def test_parse_thread_matches_four_pattern_reader():
+def test_thread_corpus_reads_back_or_fails_with_a_known_message():
     texts = _thread_corpus()
     messages = []
     for text in texts:
         got = _result(parse_thread, text)
-        _assert_same_result(got, _result(_old_parse_thread, text), print_thread, text)
         if isinstance(got, tuple):
             messages.append(re.sub(r"'[^']*'|line \d+", "_", got[1]))
+        else:
+            _assert_same_result(parse_thread(print_thread(got)), got, print_thread, text)
     assert set(messages) == {
         "_: cannot parse _", "_: duplicate state _", "_: bad action _",
         "_: cannot parse body _", "no states defined", "state _ refers to undefined state _",
     }
     assert len(texts) - len(messages) > 1000
-
-
-def _old_check_references(states, root):
-    if root not in states:
-        raise DanglingStateError(f"root state {root!r} is not defined")
-    for name, body in states.items():
-        if isinstance(body, Post):
-            for target in (body.then, body.else_):
-                if target not in states:
-                    raise DanglingStateError(
-                        f"state {name!r} refers to undefined state {target!r}"
-                    )
 
 
 def _break_references(rng, spec):
@@ -1628,52 +1255,28 @@ def _break_references(rng, spec):
     return states, root
 
 
-def test_reference_check_matches_per_state_walk():
+def test_reference_check_names_the_first_dangling_state():
     rng = random.Random(2054)
     specs = _family_specs()
     specs += [random_spec(rng, max_states=8, allow_tau=i % 3 == 0) for i in range(3000)]
-    cases = [_break_references(rng, spec) for spec in specs]
-    for text in _thread_corpus():
-        read = _result(_old_read_thread, text)
-        if isinstance(read[0], dict):
-            cases.append(read)
-    messages = []
-    for states, root in cases:
-        want = _result(_old_check_references, states, root)
+    broken = 0
+    for states, root in [_break_references(rng, spec) for spec in specs]:
         got = _result(ThreadSpec, states, root)
-        if want is None:
-            assert isinstance(got, ThreadSpec) and got.states is states, (states, root)
+        dangling = [(name, target) for name, body in states.items() if isinstance(body, Post)
+                    for target in (body.then, body.else_) if target not in states]
+        if root not in states:
+            assert got == (DanglingStateError, f"root state {root!r} is not defined")
+        elif dangling:
+            assert got == (DanglingStateError, "state {!r} refers to undefined state {!r}"
+                           .format(*dangling[0])), (states, root)
         else:
-            assert got == want, (states, root)
-            messages.append(re.sub(r"'[^']*'", "_", want[1]))
-    assert set(messages) == {"root state _ is not defined",
-                             "state _ refers to undefined state _"}
-    assert 1000 < len(messages) < len(cases) - 1000
+            assert isinstance(got, ThreadSpec) and got.states is states, (states, root)
+            continue
+        broken += 1
+    assert 1000 < broken < len(specs) - 1000
 
 
-def _old_transform_to_pgajs0(s):
-    if contains_shift(s):
-        raise ShiftPresentError("input still contains shift instructions")
-    size = sum(u.offset + 1 if isinstance(u, Jump) else 1 for u in s.prefix + s.period)
-    if size > EXPANSION_LIMIT:
-        raise JumpOverflowError(
-            f"expanding the jumps gives {size} instructions, over {EXPANSION_LIMIT}"
-        )
-
-    def expand(units):
-        out = []
-        for u in units:
-            if isinstance(u, Jump) and u.offset > 0:
-                out.extend([SHIFT] * u.offset)
-                out.append(Jump(0))
-            else:
-                out.append(u)
-        return tuple(out)
-
-    return InstructionSequence(expand(s.prefix), expand(s.period))
-
-
-def test_jump_expansion_matches_per_instruction_loop():
+def test_jump_expansion_keeps_the_behaviour_of_its_corpus():
     rng = random.Random(2055)
     programs = [_jumpy_program(rng) for _ in range(1500)]
     programs += [random_program(rng, 16, allow_shift=True) for _ in range(500)]
@@ -1686,7 +1289,14 @@ def test_jump_expansion_matches_per_instruction_loop():
     kinds = set()
     for p in programs:
         got = _result(transform_to_pgajs0, p)
-        _assert_same_result(got, _result(_old_transform_to_pgajs0, p), print_program, print_program(p))
+        size = sum(u.offset + 1 if type(u) is Jump else 1 for u in p.prefix + p.period)
+        if contains_shift(p):
+            assert got == (ShiftPresentError, "input still contains shift instructions")
+        elif size > limit:
+            assert got == (JumpOverflowError, f"expanding the jumps gives {size}"
+                           f" instructions, over {limit}"), print_program(p)
+        elif size < 10_000:
+            assert is_pgajs0(got) and bisimilar(extract(p), extract_pgajs(got)), print_program(p)
         kinds.add(got[0] if isinstance(got, tuple) else InstructionSequence)
     assert kinds == {InstructionSequence, ShiftPresentError, JumpOverflowError}
 

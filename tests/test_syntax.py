@@ -71,10 +71,17 @@ def test_concat_associative():
 def test_repeated_power_collapses():
     assert P("(f.a; f.b; f.a; f.b)*") == P("(f.a; f.b)*")
     assert P("(f.a; f.a; f.a)*") == P("(f.a)*")
+    # every prime factor of the length, small or large, is divided out as
+    # often as it divides it
+    for r in range(1, 7):
+        root = (fa,) * (r - 1) + (fb,)
+        for k in range(1, 25):
+            assert loop(*root * k).period == root, (r, k)
 
 
 def test_repetition_absorbs_tail():
     assert P("(f.a)*; f.b") == P("(f.a)*")
+    assert P("(f.a)*; (f.b)*; (f.c; (f.b)*)*") == P("(f.a)*")
     t = Concat(Repeat(Instr(fa)), Instr(fb))
     assert to_canonical(t) == loop(fa)
 
@@ -86,15 +93,25 @@ def test_repetition_unfolds_once():
 def test_prefix_rollback_is_maximal():
     s = P("f.a; f.b; (f.a; f.b)*")
     assert s.prefix == () and s.period == (fa, fb)
+    # two instructions roll in: the period turns right by two
+    fc = Plain(Basic("f", "c"))
+    assert P("f.c; f.a; (f.b; f.c; f.a)*") == loop(fc, fa, fb)
+    assert P("!; f.a; f.b; f.c; f.a; (f.b; f.c; f.a)*") == InstructionSequence((HALT,), (fa, fb, fc))
 
 
 def test_nested_repetition_collapses():
     assert P("((f.a; f.b)*)*") == P("(f.a; f.b)*")
+    # iterating a list that ends in a loop keeps its prefix and that loop
+    assert P("(f.a; (f.b)*; f.b)*") == P("f.a; (f.b)*")
+    t = Repeat(Concat(Instr(fa), Repeat(Instr(fb))))
+    assert to_canonical(t) == P("f.a; (f.b)*")
 
 
 def test_empty_program_rejected():
     with pytest.raises(ProgramSyntaxError):
         P("")
+    with pytest.raises(ProgramError, match="empty"):
+        InstructionSequence((), ())
 
 
 def test_single_instruction_forms():
@@ -127,14 +144,63 @@ def test_reserved_focus_rejected():
 def test_instruction_refuses_reserved_focus(kind, focus):
     # built through the API, a cnt.inc would reach the counter that the
     # two-mode route composes with, and a pgs query the program service
-    with pytest.raises(ReservedFocusError, match="reserved"):
+    with pytest.raises(ReservedFocusError, match="reserved") as e:
         kind(Basic(focus, "inc"))
+    # made outside any text, it has no line and column
+    assert (e.value.line, e.value.col) == (0, 0)
 
 
 def test_parse_errors_carry_position():
     with pytest.raises(ProgramSyntaxError) as e:
         P("f.a;; f.b")
     assert e.value.line == 1
+
+
+_ERRORS = (
+    ("f.a;", "expected an instruction, found 'end of input'", 1, 5),
+    ("f.a; )", "expected an instruction, found ')'", 1, 6),
+    ("f.a;; f.b", "expected an instruction, found ';'", 1, 5),
+    ("f.a; #; !", "expected 'NAT', found ';'", 1, 7),
+    ("(f.a); !", "expected '*', found ';'", 1, 6),
+    ("(f.a)", "expected '*', found 'end of input'", 1, 6),
+    ("(f.a; f.b", "expected ')', found 'end of input'", 1, 10),
+    ("(f.a; (f.b)* // c", "expected ')', found 'end of input'", 1, 14),
+    ("f.a f.b", "expected 'EOF', found 'f'", 1, 5),
+    ("(f.a f.b)*", "expected ')', found 'f'", 1, 6),
+    ("#f", "expected 'NAT', found 'f'", 1, 2),
+    ("+.a", "expected 'IDENT', found '.'", 1, 2),
+    ("f", "expected '.', found 'end of input'", 1, 2),
+    ("+f g", "expected '.', found 'g'", 1, 4),
+    ("f.(", "expected method name, found '('", 1, 3),
+    ("f.a; #²", "jump offset '²' is not a decimal number", 1, 7),
+    ("\n$", "unexpected character '$'", 2, 1),
+    ("f.a;\n +cnt.inc", "focus 'cnt' is reserved", 2, 3),
+    # end of input is placed where a comment on the last line begins
+    ("f.a; // note", "expected an instruction, found 'end of input'", 1, 6),
+    ("f.a; // note\n", "expected an instruction, found 'end of input'", 2, 1),
+    ("f.a;\n// a\n  // b", "expected an instruction, found 'end of input'", 3, 3),
+    ("f.a;\n// b", "expected an instruction, found 'end of input'", 2, 1),
+    ("// only a note", "expected an instruction, found 'end of input'", 1, 1),
+    # an unexpected character further on is reported first
+    ("+; $", "unexpected character '$'", 1, 4),
+    ("f.a; #x;\n f.b; $", "unexpected character '$'", 2, 7),
+    # a piece may not close more stars than are open; the piece ` f.b)*` is
+    # read once inside a star and again outside it
+    ("f.a)*", "expected 'EOF', found ')'", 1, 4),
+    ("(f.a)*)*", "expected 'EOF', found ')'", 1, 7),
+    ("(f.a; f.b)*; f.b)*", "expected 'EOF', found ')'", 1, 17),
+)
+
+
+@pytest.mark.parametrize("text, message, line, col", _ERRORS)
+def test_parse_errors_name_what_was_found_and_where(text, message, line, col):
+    with pytest.raises(ProgramSyntaxError) as e:
+        P(text)
+    assert (str(e.value), e.value.line, e.value.col) == (message, line, col)
+
+
+def test_names_may_start_with_an_underscore():
+    assert P("_f.a; +g._b_") == seq(Plain(Basic("_f", "a")), PosTest(Basic("g", "_b_")))
 
 
 def test_jump_overflow():
@@ -149,6 +215,10 @@ def test_jump_offsets_are_decimal_numbers():
     assert P("#" + "0" * 5000 + "7") == seq(Jump(7))
     with pytest.raises(JumpOverflowError):
         P("#" + "9" * 5000)
+    # every digit before the last 19 counts, not just the first
+    for text in ("#1" + "0" * 20, "#01" + "0" * 19, "#9" + "0" * 19):
+        with pytest.raises(JumpOverflowError):
+            P(text)
     with pytest.raises(ProgramSyntaxError) as e:
         P("f.a;\n #\u00b2")
     assert (e.value.line, e.value.col) == (2, 3)
@@ -217,6 +287,8 @@ def test_shift_vanishes_before_non_jump():
 
 def test_all_shift_period_becomes_zero_jump():
     assert normalize_shifts(P("(~)*")) == P("(#0)*")
+    # the prefix's trailing shifts are already rolled into the period
+    assert normalize_shifts(P("f.a; ~; ~; (~)*")) == P("f.a; (#0)*")
 
 
 def test_trailing_shift_boosts_virtual_terminal():
@@ -272,6 +344,9 @@ def test_transform_refuses_expansions_over_the_limit():
         transform_to_pgajs0(P(f"#{EXPANSION_LIMIT - 1}; !"))
     with pytest.raises(JumpOverflowError):
         transform_to_pgajs0(P("(f.a; #9999999999)*"))
+    # a jump that occurs twice counts twice
+    with pytest.raises(JumpOverflowError):
+        transform_to_pgajs0(P(f"#{EXPANSION_LIMIT // 2}; #{EXPANSION_LIMIT // 2}; !"))
 
 
 def test_transform_leaves_zero_jumps():

@@ -34,6 +34,7 @@ T = parse_thread
 
 
 def test_tau_merges_branches():
+    assert str(TAU) == "tau"
     # a tau step cannot branch: both continuations are forced equal
     body = Post(TAU, "x", "y")
     assert body.else_ == "x"
@@ -105,6 +106,11 @@ def test_validate_rejects_dangling():
 def test_spec_refuses_dangling_target():
     with pytest.raises(DanglingStateError, match="undefined state 'nowhere'"):
         ThreadSpec({"x": Post(a, "x", "nowhere")}, "x")
+    # the first dangling state is named
+    states = {"x": Post(a, "x", "x"), "y": Post(a, "gone", "x"), "z": Post(b, "z", "lost")}
+    with pytest.raises(DanglingStateError) as e:
+        ThreadSpec(states, "x")
+    assert str(e.value) == "state 'y' refers to undefined state 'gone'"
 
 
 def test_spec_refuses_undefined_root():
@@ -274,6 +280,33 @@ def test_parse_thread_rejects_duplicates():
 def test_parse_thread_rejects_garbage():
     with pytest.raises(ThreadSyntaxError):
         T("x = <y> f.a")
+    # whitespace must part tau from its target, and an action from both
+    for text in ("x = tau<x>", "x = <x>f.a <x>", "x = <x> f.a<x>"):
+        with pytest.raises(ThreadSyntaxError, match="cannot parse body"):
+            T(text)
+
+
+_THREAD_ERRORS = (
+    ("x = <x> 1.a <x>", "line 1: bad action '1.a'"),
+    ("x = S\ny = <x> f.a", "line 2: cannot parse body '<x> f.a'"),
+    ("x = S\n\n= S", "line 3: cannot parse '= S'"),
+    ("x = S\nx = D", "line 2: duplicate state 'x'"),
+    ("  \n# a comment\n", "no states defined"),
+)
+
+
+@pytest.mark.parametrize("text, message", _THREAD_ERRORS)
+def test_parse_thread_says_what_is_wrong(text, message):
+    with pytest.raises(ThreadSyntaxError) as e:
+        T(text)
+    assert str(e.value) == message
+
+
+def test_parse_thread_skips_blank_lines_and_comments():
+    spec = T("# head\n\n  x = <y> f.a <x>   # a note\n\t\ny = D\t#\n")
+    assert print_thread(spec) == "x = <y> f.a <x>\ny = D"
+    # no whitespace is needed around `=`
+    assert T("x=<y> f.a <x>\ny=D") == spec
 
 
 def test_parse_thread_dangling():
@@ -289,11 +322,13 @@ def test_parse_thread_method_tokens():
 
 
 def test_to_dot_mentions_all_states():
-    spec = T("x = <y> f.a <z>\ny = S\nz = D")
+    spec = T("x = <y> f.a <w>\ny = S\nz = D\nw = tau <z>")
     dot = to_dot(spec)
-    for name in ("x", "y", "z"):
+    for name in ("x", "y", "z", "w"):
         assert f'"{name}"' in dot
     assert "doublecircle" in dot  # stop marker
+    # a tau step is one edge
+    assert dot.count("->") == 3 and '"w" -> "z" [label="tau"];' in dot
 
 
 def test_to_dot_quotes_edge_labels():
