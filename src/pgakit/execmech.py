@@ -47,7 +47,6 @@ from .services import (
     CounterService,
     Reply,
     Service,
-    _state_names,
 )
 from .syntax import (
     HALT,
@@ -236,13 +235,14 @@ def run_exec(
 
     The configurations (mechanism state, program position, counter) are
     explored on the fly from the root; only the root and the targets of
-    visible actions become states.  A silent walk that comes back to a
-    configuration, or to a mechanism state and program position with no
-    counter test on the way, spins forever and ends in deadlock.  The
-    mechanism is read once per alphabet in a process.  The `hdeq` queries
-    from a state are walked once per instruction in that process, whatever
-    the program, position and counter: the instruction alone decides the
-    replies.  A round between two drops that returns to
+    visible actions become states, named X0, X1, ... in breadth-first
+    discovery order, `then` before `else_`, as `relabel` names them.  A
+    silent walk that comes back to a configuration, or to a mechanism state
+    and program position with no counter test on the way, spins forever and
+    ends in deadlock.  The mechanism is read once per alphabet in a process.
+    The `hdeq` queries from a state are walked once per instruction in that
+    process, whatever the program, position and counter: the instruction
+    alone decides the replies.  A round between two drops that returns to
     its mechanism state with no test finding the counter zero repeats at
     every position whose instruction answers its queries alike, while the
     counter keeps its tests nonzero.  Once a round comes back, the rounds
@@ -286,14 +286,12 @@ def _control(alphabet: Alphabet) -> tuple:
 
 
 def _tables(mech: ThreadSpec) -> tuple:
-    """The explorer's tables of a control: per state its name, kind, body,
+    """The explorer's tables of a control: per state its kind, body,
     method, and True and False successors; the root; and the chains of
     `hdeq` queries, filled in as runs reach them."""
-    sids = list(mech.states)
-    index = {sid: i for i, sid in enumerate(sids)}
+    index = {sid: i for i, sid in enumerate(mech.states)}
     kinds, bodies, methods, thens, elses = [], [], [], [], []
-    for sid in sids:
-        body = mech.states[sid]
+    for body in mech.states.values():
         bodies.append(body)
         if isinstance(body, Post):
             focus = body.action.focus
@@ -311,13 +309,13 @@ def _tables(mech: ThreadSpec) -> tuple:
     # for every program over the alphabet (the end of a finite one, None,
     # answers every query False)
     chains: Dict[tuple, Tuple[Optional[int], tuple]] = {}
-    return sids, index[mech.root], kinds, bodies, methods, thens, elses, chains
+    return index[mech.root], kinds, bodies, methods, thens, elses, chains
 
 
 def _explore(control: tuple, pgs: PgsService, budget: Budget) -> ThreadSpec:
     """The thread of a control that `_tables` read, run with `pgs` and a
     zeroed counter, with all service traffic hidden, as `run_exec` says."""
-    sids, root, kinds, bodies, methods, thens, elses, chains = control
+    root, kinds, bodies, methods, thens, elses, chains = control
     s, alphabet, heads = pgs.sequence, pgs.alphabet, pgs._heads
     p, e = len(s.prefix), len(heads)
     TRUE, BLOCKED = Reply.TRUE, Reply.BLOCKED
@@ -484,32 +482,27 @@ def _explore(control: tuple, pgs: PgsService, budget: Budget) -> ThreadSpec:
             resolved[cfg] = got
         return got
 
-    # emitted configurations, in discovery order, with what each resolves to
-    emitted: Dict[tuple, object] = {}
-    root = (root, pgs.position, 0)
-    queue = deque([root])
-    emitted[root] = None
-    while queue:
-        cfg = queue.popleft()
-        got = resolve(*cfg)
-        emitted[cfg] = got
-        if isinstance(got, tuple):
-            m, v, c = got
-            for target in ((thens[m], v, c), (elses[m], v, c)):
-                if target not in emitted:
-                    emitted[target] = None
-                    queue.append(target)
+    # emitted configurations -> names, in discovery order, which is the
+    # order they leave the queue in
+    names: Dict[tuple, str] = {}
+    queue: deque = deque()
 
-    names = dict(zip(emitted, _state_names([sids[cfg[0]] for cfg in emitted])))
+    def name(cfg: tuple) -> str:
+        got = names.get(cfg)
+        if got is None:
+            got = names[cfg] = f"X{len(names)}"
+            queue.append(cfg)
+        return got
+
+    name((root, pgs.position, 0))
     states: Dict[str, Body] = {}
-    for cfg, got in emitted.items():
+    while queue:
+        got = resolve(*queue.popleft())
         if isinstance(got, tuple):
             m, v, c = got
-            got = Post(
-                bodies[m].action, names[(thens[m], v, c)], names[(elses[m], v, c)]
-            )
-        states[names[cfg]] = got
-    return ThreadSpec(states, names[root])
+            got = Post(bodies[m].action, name((thens[m], v, c)), name((elses[m], v, c)))
+        states[f"X{len(states)}"] = got
+    return ThreadSpec(states, "X0")
 
 
 def theorem3_witness(n: int) -> ThreadSpec:

@@ -101,93 +101,51 @@ def compose(
     svc: Service,
     budget: Optional[Budget] = None,
 ) -> ThreadSpec:
-    """Product of a thread with a service handling one focus.  Actions on
-    other foci pass through; actions on the given focus become silent steps
-    whose branch is picked by the reply, with the service advanced; Blocked
-    replies deadlock.  State count is capped by the budget."""
+    """Product of a thread with a service handling one focus: Bergstra &
+    Ponse's use operator.  Actions on other foci pass through; actions on
+    the given focus become silent steps whose branch is picked by the
+    reply, with the service advanced; Blocked replies deadlock.  States are
+    named X0, X1, ... in breadth-first discovery order from the root, `then`
+    before `else_`, as `relabel` names them.  State count is capped by the
+    budget."""
     if budget is None:
         budget = Budget()
+    names: Dict[Tuple[str, str], str] = {}  # (state, service key) -> name
+    queue: Deque[Tuple[str, Service]] = deque()
 
-    pairs: Dict[Tuple[str, str], Tuple[str, Service]] = {}  # in discovery order
-
-    def visit(sid: str, service: Service) -> Tuple[str, str]:
+    def visit(sid: str, service: Service) -> str:
         key = (sid, service.key())
-        if key not in pairs:
-            if len(pairs) >= budget.max_states:
+        name = names.get(key)
+        if name is None:
+            if len(names) >= budget.max_states:
                 raise BudgetExceededError(
                     f"service product exceeded {budget.max_states} states"
                 )
-            pairs[key] = (sid, service)
-            queue.append(key)
-        return key
+            name = names[key] = f"X{len(names)}"
+            queue.append((sid, service))
+        return name
 
-    # discovery pass
-    transitions: Dict[Tuple[str, str], tuple] = {}
-    queue: Deque[Tuple[str, str]] = deque()
-    root_key = visit(spec.root, svc)
-    while queue:
-        key = queue.popleft()
-        sid, service = pairs[key]
-        body = spec.states[sid]
-        if not isinstance(body, Post):
-            transitions[key] = ("leaf", body)
-            continue
-        action = body.action
-        if isinstance(action, Tau):
-            transitions[key] = ("tau", visit(body.then, service))
-        elif action.focus != focus:
-            transitions[key] = (
-                "pass",
-                action,
-                visit(body.then, service),
-                visit(body.else_, service),
-            )
-        else:
-            nxt, reply = service.apply(action.method)
-            if reply is Reply.BLOCKED:
-                transitions[key] = ("leaf", DEADLOCK)
-            elif reply is Reply.TRUE:
-                transitions[key] = ("tau", visit(body.then, nxt))
-            else:
-                transitions[key] = ("tau", visit(body.else_, nxt))
-
-    names = dict(zip(pairs, _state_names([sid for sid, _ in pairs.values()])))
+    visit(spec.root, svc)
     states: Dict[str, Body] = {}
-    for key in pairs:
-        t = transitions[key]
-        if t[0] == "leaf":
-            states[names[key]] = t[1]
-        elif t[0] == "tau":
-            states[names[key]] = Post(TAU, names[t[1]], names[t[1]])
-        else:
-            _, action, then_key, else_key = t
-            states[names[key]] = Post(action, names[then_key], names[else_key])
-    return ThreadSpec(states, names[root_key])
-
-
-def _state_names(sids: List[str]) -> List[str]:
-    """Names for product states, given the original state of each in
-    discovery order.  A state with one copy keeps its name; copies are
-    numbered sid_1, sid_2, ... skipping names in use.  Each state keeps its
-    next free suffix, so numbering never starts over from 1."""
-    per_sid: Dict[str, int] = {}
-    for sid in sids:
-        per_sid[sid] = per_sid.get(sid, 0) + 1
-    taken = set()
-    next_suffix: Dict[str, int] = {}
-    names: List[str] = []
-    for sid in sids:
-        if per_sid[sid] == 1 and sid not in taken:
-            name = sid
-        else:
-            n = next_suffix.get(sid, 1)
-            while f"{sid}_{n}" in taken or f"{sid}_{n}" in per_sid:
-                n += 1
-            next_suffix[sid] = n + 1
-            name = f"{sid}_{n}"
-        taken.add(name)
-        names.append(name)
-    return names
+    while queue:  # states leave the queue in the order they were named
+        sid, service = queue.popleft()
+        body = spec.states[sid]
+        if isinstance(body, Post):
+            action = body.action
+            if isinstance(action, Tau):
+                then = visit(body.then, service)
+                body = Post(TAU, then, then)
+            elif action.focus != focus:
+                body = Post(action, visit(body.then, service), visit(body.else_, service))
+            else:
+                nxt, reply = service.apply(action.method)
+                if reply is Reply.BLOCKED:
+                    body = DEADLOCK
+                else:
+                    then = visit(body.then if reply is Reply.TRUE else body.else_, nxt)
+                    body = Post(TAU, then, then)
+        states[f"X{len(states)}"] = body
+    return ThreadSpec(states, "X0")
 
 
 def collapse_counter_divergence(spec: ThreadSpec) -> ThreadSpec:

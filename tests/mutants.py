@@ -64,6 +64,8 @@ _EXECMECH = "tests/test_execmech.py::"
 _TOKEN_TEXT = ("the kind of a punctuation token is its own text, and no other"
                " token's text is a punctuation mark")
 _PARSE_ERRORS = _SYNTAX + "test_parse_errors_name_what_was_found_and_where"
+_SERVICES = "tests/test_services.py::"
+_NAMED_AS_RELABEL = _THREADS + "test_built_threads_are_named_as_relabel_names_them"
 
 MUTANTS = (
     # --- the landing search of the explorer ---------------------------------
@@ -256,17 +258,72 @@ MUTANTS = (
            "            if cur in chain:\n                body = STOP\n",
            (_THREADS + "test_endless_tau_is_deadlock",
             "tests/test_oracles.py::test_abstract_tau_matches_per_state_walk")),
-    Mutant("product copies are numbered from 1 for every copy", "services.py",
-           "n = next_suffix.get(sid, 1)", "n = 1",
-           ("tests/test_oracles.py::test_state_names_match_counting_from_one",
-            "tests/test_oracles.py::test_service_pipeline_matches_old_route"),
-           equivalent="a suffix skipped once stays taken, so counting from 1"
-           " again finds the same one; the kept suffix only saves the rescan"),
+    Mutant("every action is treated as the service's", "services.py",
+           "elif action.focus != focus:", "elif False:",
+           (_SERVICES + "test_compose_foreign_focus_passes_through",)),
+    Mutant("a True reply takes the else branch", "services.py",
+           "visit(body.then if reply is Reply.TRUE else body.else_, nxt)",
+           "visit(body.else_ if reply is Reply.TRUE else body.else_, nxt)",
+           (_SERVICES + "test_compose_true_reply_selects_then",)),
+    Mutant("a Blocked reply takes the else branch", "services.py",
+           "if reply is Reply.BLOCKED:", "if reply is None:",
+           (_SERVICES + "test_compose_blocked_reply_deadlocks",)),
+    Mutant("the budget admits one state more", "services.py",
+           "if len(names) >= budget.max_states:", "if len(names) > budget.max_states:",
+           (_SERVICES + "test_budget_admits_exactly_its_states",)),
+    Mutant("a silent step loses its successor", "services.py",
+           "                then = visit(body.then, service)\n"
+           "                body = Post(TAU, then, then)\n",
+           "                body = DEADLOCK\n",
+           (_SERVICES + "test_compose_tau_passes_through",)),
+    Mutant("a passed-through action names its else branch first", "services.py",
+           "body = Post(action, visit(body.then, service), visit(body.else_, service))",
+           "else_ = visit(body.else_, service)\n"
+           "                body = Post(action, visit(body.then, service), else_)",
+           (_NAMED_AS_RELABEL,)),
+    Mutant("a counter at zero decrements", "services.py",
+           "                return self, Reply.FALSE\n", "                return self, Reply.TRUE\n",
+           (_SERVICES + "test_counter_table", _SERVICES + "test_compose_dec_at_zero_continues_on_else")),
+    Mutant("isz finds one zero", "services.py",
+           "Reply.TRUE if k == 0 else Reply.FALSE", "Reply.TRUE if k <= 1 else Reply.FALSE",
+           (_SERVICES + "test_counter_table",)),
+    Mutant("clr keeps the content", "services.py",
+           "return CounterService(0), Reply.TRUE", "return self, Reply.TRUE",
+           (_SERVICES + "test_counter_table",)),
+    Mutant("an unknown method does not wedge the counter", "services.py",
+           "return CounterService(None), Reply.BLOCKED", "return self, Reply.BLOCKED",
+           (_SERVICES + "test_counter_unknown_method_wedges",)),
+    Mutant("a wedged counter answers as zero", "services.py",
+           "        if k is None:\n            return self, Reply.BLOCKED\n",
+           "        if k is None:\n            k = 0\n",
+           (_SERVICES + "test_counter_unknown_method_wedges",)),
+    Mutant("a wedged counter has the key of zero", "services.py",
+           'return "cnt:undef"', 'return "cnt:0"',
+           (_SERVICES + "test_counter_keys_distinct",)),
+    Mutant("a counter may start below zero", "services.py",
+           "if init < 0:", "if init < -1:",
+           (_SERVICES + "test_counter_new_rejects_negative",)),
+    Mutant("a budget of no states is allowed", "services.py",
+           "if self.max_states <= 0:", "if self.max_states < 0:",
+           (_SERVICES + "test_budget_validation",)),
+    Mutant("counter divergence ignores increments", "services.py",
+           'if a.focus == "cnt" and a.method == "inc":', 'if a.focus == "cnt" and a.method == "":',
+           (_SERVICES + "test_collapse_pure_inc_cycle",)),
+    Mutant("counter divergence ignores silent steps", "services.py",
+           "        if isinstance(a, Tau):\n            return body.then\n",
+           "        if isinstance(a, Tau):\n            return None\n",
+           (_SERVICES + "test_collapse_tau_inc_cycle",)),
     # --- the command line ----------------------------------------------------
     Mutant("a closed stdout is not pointed at devnull", "cli.py",
            "os.dup2(devnull.fileno(), sys.stdout.fileno())", "pass",
            (_PYTHON_M,)),
     # --- the execution mechanism ---------------------------------------------
+    Mutant("the explorer names its else branch first", "execmech.py",
+           "got = Post(bodies[m].action, name((thens[m], v, c)), name((elses[m], v, c)))",
+           "else_ = name((elses[m], v, c))\n"
+           "            got = Post(bodies[m].action, name((thens[m], v, c)), else_)",
+           (_NAMED_AS_RELABEL,
+            "tests/test_oracles.py::test_explorer_matches_one_value_at_a_time_on_witnesses")),
     Mutant("the dispatch never asks for the alphabet's last instruction", "execmech.py",
            'nxt = f"q{i + 1}" if i + 1 < len(units) else "gend"',
            'nxt = f"q{i + 1}" if i + 2 < len(units) else "gend"',

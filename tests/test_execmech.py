@@ -26,7 +26,6 @@ from pgakit import (
     parse_thread,
     pgs_new,
     print_thread,
-    relabel,
     run_exec,
     theorem3_witness,
     corollary1_pipeline,
@@ -342,7 +341,7 @@ def _assert_explorer_matches_product(control, units, period=()):
     product = compose(compose(mech, "pgs", pgs_new(p)), "cnt", counter_new(0))
     got = _explore(_tables(mech), pgs_new(p), Budget())
     assert bisimilar(got, abstract_tau(product))
-    return print_thread(relabel(got))
+    return print_thread(got)
 
 
 def test_explorer_walks_rounds_step_by_step_when_one_would_find_zero():

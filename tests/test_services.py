@@ -43,6 +43,7 @@ fa = Basic("f", "a")
         (0, "dec", 0, Reply.FALSE),
         (4, "dec", 3, Reply.TRUE),
         (0, "isz", 0, Reply.TRUE),
+        (1, "isz", 1, Reply.FALSE),
         (2, "isz", 2, Reply.FALSE),
     ],
 )
@@ -176,6 +177,15 @@ def test_budget_exceeded():
     )
     with pytest.raises(BudgetExceededError):
         compose(spec, "cnt", counter_new(0), Budget(max_states=10))
+
+
+def test_budget_admits_exactly_its_states():
+    # from 3 the counter counts down through x and y, then leaves for z
+    spec = T("x = <y> cnt.dec <z>\ny = <x> f.a <x>\nz = S")
+    got = compose(spec, "cnt", counter_new(3), Budget(8))
+    assert len(got.states) == 8
+    with pytest.raises(BudgetExceededError):
+        compose(spec, "cnt", counter_new(3), Budget(7))
 
 
 def test_budget_validation():

@@ -20,12 +20,21 @@ from pgakit import (
     ThreadSyntaxError,
     abstract_tau,
     bisimilar,
+    collapse_counter_divergence,
+    compose,
+    corollary1_pipeline,
+    counter_new,
+    extract_alt,
+    extract_pgajs,
     parse_thread,
     print_thread,
     relabel,
+    run_exec,
+    theorem3_witness,
     to_dot,
     validate,
 )
+from pgakit.properties import PROPERTIES, draw_cases
 from strategies import Branch, chain_spec, project, projections_agree, specs
 
 a = Basic("f", "a")
@@ -142,6 +151,18 @@ def test_relabel_is_breadth_first():
     # an unreachable state, not pruned beforehand, gets no name
     orphan = ThreadSpec({**spec.states, "o": Post(b, "r", "o")}, "r")
     assert relabel(orphan) == out
+
+
+def test_built_threads_are_named_as_relabel_names_them():
+    # extraction, the explorer and the service product name each state when
+    # they first reach it, so renaming moves nothing
+    witnesses = [corollary1_pipeline(theorem3_witness(n)) for n in range(1, 7)]
+    for p in list(draw_cases(PROPERTIES["exec"], 2025, 500)) + witnesses:
+        for t in (extract_pgajs(p), run_exec(p)):
+            assert relabel(t) == t, print_thread(t)
+    for p in draw_cases(PROPERTIES["counter"], 2025, 500):
+        t = compose(collapse_counter_divergence(extract_alt(p)), "cnt", counter_new(0))
+        assert relabel(t) == t, print_thread(t)
 
 
 # finite projections
