@@ -98,6 +98,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_bisim(args) -> int:
+    if args.a == args.b == "-":
+        raise ConfigError("'-' (stdin) can be given only once")
     if args.programs:
         a = extract_pgajs(parse_program(_read_input(args.a)))
         b = extract_pgajs(parse_program(_read_input(args.b)))
@@ -248,9 +250,26 @@ _ERROR_EXITS = (
 )
 
 
+def _parse(parser: argparse.ArgumentParser, argv: Optional[List[str]]):
+    """parser.parse_args(argv), with every argument that starts with one "-"
+    read as a value, such as the program `-f.a`, which argparse would take
+    for an unknown option; `-` (stdin) and `-h` keep their meaning.  Such an
+    argument is passed with a space in front, which makes it a value to
+    argparse, and the value is put back as it was given."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    given = {" " + a: a for a in argv
+             if a.startswith("-") and not a.startswith("--") and a not in ("-", "-h")}
+    args, extra = parser.parse_known_args([" " + a if " " + a in given else a for a in argv])
+    if extra:  # as parse_args says it, with the arguments as given
+        parser.error("unrecognized arguments: " + " ".join(given.get(a, a) for a in extra))
+    for name, value in vars(args).items():
+        if isinstance(value, str) and value in given:
+            setattr(args, name, given[value])
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(_build_parser(), argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

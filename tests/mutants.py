@@ -12,21 +12,32 @@ killed without it.
 Run it from anywhere with `python tests/mutants.py`.  It copies `src/`
 into a temporary directory, checks that `pgakit` imports from the copy,
 and then, one mutant at a time, applies it to the copy, runs
-`python -m pytest -q -x -p no:cacheprovider` on its tests with
-`PYTHONPATH` set to the copy, and puts the file back.  It prints one line
-per mutant and exits 1 when a mutant not marked equivalent survives, a
-mutant marked equivalent is killed, an old text does not occur exactly
-once, or pytest cannot run the named tests.  Uses the standard library
-only; pytest does not collect this file.
+`pytest.main(["-q", "-x", "-p", "no:cacheprovider", ...])` on its tests
+in a forked child that imports `pgakit` from the copy, and puts the file
+back.  This process imports pytest and hypothesis once and never
+imports `pgakit`, so each child starts with them loaded; children run
+one at a time.  It prints one line per mutant and exits 1 when a mutant not marked
+equivalent survives, a mutant marked equivalent is killed, an old text
+does not occur exactly once, or pytest cannot run the named tests.  Needs
+pytest and `os.fork` (POSIX); pytest does not collect this file.
 """
 
+import importlib
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
 from typing import NamedTuple, Optional, Tuple
+
+import pytest
+
+# Loaded once here, so that no forked child loads them again; none of them
+# imports pgakit.  With hypothesis already loaded, pytest.main on one test
+# takes about a quarter of the time.
+for _module in ("hypothesis",):
+    importlib.import_module(_module)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -44,6 +55,7 @@ _LANDING = "tests/test_oracles.py::test_landing_matches_walk_over_positions"
 _MIXED = "tests/test_oracles.py::test_explorer_matches_one_value_at_a_time_on_long_mixed_runs"
 _COUNTS_DOWN = "tests/test_execmech.py::test_run_exec_counts_down_past_non_shifts_in_one_step"
 _BUDGETS = "tests/test_execmech.py::test_run_exec_fits_the_budgets_of_its_one_step_rounds"
+_MEET = "tests/test_execmech.py::test_run_exec_counts_where_walks_meet_or_come_back"
 _WITNESS_EXEC = "tests/test_acceptance.py::test_witness_exec_n4_to_6"
 _FIND_ZERO = ("tests/test_execmech.py::"
               "test_explorer_walks_rounds_step_by_step_when_one_would_find_zero")
@@ -97,29 +109,29 @@ MUTANTS = (
            (_LANDING, _COUNTS_DOWN)),
     # --- the prefix counts and rounds of the explorer -----------------------
     Mutant("prefix count never covers the end of a finite program", "execmech.py",
-           "bare[h], size[h] = int(moved is None), moved or 0",
-           "bare[h], size[h] = int(moved is None or h is None), moved or 0",
+           "            if h not in passed:\n",
+           "            if h is not None and h not in passed:\n",
            (_COUNTS_DOWN,)),
     Mutant("prefix count always covers the end of a finite program", "execmech.py",
-           "bare[h], size[h] = int(moved is None), moved or 0",
-           "bare[h], size[h] = int(moved is None and h is not None), moved or 0",
+           "    size = dict.fromkeys(control.units, 0)\n",
+           "    size = dict.fromkeys(control.units, 0)\n    bare[None] = 0\n",
            (_LANDING, _MIXED, _COUNTS_DOWN, _BUDGETS, _WITNESS_EXEC),
            equivalent="landing at the end of a finite program ends in deadlock"
            " whatever the counter (the end reads as #0 and every drop there"
            " fails), exactly like never landing"),
     Mutant("rounds stop past the first position none covers", "execmech.py",
-           "stops.append((got[0] - 1, got[1]))", "stops.append(got)",
+           "stop = (stop[0] - 1, stop[1])", "stop = (stop[0], stop[1])",
            (_COUNTS_DOWN, _MIXED)),
     Mutant("rounds that never stop are not deadlock", "execmech.py",
-           "        if not stops:\n            return DEADLOCK\n",
-           "        if not stops:\n            return None\n",
+           "        if stop is None:\n            return DEADLOCK\n",
+           "        if stop is None:\n            return None\n",
            ("tests/test_execmech.py::test_explorer_deadlocks_on_rounds_that_never_stop",)),
     Mutant("rounds leave out the change of whole periods", "execmech.py",
            "moved = size[t] - size[i] + passes * (size[e] - size[p])",
            "moved = size[t] - size[i]",
            (_COUNTS_DOWN, _MIXED)),
     Mutant("rounds land on an unwrapped position", "execmech.py",
-           "return position(s, t), c + sign * moved",
+           "return t if t < e else p, c + sign * moved",
            "return t, c + sign * moved",
            (_COUNTS_DOWN, _MIXED)),
     Mutant("rounds are taken although one would find the counter zero",
@@ -133,29 +145,66 @@ MUTANTS = (
            "if low is not None and c + low < 1:",
            (_BOTH_WAYS,)),
     Mutant("a tested round taken in one step keeps the walk before it", "execmech.py",
-           "                            if tables[m2][3] is not None:\n"
-           "                                pairs.clear()\n", "",
+           "                        if tables[m2][3] is not None:\n"
+           "                            pairs.clear()\n", "",
            (_EXECMECH + "test_explorer_forgets_its_walk_after_rounds_that_tested_the_counter",)),
     Mutant("a round is recorded after a test that found zero", "execmech.py",
-           'plain = plain and c > 0 and method != "clr"',
-           'plain = plain and method != "clr"',
+           "tested, plain = True, plain and not zero",
+           "tested, plain = True, plain",
            ("tests/test_execmech.py::test_explorer_keeps_no_round_whose_test_found_zero",)),
-    # --- what the explorer shares between programs --------------------------
-    Mutant("query chains keyed by end-or-not, not by the instruction",
+    # --- the segments of the explorer ----------------------------------------
+    Mutant("segments keyed without the instruction at the position", "execmech.py",
+           "k, slots = segments[m].get(h) or _first_segment(control, m, h)",
+           "k, slots = next(iter(segments[m].values()), None) or _first_segment(control, m, h)",
+           (_SHARED_CONTROL, _EXECMECH + "test_one_mechanism_runs_many_programs")),
+    Mutant("segments keyed without the min(c, K) bucket", "execmech.py",
+           "i = c if c < k else k", "i = k",
+           (_BUDGETS, _EXECMECH + "test_run_exec_examples")),
+    Mutant("K leaves out how low the counter goes", "execmech.py",
+           "return (checks, count, tested, rel, val, low, plain, asked, how, at, m), 1 - least",
+           "return (checks, count, tested, rel, val, low, plain, asked, how, at, m), 1",
+           (_BUDGETS,)),
+    Mutant("a segment stands for one configuration too many", "execmech.py",
+           "            n += count\n", "            n += count + 1\n",
+           (_BUDGETS,)),
+    Mutant("a segment stands for one configuration too few", "execmech.py",
+           "            n += count\n", "            n += count - 1\n",
+           (_BUDGETS,)),
+    Mutant("a reset is recorded as a change", "execmech.py",
+           "r, val, rel = True, 0, False", "r, val, rel = True, 0, True",
+           (_EXECMECH + "test_run_exec_examples",)),
+    Mutant("walks meet only where segments start", "execmech.py",
+           "        ways_in = meets[m]\n", "        ways_in = meets[m] & _JOIN\n",
+           (_MEET,)),
+    Mutant("a walk comes back to its state and position only where segments start",
            "execmech.py",
-           "at = (m, heads[v])", "at = (m, heads[v] is None)",
-           (_SHARED_CONTROL, "tests/test_execmech.py::test_one_mechanism_runs_many_programs")),
+           "                   ways_in >= _JOIN)", "                   False)",
+           (_MEET,)),
+    Mutant("walks meet with any counter", "execmech.py",
+           "2 if ways_in & (_ZERO if counter() == 0 else _MORE)",
+           "2 if ways_in & (_ZERO | _MORE)",
+           (_BUDGETS, _MEET, _SHARED_CONTROL),
+           equivalent="a check where no other walk can have come first finds"
+           " nothing: it only costs time"),
+    Mutant("a clr is one way in", "execmech.py",
+           "            return [(then, _ZERO), (then, _ZERO)]\n",
+           "            return [(then, _ZERO)]\n",
+           (_MEET,)),
+    Mutant("a check forgets the tests before it", "execmech.py",
+           "                if clear:\n                    pairs.clear()\n", "",
+           (_EXECMECH + "test_explorer_forgets_the_states_it_passed_at_each_test",)),
+    # --- what the explorer shares between programs --------------------------
     Mutant("control keyed by the number of basics", "execmech.py",
            "@lru_cache(maxsize=16)\n"
-           "def _control(alphabet: Alphabet) -> tuple:\n"
+           "def _control(alphabet: Alphabet) -> _Control:\n"
            '    """The alphabet\'s mechanism, read once for every program over it."""\n'
-           "    return _tables(build_exec_mechanism(alphabet))\n",
+           "    return _tables(build_exec_mechanism(alphabet), alphabet)\n",
            "_BY_COUNT: dict = {}\n\n\n"
            "@lru_cache(maxsize=16)\n"
-           "def _control(alphabet: Alphabet) -> tuple:\n"
+           "def _control(alphabet: Alphabet) -> _Control:\n"
            "    m = len(alphabet.basics)\n"
            "    if m not in _BY_COUNT:\n"
-           "        _BY_COUNT[m] = _tables(build_exec_mechanism(alphabet))\n"
+           "        _BY_COUNT[m] = _tables(build_exec_mechanism(alphabet), alphabet)\n"
            "    return _BY_COUNT[m]\n",
            (_SHARED_CONTROL, "tests/test_execmech.py::test_control_is_built_once_per_alphabet")),
     Mutant("program service drops without wrapping into the period", "execmech.py",
@@ -636,37 +685,68 @@ MUTANTS = (
 )
 
 
-def _pytest(ids, env, cwd):
+def _in_child(run, timeout=600):
+    """The exit code of run() called in a forked copy of this process, with
+    its output thrown away; 1 if it takes over `timeout` seconds."""
+    sys.stdout.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 3
+        try:
+            signal.alarm(timeout)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            code = run()
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    return os.WEXITSTATUS(status) if os.WIFEXITED(status) else 1
+
+
+def _pytest(ids, src, cwd):
     """0 when every named test passes, 1 when one fails or the run takes
     over ten minutes, None when pytest could not run them (a missing id,
-    say)."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-    cmd += [os.path.join(ROOT, i) for i in ids]
-    try:
-        done = subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, text=True,
-                              timeout=600)
-    except subprocess.TimeoutExpired:
-        return 1
+    say).  The tests run in a forked child that imports `pgakit` from src;
+    this process has imported pytest but never `pgakit`."""
+
+    def run():
+        os.environ["PYTHONPATH"] = src
+        sys.path.insert(0, src)
+        os.chdir(cwd)
+        args = ["-q", "-x", "-p", "no:cacheprovider"] + [os.path.join(ROOT, i) for i in ids]
+        return int(pytest.main(args))
+
     # 1: a test failed; 2: a collection error, such as a mutant that does
     # not import
-    return {0: 0, 1: 1, 2: 1}.get(done.returncode)
+    return {0: 0, 1: 1, 2: 1}.get(_in_child(run))
+
+
+def _imports_from(src, cwd):
+    def run():
+        sys.path.insert(0, src)
+        os.chdir(cwd)
+        import pgakit
+
+        return 0 if pgakit.__file__.startswith(src + os.sep) else 1
+
+    return _in_child(run) == 0
 
 
 def main():
     bad = 0
+    # no bytecode of a mutated file, here or in a process a test starts
+    sys.dont_write_bytecode = True
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "src")
         shutil.copytree(os.path.join(ROOT, "src"), src,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
         # hypothesis keeps its example database in the working directory
         work = os.path.join(tmp, "work")
         os.mkdir(work)
-        where = subprocess.run(
-            [sys.executable, "-c", "import pgakit; print(pgakit.__file__)"],
-            env=env, cwd=work, capture_output=True, text=True)
-        if not where.stdout.startswith(src + os.sep):
-            print(f"pgakit does not import from the copy: {where.stdout or where.stderr}")
+        if not _imports_from(src, work):
+            print(f"pgakit does not import from the copy in {src}")
             return 1
         print(f"{'result':<11} {'s':>5}  file           mutant")
         for m in MUTANTS:
@@ -681,7 +761,7 @@ def main():
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(text.replace(m.old, m.new))
                 try:
-                    got = _pytest(m.tests, env, work)
+                    got = _pytest(m.tests, src, work)
                 finally:
                     with open(path, "w", encoding="utf-8") as fh:
                         fh.write(text)

@@ -105,6 +105,39 @@ def test_bisim_detects_difference(capsys):
     assert out.strip() == "not-bisimilar"
 
 
+def test_a_leading_dash_is_read_as_input(capsys, tmp_path, monkeypatch):
+    # a program that starts with a negative test, as text, a file or --in=
+    want = run(capsys, "extract", "--in=-f.a; !")
+    assert want[0] == 0
+    assert run(capsys, "extract", "-f.a;!") == run(capsys, "extract", "--in", "-f.a;!") == want
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-p.pga").write_text("-f.a; !\n")
+    assert run(capsys, "extract", "-p.pga") == want
+    assert run(capsys, "extract", "-f.a; !", "--dot")[1].startswith("digraph")
+    assert run(capsys, "mechanism", "-f.a")[0] == 0
+    assert run(capsys, "normalize", "-f.a") == (0, "-f.a\n", "")
+    assert run(capsys, "bisim", "--programs", "-f.a; f.b", "+f.a; f.b") == (
+        1, "not-bisimilar\n", "")
+    assert run(capsys, "bisim", "--programs", "-f.a; !", "-p.pga") == (0, "bisimilar\n", "")
+    # options, help and negative numbers keep their meaning
+    assert run(capsys, "extract", "-f.a", "--alt")[1] == run(capsys, "extract", "--alt", "-f.a")[1]
+    for argv, code in ((["extract", "-h"], 0), (["extract", "--frob", "-f.a"], 2),
+                       (["verify", "--theorem", "1", "-f.a"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code, argv
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: -f.a\n")
+    assert run(capsys, "verify", "--theorem", "1", "--count", "-4")[0] == EXIT_PARSE
+
+
+def test_bisim_reads_stdin_once(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x = S"))
+    code, out, err = run(capsys, "bisim", "-", "-")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: '-' (stdin) can be given only once\n"
+    assert run(capsys, "bisim", "-", "y = S") == (0, "bisimilar\n", "")
+
+
 def test_bisim_threads(capsys):
     code, out, _ = run(capsys, "bisim", "x = S", "y = S")
     assert code == 0
@@ -260,14 +293,17 @@ def test_verify_rejects_negative_count(capsys):
 
 
 # Program text as a user may type it, any text at all, and a thread whose
-# action may not be a program basic.
+# action may not be a program basic; any of them with a leading "-", as a
+# program that starts with a negative test has.
+_TYPED = st.text(alphabet=st.sampled_from(list("f.ab;()*!~#+-019 \n/=<>SD")), max_size=40)
 _TEXTS = (
-    st.text(alphabet=st.sampled_from(list("f.ab;()*!~#+-019 \n/=<>SD")), max_size=40)
+    _TYPED
     | st.text(max_size=40)
     | st.text(alphabet=st.sampled_from(list("fab.-+!#~0(;*")), min_size=1, max_size=6).map(
         lambda m: f"s0 = <s1> f.{m} <s0>\ns1 = S"
     )
 )
+_TEXTS = _TEXTS | _TEXTS.map(lambda text: "-" + text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -284,12 +320,19 @@ def test_any_text_ends_in_a_documented_exit(a, b):
         ["mechanism", f"--in={a}"],
         ["bisim", "--programs", "--", a, b],
         *(["verify", "--theorem", t, f"--in={a}"] for t in ("1", "2", "exec", "roundtrip")),
+        # as positional input; a text that is an option, such as --alt or
+        # -h, is read as that option
+        ["extract", a],
+        ["bisim", "--programs", a, b],
     ):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sys, "stdin", io.StringIO(b))
             out = io.StringIO()
             with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                code = main(argv)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: help, or a usage error
+                    code = exc.code
                 assert code in range(7)
                 # a compiled program reads back
                 if argv[0] == "compile" and code == 0:

@@ -33,7 +33,7 @@ from pgakit import (
     abstract_tau,
     counter_new,
 )
-from pgakit.execmech import _control, _explore, _tables
+from pgakit.execmech import PgsService, _control, _explore, _tables
 from pgakit.properties import PROPERTIES, draw_cases
 
 from strategies import programs
@@ -209,8 +209,9 @@ def test_mechanism_is_program_independent():
 
 
 def test_run_exec_examples():
+    # in the last, f.a clears the count its shift left, so the #0 deadlocks
     for txt in ("!", "f.a; !", "~; #0; !", "(+f.a; ~; #0; !)*", "+f.a; ~; f.b",
-                "(f.a)*", "#0", "+f.a; f.b; ~; #0; f.b"):
+                "(f.a)*", "#0", "+f.a; f.b; ~; #0; f.b", "~; f.a; #0; f.b"):
         p = P(txt)
         assert bisimilar(run_exec(p), extract_pgajs(p)), txt
 
@@ -237,7 +238,7 @@ def test_run_exec_over_basics_that_do_not_parse_back():
 def _fresh(p, alphabet=None):
     """The printed thread of p run by a control built for this call alone."""
     pgs = pgs_new(p, alphabet)
-    control = _tables(build_exec_mechanism(pgs.alphabet))
+    control = _tables(build_exec_mechanism(pgs.alphabet), pgs.alphabet)
     return print_thread(_explore(control, pgs, Budget()))
 
 
@@ -257,9 +258,9 @@ def test_shared_control_changes_no_output():
 def test_control_is_built_once_per_alphabet(monkeypatch):
     built = []
 
-    def tables(mech):
+    def tables(mech, alphabet):
         built.append(mech)
-        return _tables(mech)
+        return _tables(mech, alphabet)
 
     monkeypatch.setattr("pgakit.execmech._tables", tables)
     _control.cache_clear()
@@ -283,6 +284,48 @@ def test_control_is_sound_after_a_budget_error():
     with pytest.raises(BudgetExceededError):
         run_exec(p, Budget(50))
     assert bisimilar(run_exec(p, Budget(431)), w)
+    # budgets that run out at every configuration of the walk, inside
+    # segments too, each with the segments filled so far kept
+    want = _fresh(p)
+    _control.cache_clear()
+    for budget in range(1, 238):
+        with pytest.raises(BudgetExceededError):
+            run_exec(p, Budget(budget))
+        assert print_thread(run_exec(p)) == want, budget
+
+
+def _values(x):
+    """Everything a nest of tuples, lists and dicts holds, keys too."""
+    todo, seen = [x], []
+    while todo:
+        x = todo.pop()
+        seen.append(x)
+        if isinstance(x, dict):
+            todo += list(x) + list(x.values())
+        elif isinstance(x, (tuple, list)):
+            todo += x
+    return seen
+
+
+def test_segments_hold_nothing_of_a_program():
+    # keyed by (state, instruction, min(counter, K)): no position and no
+    # program, so every program over the alphabet shares them
+    first, second = P("f.a; (+f.b; ~; ~; #0; f.a; -f.a)*"), P("(~; ~; -f.b; #0; f.a; !)*")
+    alphabet = pgs_new(first).alphabet
+    assert pgs_new(second).alphabet is alphabet
+    _control.cache_clear()
+    run_exec(first)
+    segments = _control(alphabet).segments
+    keys = [(m, h, i) for m, table in enumerate(segments)
+            for h, (k, slots) in table.items() for i, seg in enumerate(slots) if seg]
+    assert keys
+    units = set(alphabet.instructions) | {None}
+    assert all(h in units and 0 <= i for _, h, i in keys)
+    for x in _values(segments):
+        assert not isinstance(x, (InstructionSequence, PgsService)), x
+    warm = print_thread(run_exec(second))
+    _control.cache_clear()
+    assert print_thread(run_exec(second)) == warm == _fresh(second)
 
 
 def test_run_exec_rejects_positive_jumps():
@@ -309,10 +352,26 @@ def test_run_exec_budget_counts_configurations():
 
 def test_run_exec_fits_the_budgets_of_its_one_step_rounds():
     # the configurations walked when shift runs and skipping countdowns are
-    # taken in one step (n = 30 and 39 are in the acceptance tests)
+    # taken in one step (n = 30 and 39 are in the acceptance tests); one
+    # configuration fewer runs out
     for n, budget in ((1, 146), (2, 238), (3, 344), (4, 464), (5, 598), (6, 746), (10, 1478)):
         w = theorem3_witness(n)
         assert bisimilar(run_exec(corollary1_pipeline(w), Budget(budget)), w), n
+        with pytest.raises(BudgetExceededError):
+            run_exec(corollary1_pipeline(w), Budget(budget - 1))
+
+
+def test_run_exec_counts_where_walks_meet_or_come_back():
+    # In (~)* the shift's inc comes back to the query chain, which finds the
+    # shift at the same position with no test on the way: deadlock, found
+    # there, after two configurations.  In the others the walks after a
+    # test's two branches meet inside a segment: where one reads the test
+    # again, and after the clr that both take.
+    for txt, walk in (("(~)*", 2), ("~; (+f.b)*", 14), ("~; (~; -f.a)*", 22)):
+        p = P(txt)
+        assert bisimilar(run_exec(p, Budget(walk)), extract_pgajs(p)), txt
+        with pytest.raises(BudgetExceededError):
+            run_exec(p, Budget(walk - 1))
 
 
 def test_run_exec_counts_down_past_non_shifts_in_one_step():
@@ -339,7 +398,8 @@ def _assert_explorer_matches_product(control, units, period=()):
     mech = parse_thread(control + _SHOW_COUNTER)
     p = InstructionSequence(units, period)
     product = compose(compose(mech, "pgs", pgs_new(p)), "cnt", counter_new(0))
-    got = _explore(_tables(mech), pgs_new(p), Budget())
+    pgs = pgs_new(p)
+    got = _explore(_tables(mech, pgs.alphabet), pgs, Budget())
     assert bisimilar(got, abstract_tau(product))
     return print_thread(got)
 
@@ -406,7 +466,8 @@ a3 = <a4> cnt.dec <z>
 a4 = <r> pgs.drop <r>"""
     mech = parse_thread(control + _SHOW_COUNTER)
     p = InstructionSequence((), (Plain(fa),))
-    got = _explore(_tables(mech), pgs_new(p), Budget(100))
+    pgs = pgs_new(p)
+    got = _explore(_tables(mech, pgs.alphabet), pgs, Budget(100))
     assert bisimilar(got, ThreadSpec({"d": DEADLOCK}, "d"))
 
 
@@ -439,6 +500,20 @@ def test_explorer_deadlocks_on_a_blocked_reply_or_a_cycle_of_queries():
         control = "r = <q> g.go <q>\n" + step
         got = _assert_explorer_matches_product(control, (Plain(fa), Halt()))
         assert got == "X0 = <X1> g.go <X1>\nX1 = D", step
+
+
+def test_explorer_forgets_the_states_it_passed_at_each_test():
+    # r drops to the end of the program, where b's drop fails; the walk
+    # tests the counter and comes back to b with counter one, which the isz
+    # then finds: the test in between makes that no loop
+    control = """r = <b> pgs.drop <b>
+b = <d> pgs.drop <d>
+d = <u> cnt.isz <w>
+u = <b> cnt.inc <b>
+w = <w2> g.done <w2>
+w2 = S"""
+    got = _assert_explorer_matches_product(control, (Plain(fa),))
+    assert got == "X0 = <X1> g.done <X1>\nX1 = S"
 
 
 def test_one_mechanism_runs_many_programs():
