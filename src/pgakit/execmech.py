@@ -331,8 +331,6 @@ class _Control(NamedTuple):
     # per state: instruction at the position -> K and the segments from
     # there, by min(counter, K); nothing of a program
     segments: list
-    # (state, rounds known from it) -> the weights `_weigh` gives
-    weighings: dict
 
 
 def _tables(mech: ThreadSpec, alphabet: Alphabet) -> _Control:
@@ -408,7 +406,7 @@ def _tables(mech: ThreadSpec, alphabet: Alphabet) -> _Control:
     meets = [_ZERO * (w[_ZERO] > 1) | _MORE * (w[_MORE] > 1) | _JOIN * (len(pred) > 1)
              for w, pred in zip(ways, preds)]
     return _Control(root, kinds, bodies, methods, thens, elses, asks, meets,
-                    alphabet.instructions + (None,), [{} for _ in kinds], {})
+                    alphabet.instructions + (None,), [{} for _ in kinds])
 
 
 def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[int]) -> tuple:
@@ -434,7 +432,7 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
     - asked: its program queries, as (state, reply);
     - how it ends, the last state walked and the state the walk goes on
       from."""
-    _, kinds, _, methods, thens, elses, asks, meets, _, _, _ = control
+    _, kinds, _, methods, thens, elses, asks, meets, _, _ = control
     asked, checks, seen = (), [], {}
     count, rel, val, least, low, plain = 0, True, 0, 0, None, True
     tested, meet, at = False, 2, None  # meet: 2 all of it, 1 state and position
@@ -499,7 +497,7 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
 def _explore(control: _Control, pgs: PgsService, budget: Budget) -> ThreadSpec:
     """The thread of a control that `_tables` read, run with `pgs` and a
     zeroed counter, with all service traffic hidden, as `run_exec` says."""
-    root, _, bodies, _, thens, elses, _, _, _, segments, weighings = control
+    root, _, bodies, _, thens, elses, _, _, units, segments = control
     s, heads = pgs.sequence, pgs._heads
     p, e = len(s.prefix), len(heads)
 
@@ -511,23 +509,23 @@ def _explore(control: _Control, pgs: PgsService, budget: Budget) -> ThreadSpec:
     # prefix sums of the change each covered one makes, in size; the sign of
     # those changes (0: mixed) and the lowest test of any round
     tables: Dict[int, tuple] = {}
-    # prefix sums over the positions by the weight of each instruction,
-    # shared by the states and rounds that weigh them alike
-    arrays: Dict[frozenset, List[int]] = {}
+    # prefix sums over the positions by the weights `_weigh` gives, shared
+    # by the states and rounds that weigh them alike
+    arrays: Dict[tuple, List[int]] = {}
 
-    def prefix(weights: frozenset) -> List[int]:
+    def prefix(weights: tuple) -> List[int]:
         got = arrays.get(weights)
         if got is None:
-            if any(w for _, w in weights):
-                got = list(accumulate(map(dict(weights).__getitem__, heads), initial=0))
+            if any(weights):
+                weight = dict(zip(units, weights))
+                got = list(accumulate(map(weight.__getitem__, heads), initial=0))
             else:
                 got = [0] * (e + 1)
             arrays[weights] = got
         return got
 
     def table(m2: int) -> tuple:
-        key = (m2, frozenset(rounds[m2].items()))
-        bare, size, sign, low = weighings.get(key) or _weigh(control, key)
+        bare, size, sign, low = _weigh(control, rounds[m2])
         got = tables[m2] = (prefix(bare), prefix(size), sign, low)
         return got
 
@@ -680,17 +678,16 @@ def _first_segment(control: _Control, m: int, h: Optional[Instruction]) -> Tuple
     return got
 
 
-def _weigh(control: _Control, key: tuple) -> tuple:
-    """For a state and the rounds known from it: the weight of each
-    instruction in the prefix counts of the positions no round covers and
-    in the prefix sums of the change of the round that covers it, in size;
-    the sign of the changes (0: mixed) and the lowest test of any round.
-    At most one round covers an instruction: its queries and the counter's
-    tests, none finding zero, decide its path."""
-    _, known = key
+def _weigh(control: _Control, known: dict) -> tuple:
+    """For the rounds known from a state: the weight of each instruction,
+    in the order of `units`, in the prefix counts of the positions no round
+    covers and in the prefix sums of the change of the round that covers
+    it, in size; the sign of the changes (0: mixed) and the lowest test of
+    any round.  At most one round covers an instruction: its queries and
+    the counter's tests, none finding zero, decide its path."""
     bare = dict.fromkeys(control.units, 1)
     size = dict.fromkeys(control.units, 0)
-    for asked, (d, _) in known:
+    for asked, (d, _) in known.items():
         # the instructions that answer its queries alike: the one it found
         # (none, if it found two), or any it did not ask for (the end of a
         # finite program answers no query)
@@ -701,15 +698,14 @@ def _weigh(control: _Control, key: tuple) -> tuple:
         for h in found or control.units:
             if h not in passed:
                 bare[h], size[h] = 0, abs(d)
-    ds = [d for _, (d, _) in known]
-    lows = [low for _, (_, low) in known if low is not None]
-    got = control.weighings[key] = (
-        frozenset(bare.items()),
-        frozenset(size.items()),
+    ds = [d for d, _ in known.values()]
+    lows = [low for _, low in known.values() if low is not None]
+    return (
+        tuple(bare.values()),
+        tuple(size.values()),
         1 if min(ds) >= 0 else -1 if max(ds) <= 0 else 0,
         min(lows, default=None),
     )
-    return got
 
 
 def _fill(control: _Control, slots: list, m: int, h: Optional[Instruction], c: int) -> tuple:

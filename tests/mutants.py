@@ -33,11 +33,10 @@ from typing import NamedTuple, Optional, Tuple
 
 import pytest
 
-# Loaded once here, so that no forked child loads them again; none of them
-# imports pgakit.  With hypothesis already loaded, pytest.main on one test
+# Loaded once here, so that no forked child loads it again; it does not
+# import pgakit.  With hypothesis already loaded, pytest.main on one test
 # takes about a quarter of the time.
-for _module in ("hypothesis",):
-    importlib.import_module(_module)
+importlib.import_module("hypothesis")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -190,6 +189,13 @@ MUTANTS = (
            "            return [(then, _ZERO), (then, _ZERO)]\n",
            "            return [(then, _ZERO)]\n",
            (_MEET,)),
+    Mutant("a dec whose branches are equal is one way in", "execmech.py",
+           "[(else_, _ZERO)] * (signs & 1)",
+           "[(else_, _ZERO)] * (signs & 1) * (then != else_)",
+           (_EXECMECH + "test_explorer_counts_where_the_root_or_a_dec_is_a_second_way_in",)),
+    Mutant("the root is no way in", "execmech.py",
+           "    ways[root][_ZERO] += 1\n", "",
+           (_EXECMECH + "test_explorer_counts_where_the_root_or_a_dec_is_a_second_way_in",)),
     Mutant("a check forgets the tests before it", "execmech.py",
            "                if clear:\n                    pairs.clear()\n", "",
            (_EXECMECH + "test_explorer_forgets_the_states_it_passed_at_each_test",)),

@@ -295,9 +295,8 @@ def test_verify_rejects_negative_count(capsys):
 # Program text as a user may type it, any text at all, and a thread whose
 # action may not be a program basic; any of them with a leading "-", as a
 # program that starts with a negative test has.
-_TYPED = st.text(alphabet=st.sampled_from(list("f.ab;()*!~#+-019 \n/=<>SD")), max_size=40)
 _TEXTS = (
-    _TYPED
+    st.text(alphabet=st.sampled_from(list("f.ab;()*!~#+-019 \n/=<>SD")), max_size=40)
     | st.text(max_size=40)
     | st.text(alphabet=st.sampled_from(list("fab.-+!#~0(;*")), min_size=1, max_size=6).map(
         lambda m: f"s0 = <s1> f.{m} <s0>\ns1 = S"
@@ -320,20 +319,24 @@ def test_any_text_ends_in_a_documented_exit(a, b):
         ["mechanism", f"--in={a}"],
         ["bisim", "--programs", "--", a, b],
         *(["verify", "--theorem", t, f"--in={a}"] for t in ("1", "2", "exec", "roundtrip")),
-        # as positional input; a text that is an option, such as --alt or
-        # -h, is read as that option
-        ["extract", a],
-        ["bisim", "--programs", a, b],
     ):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sys, "stdin", io.StringIO(b))
             out = io.StringIO()
             with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse: help, or a usage error
-                    code = exc.code
+                code = main(argv)
                 assert code in range(7)
                 # a compiled program reads back
                 if argv[0] == "compile" and code == 0:
                     assert main(["normalize", f"--in={out.getvalue()}"]) == 0, out.getvalue()
+    # as positional input; a text that is an option, such as --alt or -h,
+    # is read as that option, and argparse exits on help or a usage error
+    for argv in (["extract", a], ["bisim", "--programs", a, b]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "stdin", io.StringIO(b))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                assert code in range(7)

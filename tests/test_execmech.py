@@ -516,6 +516,25 @@ w2 = S"""
     assert got == "X0 = <X1> g.done <X1>\nX1 = S"
 
 
+def test_explorer_counts_where_the_root_or_a_dec_is_a_second_way_in():
+    # The walk after r's action reaches r again, which the root walk passed;
+    # after q's action two walks reach b, one by each branch of a's dec.
+    # Each later walk stops where it meets the earlier one.
+    p = P("f.a")
+    for control, walk in (
+        ("r = <a> g.x <a>\na = <r> cnt.isz <s>\ns = S", 2),
+        ("q = <i> g.x <a>\ni = <a> cnt.inc <a>\na = <b> cnt.dec <b>\n"
+         "b = <s> g.y <s>\ns = S", 6),
+    ):
+        mech = parse_thread(control)
+        pgs = pgs_new(p)
+        product = compose(compose(mech, "pgs", pgs), "cnt", counter_new(0))
+        got = _explore(_tables(mech, pgs.alphabet), pgs, Budget(walk))
+        assert bisimilar(got, abstract_tau(product)), control
+        with pytest.raises(BudgetExceededError):
+            _explore(_tables(mech, pgs.alphabet), pgs, Budget(walk - 1))
+
+
 def test_one_mechanism_runs_many_programs():
     alpha = Alphabet.from_basics([fa, fb])
     for txt in ("f.a; !", "+f.b; !; f.a", "(f.b)*", "~; #0; !"):
