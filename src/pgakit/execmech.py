@@ -18,8 +18,9 @@ the position stays put, so the instruction there and the counter's tests
 alone decide the walk: each segment is the control evaluated once for one
 instruction (partial evaluation, Jones, Gomard & Sestoft 1993), kept per
 alphabet under (state, instruction, min(counter, K)) and shared by every
-program.  Once the mechanism has shown a round between two drops that it
-repeats, one rule takes the rounds ahead in one step, by binary search in
+program.  So is whether a segment from where a drop lands is a round, one
+that drops back into its start state: the rounds are read once per landing
+state, and one rule takes the rounds ahead in one step, by binary search in
 prefix sums over the positions: a run of jump-shifts and a skipping
 countdown alike.
 """
@@ -64,6 +65,7 @@ from .syntax import (
     ProgramError,
     RESERVED_FOCI,
     basics_of,
+    instruction_at,
     instruction_text,
     is_pgajs0,
     position,
@@ -145,29 +147,22 @@ class PgsService(Service):
     alphabet: Alphabet = field(compare=False)
     position: int = 0
     undefined: bool = False
-    # the instruction at each position (None at a finite end), built once
-    _heads: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self._heads is None:
-            s = self.sequence
-            object.__setattr__(self, "_heads", s.prefix + (s.period or (None,)))
 
     def apply(self, method: str) -> Tuple["PgsService", Reply]:
         if self.undefined:
             return self, Reply.BLOCKED
-        s, heads = self.sequence, self._heads
+        s = self.sequence
         if method == "drop":
             if self.position == len(s):
                 return self, Reply.FALSE
             pos = position(s, self.position + 1)
-            return PgsService(s, self.alphabet, pos, False, heads), Reply.TRUE
+            return PgsService(s, self.alphabet, pos), Reply.TRUE
         u = None
         if method.startswith("hdeq:"):
             u = self.alphabet._by_text.get(method[len("hdeq:"):])
         if u is None:
-            return PgsService(s, self.alphabet, self.position, True, heads), Reply.BLOCKED
-        return self, Reply.TRUE if heads[self.position] == u else Reply.FALSE
+            return PgsService(s, self.alphabet, self.position, True), Reply.BLOCKED
+        return self, Reply.TRUE if instruction_at(s, self.position) == u else Reply.FALSE
 
     def key(self) -> str:
         if self.undefined:
@@ -255,15 +250,17 @@ def run_exec(
     than the segment's counter tests).  The key holds nothing of a
     program, so every program over the alphabet shares the segments.  A
     segment records its end, the change to the counter or its reset by a
-    clr, the lowest value a test found, its program queries and replies,
-    and the configurations it stands for, with those where another walk
-    can have come first: where two ways into a state bring the counter
-    with the same sign (zero or not), found once per mechanism.  A round
-    between two drops that returns to its mechanism state with no test
-    finding the counter zero repeats at every position whose instruction
-    answers its queries alike, while the counter keeps its tests nonzero.
-    Once a round comes back, the rounds known from its state are taken in
-    one step, by binary search in prefix sums over the positions: a run of
+    clr, the lowest value a test found, and the configurations it stands
+    for, with those where another walk can have come first: where two ways
+    into a state bring the counter with the same sign (zero or not), found
+    once per mechanism.  A segment that every counter from K on walks from
+    where a drop lands, and that drops back into its first state with no
+    clr on the way, is a round: it repeats at every position that holds
+    its instruction (at the end of a finite program, where the drop fails,
+    it stays there), while the counter keeps its tests nonzero.  The
+    rounds from each state are read off the control once, and wherever a
+    drop lands in a state that has rounds, those ahead are taken in one
+    step, by binary search in prefix sums over the positions: a run of
     jump-shifts and a skipping countdown alike.
 
     The budget caps the configurations walked, counted one by one: a
@@ -272,10 +269,11 @@ def run_exec(
     configuration at a time would."""
     if not is_pgajs0(p):
         raise NotPgajs0Error("execution requires a program with only #0 jumps")
-    if alphabet is not None and not basics_of(p) <= set(alphabet.basics):
+    if alphabet is None:
+        alphabet = Alphabet.from_sequence(p)
+    elif not basics_of(p) <= set(alphabet.basics):
         raise AlphabetMismatchError("the program has basics outside the alphabet")
-    pgs = pgs_new(p, alphabet)
-    return _explore(_control(pgs.alphabet), pgs, budget or Budget())
+    return _explore(_control(alphabet), p, budget or Budget())
 
 
 _LEAF, _PGS, _CNT, _SHOW = range(4)
@@ -307,8 +305,9 @@ def _control(alphabet: Alphabet) -> _Control:
 
 
 # How a segment ends: at a drop that moves the position on, or one that
-# finds the end of a finite program; at a visible action; at a leaf; in
-# deadlock; or before a state it has passed, where the next one starts.
+# finds the end of a finite program (the drops come first: how <= _FAILED);
+# at a visible action; at a leaf; in deadlock; or before a state it has
+# passed, where the next one starts.
 _MOVED, _FAILED, _VISIBLE, _ENDED, _STUCK, _AGAIN = range(6)
 _ZERO, _MORE, _JOIN = 1, 2, 4  # signs of the counter, as bits; see `meets`
 _WALKING = object()  # what a configuration resolves to while its walk runs
@@ -331,6 +330,9 @@ class _Control(NamedTuple):
     # per state: instruction at the position -> K and the segments from
     # there, by min(counter, K); nothing of a program
     segments: list
+    # per state a drop lands in: what `_rounds` reads off the segments
+    # from there; nothing of a program
+    rounds: dict
 
 
 def _tables(mech: ThreadSpec, alphabet: Alphabet) -> _Control:
@@ -338,7 +340,7 @@ def _tables(mech: ThreadSpec, alphabet: Alphabet) -> _Control:
     instructions of the alphabet: per state its kind, body, method, True
     and False successors, the instruction a query names (None: it wedges
     the program service) and the counters two walks can meet there with;
-    the root; and the segments, filled in as runs reach them."""
+    the root; and the segments and rounds, filled in as runs reach them."""
     index = {sid: i for i, sid in enumerate(mech.states)}
     kinds, bodies, methods, thens, elses, asks = [], [], [], [], [], []
     for body in mech.states.values():
@@ -406,7 +408,7 @@ def _tables(mech: ThreadSpec, alphabet: Alphabet) -> _Control:
     meets = [_ZERO * (w[_ZERO] > 1) | _MORE * (w[_MORE] > 1) | _JOIN * (len(pred) > 1)
              for w, pred in zip(ways, preds)]
     return _Control(root, kinds, bodies, methods, thens, elses, asks, meets,
-                    alphabet.instructions + (None,), [{} for _ in kinds])
+                    alphabet.instructions + (None,), [{} for _ in kinds], {})
 
 
 def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[int]) -> tuple:
@@ -418,7 +420,7 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
     zero until a clr; every counter from K on takes it.
 
     Returns the segment and K.  The segment is (checks, count, tail, rel,
-    val, low, plain, asked, how, at, nxt):
+    val, low, how, at, nxt):
     - checks: the configurations where another walk can have come first,
       each (configurations before it, before the next check, state,
       relative, counter value or change, whether a test came since the
@@ -428,13 +430,12 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
       after the last check;
     - the counter after it: c + val if rel, else val (a clr reset it);
     - low: the lowest value a test found less c, before any reset (None:
-      none); plain: whether no test found zero and nothing reset it;
-    - asked: its program queries, as (state, reply);
+      none);
     - how it ends, the last state walked and the state the walk goes on
       from."""
-    _, kinds, _, methods, thens, elses, asks, meets, _, _ = control
-    asked, checks, seen = (), [], {}
-    count, rel, val, least, low, plain = 0, True, 0, 0, None, True
+    _, kinds, _, methods, thens, elses, asks, meets, _, _, _ = control
+    checks, seen = [], {}
+    count, rel, val, least, low = 0, True, 0, 0, None
     tested, meet, at = False, 2, None  # meet: 2 all of it, 1 state and position
 
     def counter() -> Optional[int]:  # None: above zero
@@ -451,7 +452,6 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
                 how = _STUCK
                 break
             r = h is asks[m]
-            asked += ((m, r),)
         else:
             if meet:
                 checks.append([count, 0, m, rel, val, tested, meet > 1])
@@ -471,10 +471,10 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
                 r, val = True, val + 1
             elif method == "clr":
                 r, val, rel = True, 0, False
-                tested, plain = True, False
+                tested = True
             elif method == "dec" or method == "isz":
                 zero = counter() == 0
-                tested, plain = True, plain and not zero
+                tested = True
                 if rel:
                     low = val if low is None else min(low, val)
                 r = zero if method == "isz" else not zero
@@ -491,26 +491,24 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
     for i, check in enumerate(checks):
         check[1] = checks[i + 1][0] if i + 1 < len(checks) else count
     checks = tuple(map(tuple, checks))
-    return (checks, count, tested, rel, val, low, plain, asked, how, at, m), 1 - least
+    return (checks, count, tested, rel, val, low, how, at, m), 1 - least
 
 
-def _explore(control: _Control, pgs: PgsService, budget: Budget) -> ThreadSpec:
-    """The thread of a control that `_tables` read, run with `pgs` and a
-    zeroed counter, with all service traffic hidden, as `run_exec` says."""
-    root, _, bodies, _, thens, elses, _, _, units, segments = control
-    s, heads = pgs.sequence, pgs._heads
+def _explore(control: _Control, s: InstructionSequence, budget: Budget) -> ThreadSpec:
+    """The thread of a control that `_tables` read, run on program s from
+    its first position with a zeroed counter, with all service traffic
+    hidden, as `run_exec` says."""
+    root, _, bodies, _, thens, elses, _, _, units, segments, rounds = control
+    heads = s.prefix + (s.period or (None,))  # the instruction at each position
     p, e = len(s.prefix), len(heads)
 
-    # per state a drop landed in: its rounds by the program queries and
-    # replies they asked -> change to the counter, and lowest test less the
-    # value on entry (None: no test)
-    rounds: Dict[int, Dict[tuple, Tuple[int, Optional[int]]]] = {}
-    # per state: prefix counts of the positions no round of it covers, and
-    # prefix sums of the change each covered one makes, in size; the sign of
-    # those changes (0: mixed) and the lowest test of any round
+    # per state a drop landed in that has rounds: prefix counts of the
+    # positions no round of it covers, and prefix sums of the change each
+    # covered one makes, in size; the sign of those changes (0: mixed) and
+    # the lowest test of any round
     tables: Dict[int, tuple] = {}
-    # prefix sums over the positions by the weights `_weigh` gives, shared
-    # by the states and rounds that weigh them alike
+    # prefix sums over the positions by the weights `_rounds` gives, shared
+    # by the states that weigh them alike
     arrays: Dict[tuple, List[int]] = {}
 
     def prefix(weights: tuple) -> List[int]:
@@ -525,15 +523,15 @@ def _explore(control: _Control, pgs: PgsService, budget: Budget) -> ThreadSpec:
         return got
 
     def table(m2: int) -> tuple:
-        bare, size, sign, low = _weigh(control, rounds[m2])
+        bare, size, sign, low = rounds[m2]
         got = tables[m2] = (prefix(bare), prefix(size), sign, low)
         return got
 
     def repeat(m2: int, i: int, c: int):
-        """The position and counter past the rounds known from m2, from
-        position i with counter c: at the first position none covers, or
-        where a test would find the counter zero.  DEADLOCK if neither
-        comes, None if no round is taken."""
+        """The position and counter past the rounds from m2, from position
+        i with counter c: at the first position none covers, or where a
+        test would find the counter zero.  DEADLOCK if neither comes, None
+        if no round is taken."""
         bare, size, sign, low = tables.get(m2) or table(m2)
         if not sign or (low is not None and c + low < 1):
             return None
@@ -564,18 +562,13 @@ def _explore(control: _Control, pgs: PgsService, budget: Budget) -> ThreadSpec:
         nonlocal spent
         walked: List[tuple] = []
         pairs = set()  # (mechanism state, position) since the last counter test
-        mark, marked = None, 0  # mechanism state and counter where the last drop landed
-        # since the mark: program queries and replies, the lowest counter
-        # value tested (None: none), and whether no test found it zero and
-        # nothing cleared it
-        asked, low, plain = (), None, True
         room, n = limit - spent, 0
         while True:
             h = heads[v]
             k, slots = segments[m].get(h) or _first_segment(control, m, h)
             i = c if c < k else k
             seg = slots[i] or _fill(control, slots, m, h, i)
-            checks, count, tail, rel, val, got_low, got_plain, got_asked, how, at, nxt = seg
+            checks, count, tail, rel, val, _, how, at, nxt = seg
             got = None
             for before, upto, m1, rel1, val1, clear, full in checks:
                 if full:
@@ -605,33 +598,21 @@ def _explore(control: _Control, pgs: PgsService, budget: Budget) -> ThreadSpec:
             n += count
             if tail:
                 pairs.clear()
-            asked += got_asked
-            if plain:
-                plain = got_plain
-                if got_low is not None and (low is None or c + got_low < low):
-                    low = c + got_low
             c = c + val if rel else val
-            if how == _MOVED:
-                m2, v = nxt, v + 1
-                if v == e:  # round into the period
-                    v = p
-                if mark == m2:
-                    if plain and thens[at] == elses[at]:
-                        known = rounds.setdefault(m2, {})
-                        if asked not in known:
-                            known[asked] = (
-                                c - marked, None if low is None else low - marked
-                            )
-                            tables.pop(m2, None)
-                    jump = repeat(m2, v, c) if m2 in rounds else None
+            if how <= _FAILED:  # a drop, into nxt
+                if how == _MOVED:
+                    v += 1
+                    if v == e:  # round into the period
+                        v = p
+                if (rounds[nxt] if nxt in rounds else _rounds(control, nxt)) is not None:
+                    jump = repeat(nxt, v, c)
                     if jump is DEADLOCK:
                         got = DEADLOCK
                         break
                     if jump is not None:
                         v, c = jump
-                        if tables[m2][3] is not None:
+                        if tables[nxt][3] is not None:
                             pairs.clear()
-                mark, marked, asked, low, plain = m2, c, (), None, True
             elif how == _VISIBLE:
                 got = (at, v, c)
                 break
@@ -659,7 +640,7 @@ def _explore(control: _Control, pgs: PgsService, budget: Budget) -> ThreadSpec:
             queue.append(cfg)
         return got
 
-    name((root, pgs.position, 0))
+    name((root, 0, 0))
     states: Dict[str, Body] = {}
     while queue:
         got = resolve(*queue.popleft())
@@ -678,34 +659,38 @@ def _first_segment(control: _Control, m: int, h: Optional[Instruction]) -> Tuple
     return got
 
 
-def _weigh(control: _Control, known: dict) -> tuple:
-    """For the rounds known from a state: the weight of each instruction,
-    in the order of `units`, in the prefix counts of the positions no round
-    covers and in the prefix sums of the change of the round that covers
-    it, in size; the sign of the changes (0: mixed) and the lowest test of
-    any round.  At most one round covers an instruction: its queries and
-    the counter's tests, none finding zero, decide its path."""
-    bare = dict.fromkeys(control.units, 1)
-    size = dict.fromkeys(control.units, 0)
-    for asked, (d, _) in known.items():
-        # the instructions that answer its queries alike: the one it found
-        # (none, if it found two), or any it did not ask for (the end of a
-        # finite program answers no query)
-        found = {control.asks[q] for q, r in asked if r}
-        passed = {control.asks[q] for q, r in asked if not r}
-        if len(found) > 1:
-            continue
-        for h in found or control.units:
-            if h not in passed:
-                bare[h], size[h] = 0, abs(d)
-    ds = [d for d, _ in known.values()]
-    lows = [low for _, low in known.values() if low is not None]
-    return (
-        tuple(bare.values()),
-        tuple(size.values()),
-        1 if min(ds) >= 0 else -1 if max(ds) <= 0 else 0,
-        min(lows, default=None),
-    )
+def _rounds(control: _Control, m: int) -> Optional[tuple]:
+    """The rounds from state m, read off its segments once and kept with
+    the control; None if it has none.  The segment from m over an
+    instruction that every counter from K on walks is a round if it ends
+    in a drop back into m, with no clr on the way: at every position that
+    holds that instruction it brings the walk back to m at the next one
+    (at the end of a finite program, where the drop fails, at the end
+    again), for as long as the counter keeps its tests nonzero.
+
+    Returns the weight of each instruction, in the order of `units`, in
+    the prefix counts of the positions no round covers and in the prefix
+    sums of the change of the round that covers it, in size; the sign of
+    the changes (0: mixed) and the lowest value a test of any round found,
+    less the counter on entry (None: no test)."""
+    units = control.units
+    found = {}  # instruction -> change and lowest test of its round
+    for h in units:
+        k, slots = control.segments[m].get(h) or _first_segment(control, m, h)
+        _, _, _, rel, val, low, how, _, nxt = slots[k]
+        if how <= _FAILED and nxt == m and rel:
+            found[h] = val, low
+    got = None
+    if found:
+        changes = [d for d, _ in found.values()]
+        got = (
+            tuple(int(h not in found) for h in units),
+            tuple(abs(found[h][0]) if h in found else 0 for h in units),
+            1 if min(changes) >= 0 else -1 if max(changes) <= 0 else 0,
+            min((low for _, low in found.values() if low is not None), default=None),
+        )
+    control.rounds[m] = got
+    return got
 
 
 def _fill(control: _Control, slots: list, m: int, h: Optional[Instruction], c: int) -> tuple:

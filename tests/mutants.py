@@ -56,6 +56,9 @@ _COUNTS_DOWN = "tests/test_execmech.py::test_run_exec_counts_down_past_non_shift
 _BUDGETS = "tests/test_execmech.py::test_run_exec_fits_the_budgets_of_its_one_step_rounds"
 _MEET = "tests/test_execmech.py::test_run_exec_counts_where_walks_meet_or_come_back"
 _WITNESS_EXEC = "tests/test_acceptance.py::test_witness_exec_n4_to_6"
+_WITNESS_N30 = "tests/test_acceptance.py::test_witness_exec_n30"
+_BY_WHERE_THEY_LEAD = ("tests/test_execmech.py::"
+                       "test_explorer_takes_rounds_by_where_their_drop_leads_and_not_through_a_clr")
 _FIND_ZERO = ("tests/test_execmech.py::"
               "test_explorer_walks_rounds_step_by_step_when_one_would_find_zero")
 _BOTH_WAYS = ("tests/test_execmech.py::"
@@ -106,18 +109,23 @@ MUTANTS = (
            "    per = sums[e] - sums[p]\n",
            "    per = sums[e] - sums[p] if s.period else 1\n",
            (_LANDING, _COUNTS_DOWN)),
-    # --- the prefix counts and rounds of the explorer -----------------------
-    Mutant("prefix count never covers the end of a finite program", "execmech.py",
-           "            if h not in passed:\n",
-           "            if h is not None and h not in passed:\n",
+    # --- the rounds of the control and the explorer --------------------------
+    Mutant("a failed drop at the end of a finite program is not a round", "execmech.py",
+           "if how <= _FAILED and nxt == m and rel:",
+           "if how == _MOVED and nxt == m and rel:",
            (_COUNTS_DOWN,)),
-    Mutant("prefix count always covers the end of a finite program", "execmech.py",
-           "    size = dict.fromkeys(control.units, 0)\n",
-           "    size = dict.fromkeys(control.units, 0)\n    bare[None] = 0\n",
-           (_LANDING, _MIXED, _COUNTS_DOWN, _BUDGETS, _WITNESS_EXEC),
-           equivalent="landing at the end of a finite program ends in deadlock"
-           " whatever the counter (the end reads as #0 and every drop there"
-           " fails), exactly like never landing"),
+    Mutant("a failed drop is taken to land by its then branch", "execmech.py",
+           "if how <= _FAILED and nxt == m and rel:",
+           "if how <= _FAILED and control.thens[slots[k][7]] == m and rel:",
+           (_BY_WHERE_THEY_LEAD,)),
+    Mutant("a round through a clr is taken", "execmech.py",
+           "if how <= _FAILED and nxt == m and rel:",
+           "if how <= _FAILED and nxt == m:",
+           (_BY_WHERE_THEY_LEAD,)),
+    Mutant("rounds wait until one round has been walked", "execmech.py",
+           "                if (rounds[nxt] if nxt in rounds",
+           "                if m == nxt and (rounds[nxt] if nxt in rounds",
+           (_BUDGETS, _WITNESS_N30)),
     Mutant("rounds stop past the first position none covers", "execmech.py",
            "stop = (stop[0] - 1, stop[1])", "stop = (stop[0], stop[1])",
            (_COUNTS_DOWN, _MIXED)),
@@ -144,13 +152,9 @@ MUTANTS = (
            "if low is not None and c + low < 1:",
            (_BOTH_WAYS,)),
     Mutant("a tested round taken in one step keeps the walk before it", "execmech.py",
-           "                        if tables[m2][3] is not None:\n"
+           "                        if tables[nxt][3] is not None:\n"
            "                            pairs.clear()\n", "",
            (_EXECMECH + "test_explorer_forgets_its_walk_after_rounds_that_tested_the_counter",)),
-    Mutant("a round is recorded after a test that found zero", "execmech.py",
-           "tested, plain = True, plain and not zero",
-           "tested, plain = True, plain",
-           ("tests/test_execmech.py::test_explorer_keeps_no_round_whose_test_found_zero",)),
     # --- the segments of the explorer ----------------------------------------
     Mutant("segments keyed without the instruction at the position", "execmech.py",
            "k, slots = segments[m].get(h) or _first_segment(control, m, h)",
@@ -160,8 +164,8 @@ MUTANTS = (
            "i = c if c < k else k", "i = k",
            (_BUDGETS, _EXECMECH + "test_run_exec_examples")),
     Mutant("K leaves out how low the counter goes", "execmech.py",
-           "return (checks, count, tested, rel, val, low, plain, asked, how, at, m), 1 - least",
-           "return (checks, count, tested, rel, val, low, plain, asked, how, at, m), 1",
+           "return (checks, count, tested, rel, val, low, how, at, m), 1 - least",
+           "return (checks, count, tested, rel, val, low, how, at, m), 1",
            (_BUDGETS,)),
     Mutant("a segment stands for one configuration too many", "execmech.py",
            "            n += count\n", "            n += count + 1\n",
@@ -178,7 +182,7 @@ MUTANTS = (
     Mutant("a walk comes back to its state and position only where segments start",
            "execmech.py",
            "                   ways_in >= _JOIN)", "                   False)",
-           (_MEET,)),
+           (_EXECMECH + "test_explorer_counts_where_a_walk_comes_back_with_no_test",)),
     Mutant("walks meet with any counter", "execmech.py",
            "2 if ways_in & (_ZERO if counter() == 0 else _MORE)",
            "2 if ways_in & (_ZERO | _MORE)",

@@ -13,6 +13,7 @@ import pytest
 from pgakit import (
     Basic,
     Budget,
+    BudgetExceededError,
     DEADLOCK,
     HALT,
     InstructionSequence,
@@ -363,11 +364,16 @@ def test_witness_exec_n30():
     p = corollary1_pipeline(w)
     assert len(p) == 54_853
     started = time.monotonic()
-    # the budgets are the exact walks: rounds are taken in one step
-    assert bisimilar(run_exec(p, Budget(8_498)), w)
+    # the budgets are the exact walks, with rounds taken in one step: one
+    # configuration fewer runs out
+    assert bisimilar(run_exec(p, Budget(5_395)), w)
+    with pytest.raises(BudgetExceededError):
+        run_exec(p, Budget(5_394))
     w = theorem3_witness(39)
     p = corollary1_pipeline(w)
     assert len(p) == 112_717
-    assert bisimilar(run_exec(p, Budget(13_484)), w)
+    assert bisimilar(run_exec(p, Budget(8_581)), w)
+    with pytest.raises(BudgetExceededError):
+        run_exec(p, Budget(8_580))
     _report("witness-exec n=30 and n=39, 54,853 and 112,717 instructions", started,
             limit=10.0)

@@ -33,7 +33,7 @@ from pgakit import (
     abstract_tau,
     counter_new,
 )
-from pgakit.execmech import PgsService, _control, _explore, _tables
+from pgakit.execmech import PgsService, _control, _explore, _rounds, _tables
 from pgakit.properties import PROPERTIES, draw_cases
 
 from strategies import programs
@@ -237,9 +237,9 @@ def test_run_exec_over_basics_that_do_not_parse_back():
 # one control per alphabet, shared by the calls over it
 def _fresh(p, alphabet=None):
     """The printed thread of p run by a control built for this call alone."""
-    pgs = pgs_new(p, alphabet)
-    control = _tables(build_exec_mechanism(pgs.alphabet), pgs.alphabet)
-    return print_thread(_explore(control, pgs, Budget()))
+    alphabet = alphabet or Alphabet.from_sequence(p)
+    control = _tables(build_exec_mechanism(alphabet), alphabet)
+    return print_thread(_explore(control, p, Budget()))
 
 
 def test_shared_control_changes_no_output():
@@ -277,6 +277,12 @@ def test_control_is_built_once_per_alphabet(monkeypatch):
     assert _control.cache_info().currsize == size
 
 
+# The configurations run_exec walks on corollary1_pipeline(theorem3_witness(n)),
+# with shift runs and skipping countdowns taken in one step (n = 30 and 39
+# are in the acceptance tests)
+_WALKS = {1: 88, 2: 145, 3: 211, 4: 286, 5: 370, 6: 463, 10: 925}
+
+
 def test_control_is_sound_after_a_budget_error():
     w = theorem3_witness(2)
     p = corollary1_pipeline(w)
@@ -285,10 +291,10 @@ def test_control_is_sound_after_a_budget_error():
         run_exec(p, Budget(50))
     assert bisimilar(run_exec(p, Budget(431)), w)
     # budgets that run out at every configuration of the walk, inside
-    # segments too, each with the segments filled so far kept
+    # segments too, each with the segments and rounds filled so far kept
     want = _fresh(p)
     _control.cache_clear()
-    for budget in range(1, 238):
+    for budget in range(1, _WALKS[2]):
         with pytest.raises(BudgetExceededError):
             run_exec(p, Budget(budget))
         assert print_thread(run_exec(p)) == want, budget
@@ -308,8 +314,9 @@ def _values(x):
 
 
 def test_segments_hold_nothing_of_a_program():
-    # keyed by (state, instruction, min(counter, K)): no position and no
-    # program, so every program over the alphabet shares them
+    # keyed by (state, instruction, min(counter, K)), and the rounds by
+    # state, with a weight per instruction: no position and no program, so
+    # every program over the alphabet shares them
     first, second = P("f.a; (+f.b; ~; ~; #0; f.a; -f.a)*"), P("(~; ~; -f.b; #0; f.a; !)*")
     alphabet = pgs_new(first).alphabet
     assert pgs_new(second).alphabet is alphabet
@@ -321,11 +328,42 @@ def test_segments_hold_nothing_of_a_program():
     assert keys
     units = set(alphabet.instructions) | {None}
     assert all(h in units and 0 <= i for _, h, i in keys)
-    for x in _values(segments):
+    rounds = _control(alphabet).rounds
+    assert any(rounds.values())
+    for weights in filter(None, rounds.values()):
+        bare, size, sign, low = weights
+        assert len(bare) == len(size) == len(units) and sign in (-1, 0, 1), weights
+    for x in _values(segments) + _values(rounds):
         assert not isinstance(x, (InstructionSequence, PgsService)), x
     warm = print_thread(run_exec(second))
     _control.cache_clear()
     assert print_thread(run_exec(second)) == warm == _fresh(second)
+
+
+def test_rounds_of_the_built_mechanism():
+    # Of the states a drop lands in (the skipping loop, the state after a
+    # guarded shift's drop and one per basic instruction), two have rounds:
+    # the skipping loop's keep the counter over a shift and lower it by one
+    # over any other instruction and at the end, testing it down to one
+    # below its value on entry; the one after a shift's drop adds one over a
+    # shift, untested.
+    for basics in ([fa], [fa, fb]):
+        alphabet = Alphabet.from_basics(basics)
+        mech = build_exec_mechanism(alphabet)
+        control = _tables(mech, alphabet)
+        sids = list(mech.states)
+        landings = {t for m, method in enumerate(control.methods) if method == "drop"
+                    for t in (control.thens[m], control.elses[m])}
+        got = {sids[m]: _rounds(control, m) for m in landings}
+        assert len(got) == len(basics) * 3 + 2
+        shift = [int(h is SHIFT) for h in control.units]
+        others = [1 - x for x in shift]
+        after_shift = f"e{alphabet.instructions.index(SHIFT)}b"
+        assert {sid: rounds for sid, rounds in got.items() if rounds} == {
+            "sq": ((0,) * len(shift), tuple(others), -1, -1),
+            after_shift: (tuple(others), tuple(shift), 1, None),
+        }
+        assert control.rounds == {m: got[sids[m]] for m in landings}
 
 
 def test_run_exec_rejects_positive_jumps():
@@ -351,10 +389,8 @@ def test_run_exec_budget_counts_configurations():
 
 
 def test_run_exec_fits_the_budgets_of_its_one_step_rounds():
-    # the configurations walked when shift runs and skipping countdowns are
-    # taken in one step (n = 30 and 39 are in the acceptance tests); one
-    # configuration fewer runs out
-    for n, budget in ((1, 146), (2, 238), (3, 344), (4, 464), (5, 598), (6, 746), (10, 1478)):
+    # one configuration fewer than the walk runs out
+    for n, budget in _WALKS.items():
         w = theorem3_witness(n)
         assert bisimilar(run_exec(corollary1_pipeline(w), Budget(budget)), w), n
         with pytest.raises(BudgetExceededError):
@@ -362,12 +398,15 @@ def test_run_exec_fits_the_budgets_of_its_one_step_rounds():
 
 
 def test_run_exec_counts_where_walks_meet_or_come_back():
-    # In (~)* the shift's inc comes back to the query chain, which finds the
-    # shift at the same position with no test on the way: deadlock, found
-    # there, after two configurations.  In the others the walks after a
-    # test's two branches meet inside a segment: where one reads the test
-    # again, and after the clr that both take.
-    for txt, walk in (("(~)*", 2), ("~; (+f.b)*", 14), ("~; (~; -f.a)*", 22)):
+    # In (~)* the shift's drop lands where the rounds over a shift cover
+    # every position, so none stops them: deadlock, after the one
+    # configuration of the drop.
+    p = P("(~)*")
+    assert bisimilar(run_exec(p, Budget(1)), extract_pgajs(p))
+    # In the others the walks after a test's two branches meet inside a
+    # segment: where one reads the test again, and after the clr that both
+    # take.
+    for txt, walk in (("~; (+f.b)*", 14), ("~; (~; -f.a)*", 17)):
         p = P(txt)
         assert bisimilar(run_exec(p, Budget(walk)), extract_pgajs(p)), txt
         with pytest.raises(BudgetExceededError):
@@ -398,8 +437,7 @@ def _assert_explorer_matches_product(control, units, period=()):
     mech = parse_thread(control + _SHOW_COUNTER)
     p = InstructionSequence(units, period)
     product = compose(compose(mech, "pgs", pgs_new(p)), "cnt", counter_new(0))
-    pgs = pgs_new(p)
-    got = _explore(_tables(mech, pgs.alphabet), pgs, Budget())
+    got = _explore(_tables(mech, Alphabet.from_sequence(p)), p, Budget())
     assert bisimilar(got, abstract_tau(product))
     return print_thread(got)
 
@@ -466,28 +504,28 @@ a3 = <a4> cnt.dec <z>
 a4 = <r> pgs.drop <r>"""
     mech = parse_thread(control + _SHOW_COUNTER)
     p = InstructionSequence((), (Plain(fa),))
-    pgs = pgs_new(p)
-    got = _explore(_tables(mech, pgs.alphabet), pgs, Budget(100))
+    got = _explore(_tables(mech, Alphabet.from_sequence(p)), p, Budget(100))
     assert bisimilar(got, ThreadSpec({"d": DEADLOCK}, "d"))
 
 
 def test_explorer_forgets_its_walk_after_rounds_that_tested_the_counter():
-    # f.c rounds raise the counter and, since their drop's branches differ,
-    # are never taken at once; an f.a round tests and lowers it, an f.b round
-    # leaves it.  From the f.b at position 4 with counter 2, the rounds ahead
-    # are taken in one step, to that f.b again with counter 0.  The walk
-    # there is new, as the rounds taken tested the counter: the f.a after it
-    # finds zero.  Taken for a silent loop, it would end in deadlock.
-    control = """r = <a1> pgs.hdeq:f.a <r2>
+    # Three incs load the counter; an f.a round tests and lowers it, and f.b
+    # takes two drops, so it is no round.  From position 0 with counter 3,
+    # the walk passes r, drops twice to r at position 2, and takes the two
+    # f.a rounds ahead in one step, back to r at position 0 with counter 1.
+    # The walk there is new, as the rounds taken tested the counter: the
+    # next time round an f.a finds zero.  Taken for a silent loop, it would
+    # end in deadlock.
+    control = """i = <j> cnt.inc <j>
+j = <k> cnt.inc <k>
+k = <r> cnt.inc <r>
+r = <a1> pgs.hdeq:f.a <r2>
 a1 = <a2> cnt.dec <z>
 a2 = <r> pgs.drop <r>
-r2 = <b1> pgs.hdeq:f.b <r3>
-b1 = <r> pgs.drop <r>
-r3 = <c1> pgs.hdeq:f.c <e>
-c1 = <c2> cnt.inc <c2>
-c2 = <r> pgs.drop <e>"""
-    fc = Plain(Basic("f", "c"))
-    got = _assert_explorer_matches_product(control, (fc,) * 3, (Plain(fa), Plain(fb)))
+r2 = <b1> pgs.hdeq:f.b <e>
+b1 = <r1> pgs.drop <r1>
+r1 = <r> pgs.drop <r>"""
+    got = _assert_explorer_matches_product(control, (), (Plain(fb), Plain(fa), Plain(fa)))
     assert got == "X0 = <X1> g.zero <X1>\nX1 = S"
 
 
@@ -527,12 +565,40 @@ def test_explorer_counts_where_the_root_or_a_dec_is_a_second_way_in():
          "b = <s> g.y <s>\ns = S", 6),
     ):
         mech = parse_thread(control)
-        pgs = pgs_new(p)
-        product = compose(compose(mech, "pgs", pgs), "cnt", counter_new(0))
-        got = _explore(_tables(mech, pgs.alphabet), pgs, Budget(walk))
+        product = compose(compose(mech, "pgs", pgs_new(p)), "cnt", counter_new(0))
+        alphabet = Alphabet.from_sequence(p)
+        got = _explore(_tables(mech, alphabet), p, Budget(walk))
         assert bisimilar(got, abstract_tau(product)), control
         with pytest.raises(BudgetExceededError):
-            _explore(_tables(mech, pgs.alphabet), pgs, Budget(walk - 1))
+            _explore(_tables(mech, alphabet), p, Budget(walk - 1))
+
+
+def test_explorer_takes_rounds_by_where_their_drop_leads_and_not_through_a_clr():
+    # Each round adds one and drops back; at the end of the program the
+    # drop fails and leads to where the counter is shown, so the end is no
+    # round.  A round through a clr sets the counter to one, whatever it
+    # was, and the end shows it.
+    for control, ticks in (
+        ("r = <a> cnt.inc <a>\na = <r> pgs.drop <e>", 4),
+        ("r = <a1> pgs.hdeq:f.a <e>\na1 = <a2> cnt.clr <a2>\na2 = <a3> cnt.inc <a3>\n"
+         "a3 = <r> pgs.drop <r>", 1),
+    ):
+        got = _assert_explorer_matches_product(control, (Plain(fa),) * 3)
+        assert got.count("g.tick") == ticks, control
+
+
+def test_explorer_counts_where_a_walk_comes_back_with_no_test():
+    # Round the period of (f.a)* two drops land in d and k, neither of which
+    # has rounds, and k raises the counter, so no configuration comes back.
+    # The walk from j comes back to j at the same position with no test on
+    # the way, where two states lead: deadlock, found there.
+    p = P("(f.a)*")
+    mech = parse_thread("r = <j> g.x <j>\nj = <d> pgs.drop <d>\n"
+                        "d = <k> pgs.drop <k>\nk = <j> cnt.inc <j>")
+    control = _tables(mech, Alphabet.from_sequence(p))
+    assert print_thread(_explore(control, p, Budget(4))) == "X0 = <X1> g.x <X1>\nX1 = D"
+    with pytest.raises(BudgetExceededError):
+        _explore(control, p, Budget(3))
 
 
 def test_one_mechanism_runs_many_programs():
