@@ -22,7 +22,8 @@ program.  So is whether a segment from where a drop lands is a round, one
 that drops back into its start state: the rounds are read once per landing
 state, and one rule takes the rounds ahead in one step, by binary search in
 prefix sums over the positions: a run of jump-shifts and a skipping
-countdown alike.
+countdown alike.  Walks meet, and find silent loops, only where segments
+start.
 """
 
 from __future__ import annotations
@@ -250,10 +251,10 @@ def run_exec(
     than the segment's counter tests).  The key holds nothing of a
     program, so every program over the alphabet shares the segments.  A
     segment records its end, the change to the counter or its reset by a
-    clr, the lowest value a test found, and the configurations it stands
-    for, with those where another walk can have come first: where two ways
-    into a state bring the counter with the same sign (zero or not), found
-    once per mechanism.  A segment that every counter from K on walks from
+    clr, the lowest value a test found, whether it tested the counter and
+    the configurations it stands for.  Walks look each other up only where
+    segments start: a walk that joins another inside a segment runs on to
+    that segment's end.  A segment that every counter from K on walks from
     where a drop lands, and that drops back into its first state with no
     clr on the way, is a round: it repeats at every position that holds
     its instruction (at the end of a finite program, where the drop fails,
@@ -264,9 +265,10 @@ def run_exec(
     jump-shifts and a skipping countdown alike.
 
     The budget caps the configurations walked, counted one by one: a
-    segment adds the configurations it stands for, so a run raises
-    BudgetExceededError at the same configuration as a walk one
-    configuration at a time would."""
+    segment adds the configurations it stands for, and a run raises
+    BudgetExceededError once they exceed the budget.  As walks share only
+    where segments start, that sum can pass the count of distinct
+    configurations."""
     if not is_pgajs0(p):
         raise NotPgajs0Error("execution requires a program with only #0 jumps")
     if alphabet is None:
@@ -309,7 +311,6 @@ def _control(alphabet: Alphabet) -> _Control:
 # at a visible action; at a leaf; in deadlock; or before a state it has
 # passed, where the next one starts.
 _MOVED, _FAILED, _VISIBLE, _ENDED, _STUCK, _AGAIN = range(6)
-_ZERO, _MORE, _JOIN = 1, 2, 4  # signs of the counter, as bits; see `meets`
 _WALKING = object()  # what a configuration resolves to while its walk runs
 
 
@@ -323,9 +324,6 @@ class _Control(NamedTuple):
     thens: list
     elses: list
     asks: list  # per query: the instruction it names (None: it wedges)
-    # per state: the signs of the counter walks can meet there with, and
-    # _JOIN if two states lead there
-    meets: list
     units: tuple  # the instructions a position can hold; None: the end
     # per state: instruction at the position -> K and the segments from
     # there, by min(counter, K); nothing of a program
@@ -338,9 +336,9 @@ class _Control(NamedTuple):
 def _tables(mech: ThreadSpec, alphabet: Alphabet) -> _Control:
     """The explorer's tables of a control whose `hdeq` queries name
     instructions of the alphabet: per state its kind, body, method, True
-    and False successors, the instruction a query names (None: it wedges
-    the program service) and the counters two walks can meet there with;
-    the root; and the segments and rounds, filled in as runs reach them."""
+    and False successors and the instruction a query names (None: it
+    wedges the program service); the root; and the segments and rounds,
+    filled in as runs reach them."""
     index = {sid: i for i, sid in enumerate(mech.states)}
     kinds, bodies, methods, thens, elses, asks = [], [], [], [], [], []
     for body in mech.states.values():
@@ -359,55 +357,7 @@ def _tables(mech: ThreadSpec, alphabet: Alphabet) -> _Control:
             thens.append(None)
             elses.append(None)
             asks.append(None)
-    root = index[mech.root]
-
-    def arrivals(m: int, signs: int) -> list:
-        """Where a step from m leads, with the signs of the counter there,
-        one entry per way in: a clr takes every counter to zero, and a dec
-        takes one and zero to zero by its two branches."""
-        kind, method, then, else_ = kinds[m], methods[m], thens[m], elses[m]
-        if kind == _LEAF or not signs:
-            return []
-        if kind != _CNT:
-            return [(then, signs)] if then == else_ else [(then, signs), (else_, signs)]
-        if method == "inc":
-            return [(then, _MORE)]
-        if method == "clr":
-            return [(then, _ZERO), (then, _ZERO)]
-        if method == "dec":
-            return [(then, _ZERO | _MORE)] * (signs >= _MORE) + [(else_, _ZERO)] * (signs & 1)
-        if method == "isz":
-            return [(then, _ZERO)] * (signs & 1) + [(else_, _MORE)] * (signs >= _MORE)
-        return []
-
-    # the signs a walk can reach each state with, from a zero counter at the
-    # root; a walk after a visible action starts with the counter it had
-    signs = [0] * len(kinds)
-    signs[root] = _ZERO
-    stack = [root]
-    while stack:
-        m = stack.pop()
-        for t, sign in arrivals(m, signs[m]):
-            if sign & ~signs[t]:
-                signs[t] |= sign
-                stack.append(t)
-    # Walks with different pasts first meet in a configuration where two
-    # ways in bring the counter with the same sign; every other step has one
-    # configuration before it.  A walk first comes back to a state and
-    # position with no test on the way where two states lead.  The root is
-    # a way in with zero.
-    ways = [[0, 0, 0] for _ in kinds]
-    ways[root][_ZERO] += 1
-    preds: List[set] = [set() for _ in kinds]
-    preds[root].add(None)
-    for m in range(len(kinds)):
-        for t, sign in arrivals(m, signs[m]):
-            preds[t].add(m)
-            for bit in (_ZERO, _MORE):
-                ways[t][bit] += sign & bit == bit
-    meets = [_ZERO * (w[_ZERO] > 1) | _MORE * (w[_MORE] > 1) | _JOIN * (len(pred) > 1)
-             for w, pred in zip(ways, preds)]
-    return _Control(root, kinds, bodies, methods, thens, elses, asks, meets,
+    return _Control(index[mech.root], kinds, bodies, methods, thens, elses, asks,
                     alphabet.instructions + (None,), [{} for _ in kinds], {})
 
 
@@ -419,27 +369,19 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
     position.  With c None it is the walk that keeps the counter above
     zero until a clr; every counter from K on takes it.
 
-    Returns the segment and K.  The segment is (checks, count, tail, rel,
-    val, low, how, at, nxt):
-    - checks: the configurations where another walk can have come first,
-      each (configurations before it, before the next check, state,
-      relative, counter value or change, whether a test came since the
-      last check, whether a configuration can meet there or only its state
-      and position); the first configuration is one;
-    - count: the configurations it stands for; tail: whether a test came
-      after the last check;
+    Returns the segment and K.  The segment is (count, tested, rel, val,
+    low, how, at, nxt):
+    - count: the configurations it stands for; tested: whether it tested
+      or reset the counter;
     - the counter after it: c + val if rel, else val (a clr reset it);
     - low: the lowest value a test found less c, before any reset (None:
       none);
     - how it ends, the last state walked and the state the walk goes on
       from."""
-    _, kinds, _, methods, thens, elses, asks, meets, _, _, _ = control
-    checks, seen = [], {}
+    _, kinds, _, methods, thens, elses, asks, _, _, _ = control
+    seen = {}
     count, rel, val, least, low = 0, True, 0, 0, None
-    tested, meet, at = False, 2, None  # meet: 2 all of it, 1 state and position
-
-    def counter() -> Optional[int]:  # None: above zero
-        return val if not rel else None if c is None else c + val
+    tested, at = False, None
 
     while True:
         if m in seen:
@@ -453,9 +395,6 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
                 break
             r = h is asks[m]
         else:
-            if meet:
-                checks.append([count, 0, m, rel, val, tested, meet > 1])
-                tested, meet = False, 0
             count += 1
             at = m
             if kind == _SHOW:
@@ -473,7 +412,7 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
                 r, val, rel = True, 0, False
                 tested = True
             elif method == "dec" or method == "isz":
-                zero = counter() == 0
+                zero = c is not None and c + val == 0 if rel else val == 0
                 tested = True
                 if rel:
                     low = val if low is None else min(low, val)
@@ -485,20 +424,14 @@ def _segment(control: _Control, m: int, h: Optional[Instruction], c: Optional[in
             if rel:
                 least = min(least, val)
         m = thens[m] if r else elses[m]
-        ways_in = meets[m]
-        meet = max(meet, 2 if ways_in & (_ZERO if counter() == 0 else _MORE) else
-                   ways_in >= _JOIN)
-    for i, check in enumerate(checks):
-        check[1] = checks[i + 1][0] if i + 1 < len(checks) else count
-    checks = tuple(map(tuple, checks))
-    return (checks, count, tested, rel, val, low, how, at, m), 1 - least
+    return (count, tested, rel, val, low, how, at, m), 1 - least
 
 
 def _explore(control: _Control, s: InstructionSequence, budget: Budget) -> ThreadSpec:
     """The thread of a control that `_tables` read, run on program s from
     its first position with a zeroed counter, with all service traffic
     hidden, as `run_exec` says."""
-    root, _, bodies, _, thens, elses, _, _, units, segments, rounds = control
+    root, _, bodies, _, thens, elses, _, units, segments, rounds = control
     heads = s.prefix + (s.period or (None,))  # the instruction at each position
     p, e = len(s.prefix), len(heads)
 
@@ -553,7 +486,7 @@ def _explore(control: _Control, s: InstructionSequence, budget: Budget) -> Threa
         return t if t < e else p, c + sign * moved
 
     # configuration -> visible configuration or leaf, for the configurations
-    # where walks meet
+    # where segments start
     resolved: Dict[tuple, object] = {}
     limit = budget.max_states
     spent = 0  # configurations walked
@@ -561,42 +494,31 @@ def _explore(control: _Control, s: InstructionSequence, budget: Budget) -> Threa
     def resolve(m: int, v: int, c: int):
         nonlocal spent
         walked: List[tuple] = []
-        pairs = set()  # (mechanism state, position) since the last counter test
+        pairs = set()  # (state, position) where segments started since the last test
         room, n = limit - spent, 0
         while True:
+            cfg = (m, v, c)
+            got = resolved.get(cfg)
+            if got is not None:  # another walk's, or _WALKING: this one's
+                if got is _WALKING:
+                    got = DEADLOCK
+                break
+            if (m, v) in pairs:
+                got = DEADLOCK
+                break
             h = heads[v]
             k, slots = segments[m].get(h) or _first_segment(control, m, h)
             i = c if c < k else k
-            seg = slots[i] or _fill(control, slots, m, h, i)
-            checks, count, tail, rel, val, _, how, at, nxt = seg
-            got = None
-            for before, upto, m1, rel1, val1, clear, full in checks:
-                if full:
-                    cfg = (m1, v, c + val1 if rel1 else val1)
-                    got = resolved.get(cfg)
-                    if got is not None:  # another walk's, or _WALKING: this one's
-                        break
-                if clear:
-                    pairs.clear()
-                pair = (m1, v)
-                if pair in pairs:
-                    got = DEADLOCK
-                    break
-                if n + upto > room:
-                    raise BudgetExceededError(
-                        f"run_exec explored more than {limit} configurations"
-                    )
-                if full:
-                    resolved[cfg] = _WALKING
-                    walked.append(cfg)
-                pairs.add(pair)
-            if got is not None:
-                if got is _WALKING:
-                    got = DEADLOCK
-                n += before
-                break
+            count, tested, rel, val, _, how, at, nxt = slots[i] or _fill(control, slots, m, h, i)
             n += count
-            if tail:
+            if n > room:
+                raise BudgetExceededError(
+                    f"run_exec explored more than {limit} configurations"
+                )
+            resolved[cfg] = _WALKING
+            walked.append(cfg)
+            pairs.add((m, v))
+            if tested:
                 pairs.clear()
             c = c + val if rel else val
             if how <= _FAILED:  # a drop, into nxt
@@ -677,7 +599,7 @@ def _rounds(control: _Control, m: int) -> Optional[tuple]:
     found = {}  # instruction -> change and lowest test of its round
     for h in units:
         k, slots = control.segments[m].get(h) or _first_segment(control, m, h)
-        _, _, _, rel, val, low, how, _, nxt = slots[k]
+        _, _, rel, val, low, how, _, nxt = slots[k]
         if how <= _FAILED and nxt == m and rel:
             found[h] = val, low
     got = None

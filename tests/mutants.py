@@ -116,7 +116,7 @@ MUTANTS = (
            (_COUNTS_DOWN,)),
     Mutant("a failed drop is taken to land by its then branch", "execmech.py",
            "if how <= _FAILED and nxt == m and rel:",
-           "if how <= _FAILED and control.thens[slots[k][7]] == m and rel:",
+           "if how <= _FAILED and control.thens[slots[k][6]] == m and rel:",
            (_BY_WHERE_THEY_LEAD,)),
     Mutant("a round through a clr is taken", "execmech.py",
            "if how <= _FAILED and nxt == m and rel:",
@@ -164,8 +164,8 @@ MUTANTS = (
            "i = c if c < k else k", "i = k",
            (_BUDGETS, _EXECMECH + "test_run_exec_examples")),
     Mutant("K leaves out how low the counter goes", "execmech.py",
-           "return (checks, count, tested, rel, val, low, how, at, m), 1 - least",
-           "return (checks, count, tested, rel, val, low, how, at, m), 1",
+           "return (count, tested, rel, val, low, how, at, m), 1 - least",
+           "return (count, tested, rel, val, low, how, at, m), 1",
            (_BUDGETS,)),
     Mutant("a segment stands for one configuration too many", "execmech.py",
            "            n += count\n", "            n += count + 1\n",
@@ -176,33 +176,15 @@ MUTANTS = (
     Mutant("a reset is recorded as a change", "execmech.py",
            "r, val, rel = True, 0, False", "r, val, rel = True, 0, True",
            (_EXECMECH + "test_run_exec_examples",)),
-    Mutant("walks meet only where segments start", "execmech.py",
-           "        ways_in = meets[m]\n", "        ways_in = meets[m] & _JOIN\n",
-           (_MEET,)),
-    Mutant("a walk comes back to its state and position only where segments start",
-           "execmech.py",
-           "                   ways_in >= _JOIN)", "                   False)",
-           (_EXECMECH + "test_explorer_counts_where_a_walk_comes_back_with_no_test",)),
-    Mutant("walks meet with any counter", "execmech.py",
-           "2 if ways_in & (_ZERO if counter() == 0 else _MORE)",
-           "2 if ways_in & (_ZERO | _MORE)",
-           (_BUDGETS, _MEET, _SHARED_CONTROL),
-           equivalent="a check where no other walk can have come first finds"
-           " nothing: it only costs time"),
-    Mutant("a clr is one way in", "execmech.py",
-           "            return [(then, _ZERO), (then, _ZERO)]\n",
-           "            return [(then, _ZERO)]\n",
-           (_MEET,)),
-    Mutant("a dec whose branches are equal is one way in", "execmech.py",
-           "[(else_, _ZERO)] * (signs & 1)",
-           "[(else_, _ZERO)] * (signs & 1) * (then != else_)",
-           (_EXECMECH + "test_explorer_counts_where_the_root_or_a_dec_is_a_second_way_in",)),
-    Mutant("the root is no way in", "execmech.py",
-           "    ways[root][_ZERO] += 1\n", "",
-           (_EXECMECH + "test_explorer_counts_where_the_root_or_a_dec_is_a_second_way_in",)),
-    Mutant("a check forgets the tests before it", "execmech.py",
-           "                if clear:\n                    pairs.clear()\n", "",
+    Mutant("walks share no configuration", "execmech.py",
+           "if got is not None:  # another walk's", "if got is _WALKING:  # another walk's",
+           (_BUDGETS, _MEET)),
+    Mutant("a segment's counter test keeps the pairs it passed", "execmech.py",
+           "            if tested:\n                pairs.clear()\n", "",
            (_EXECMECH + "test_explorer_forgets_the_states_it_passed_at_each_test",)),
+    Mutant("a walk never comes back to its state and position", "execmech.py",
+           "            if (m, v) in pairs:\n                got = DEADLOCK\n                break\n", "",
+           (_EXECMECH + "test_explorer_counts_where_a_walk_comes_back_with_no_test",)),
     # --- what the explorer shares between programs --------------------------
     Mutant("control keyed by the number of basics", "execmech.py",
            "@lru_cache(maxsize=16)\n"

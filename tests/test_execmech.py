@@ -290,8 +290,8 @@ def test_control_is_sound_after_a_budget_error():
     with pytest.raises(BudgetExceededError):
         run_exec(p, Budget(50))
     assert bisimilar(run_exec(p, Budget(431)), w)
-    # budgets that run out at every configuration of the walk, inside
-    # segments too, each with the segments and rounds filled so far kept
+    # every budget short of the walk runs out, in the segment that crosses
+    # it, each with the segments and rounds filled so far kept
     want = _fresh(p)
     _control.cache_clear()
     for budget in range(1, _WALKS[2]):
@@ -403,10 +403,11 @@ def test_run_exec_counts_where_walks_meet_or_come_back():
     # configuration of the drop.
     p = P("(~)*")
     assert bisimilar(run_exec(p, Budget(1)), extract_pgajs(p))
-    # In the others the walks after a test's two branches meet inside a
+    # In the others the walks after a test's two branches join inside a
     # segment: where one reads the test again, and after the clr that both
-    # take.
-    for txt, walk in (("~; (+f.b)*", 14), ("~; (~; -f.a)*", 17)):
+    # take.  Walks look each other up only where segments start, so the
+    # later walk runs on to the end of the segment it joins in.
+    for txt, walk in (("~; (+f.b)*", 16), ("~; (~; -f.a)*", 19)):
         p = P(txt)
         assert bisimilar(run_exec(p, Budget(walk)), extract_pgajs(p)), txt
         with pytest.raises(BudgetExceededError):
@@ -557,12 +558,13 @@ w2 = S"""
 def test_explorer_counts_where_the_root_or_a_dec_is_a_second_way_in():
     # The walk after r's action reaches r again, which the root walk passed;
     # after q's action two walks reach b, one by each branch of a's dec.
-    # Each later walk stops where it meets the earlier one.
+    # Each later walk meets the earlier one at the end of a segment, not
+    # where one starts, so it walks the configuration where they meet too.
     p = P("f.a")
     for control, walk in (
-        ("r = <a> g.x <a>\na = <r> cnt.isz <s>\ns = S", 2),
+        ("r = <a> g.x <a>\na = <r> cnt.isz <s>\ns = S", 3),
         ("q = <i> g.x <a>\ni = <a> cnt.inc <a>\na = <b> cnt.dec <b>\n"
-         "b = <s> g.y <s>\ns = S", 6),
+         "b = <s> g.y <s>\ns = S", 7),
     ):
         mech = parse_thread(control)
         product = compose(compose(mech, "pgs", pgs_new(p)), "cnt", counter_new(0))
@@ -591,14 +593,15 @@ def test_explorer_counts_where_a_walk_comes_back_with_no_test():
     # Round the period of (f.a)* two drops land in d and k, neither of which
     # has rounds, and k raises the counter, so no configuration comes back.
     # The walk from j comes back to j at the same position with no test on
-    # the way, where two states lead: deadlock, found there.
+    # the way, inside the segment from k; it runs on to where the next
+    # segment starts, at d, which it passed: deadlock, found there.
     p = P("(f.a)*")
     mech = parse_thread("r = <j> g.x <j>\nj = <d> pgs.drop <d>\n"
                         "d = <k> pgs.drop <k>\nk = <j> cnt.inc <j>")
     control = _tables(mech, Alphabet.from_sequence(p))
-    assert print_thread(_explore(control, p, Budget(4))) == "X0 = <X1> g.x <X1>\nX1 = D"
+    assert print_thread(_explore(control, p, Budget(5))) == "X0 = <X1> g.x <X1>\nX1 = D"
     with pytest.raises(BudgetExceededError):
-        _explore(control, p, Budget(3))
+        _explore(control, p, Budget(4))
 
 
 def test_one_mechanism_runs_many_programs():

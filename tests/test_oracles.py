@@ -32,7 +32,8 @@ each instruction with its neighbour.  It names states in the same order,
 so its threads must be equal as they are.  It stays beside the layered
 route because it is the only reference fast enough for programs of long
 mixed shift runs, whose counter products the layered route cannot build
-in tier-1 time.
+in tier-1 time, and for random hand-made controls (`_random_control`),
+whose walks join and come back in ways no built mechanism's do.
 `_walked_landing` is the explorer's landing search one position at a time.
 
 `_old_extract`, `_old_jump_collapse` and `_old_compile_spec` are
@@ -126,7 +127,7 @@ from pgakit import (
     transform_to_pgajs0,
     validate,
 )
-from pgakit.execmech import _CNT, _LEAF, _PGS, _SHOW, _landing
+from pgakit.execmech import _CNT, _LEAF, _PGS, _SHOW, _explore, _landing, _tables
 from pgakit.extraction import _jump_collapse
 from pgakit.threads import Body, _breadth_first
 from pgakit.corpus import random_program, random_spec
@@ -570,6 +571,42 @@ def test_explorer_matches_one_value_at_a_time_on_long_mixed_runs(monkeypatch):
     assert len(landings) > 1000
     assert sum(wraps for wraps, _ in landings) > 300
     assert sum(at_end for _, at_end in landings) > 50
+
+
+def _random_control(rng, alphabet):
+    """A control of 2 to 8 states over drops, `hdeq` queries of the
+    alphabet, the four counter methods and the visible g.x and g.y.  Any
+    branch may lead to a tail that shows the counter as that many g.tick."""
+    texts = [instruction_text(u) for u in alphabet.instructions]
+    names = [f"c{i}" for i in range(rng.randint(2, 8))]
+    lines = []
+    for name in names:
+        action = rng.choice(["pgs.drop", "pgs.hdeq:" + rng.choice(texts),
+                             "cnt." + rng.choice(["inc", "dec", "isz", "clr"]),
+                             "g." + rng.choice("xy")])
+        then, else_ = rng.choice(names + ["e"]), rng.choice(names + ["e"])
+        lines.append(f"{name} = <{then}> {action} <{else_}>")
+    lines += ["e = <t> cnt.dec <s>", "t = <e> g.tick <e>", "s = S"]
+    return parse_thread("\n".join(lines))
+
+
+def test_explorer_matches_one_value_at_a_time_on_random_controls():
+    # controls that no built mechanism is: walks that join inside segments or
+    # come back with or without a test, and rounds of any shape
+    rng = random.Random(2054)
+    alphabet = Alphabet.from_basics([BASICS[0]])
+    fit = 0
+    for _ in range(600):
+        mech = _random_control(rng, alphabet)
+        p = random_program(rng, max_len=6, basics=alphabet.basics, pgajs0=True)
+        try:
+            want = _old_explore(mech, pgs_new(p, alphabet), Budget(20000))
+        except BudgetExceededError:
+            continue
+        fit += 1
+        got = _explore(_tables(mech, alphabet), p, Budget())
+        assert bisimilar(got, want), (print_thread(mech), print_program(p))
+    assert fit >= 570
 
 
 def _walked_landing(s, weight, i, k):
