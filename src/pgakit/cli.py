@@ -9,6 +9,7 @@ failure, 2 parse or configuration error, or a stdout closed by its reader,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -167,6 +168,7 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if failures else EXIT_OK
 
 
+@functools.cache  # parsing changes no parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pgakit",

@@ -68,8 +68,8 @@ from .syntax import (
     basics_of,
     instruction_at,
     instruction_text,
-    is_pgajs0,
     position,
+    zero_jumps_only,
 )
 from .threads import (
     DEADLOCK,
@@ -124,7 +124,7 @@ class Alphabet:
 
     @staticmethod
     def from_sequence(s: InstructionSequence) -> "Alphabet":
-        return Alphabet.from_basics(basics_of(s))
+        return Alphabet.from_basics(basics_of({*s.prefix, *s.period}))
 
 
 @lru_cache(maxsize=16)
@@ -269,11 +269,13 @@ def run_exec(
     BudgetExceededError once they exceed the budget.  As walks share only
     where segments start, that sum can pass the count of distinct
     configurations."""
-    if not is_pgajs0(p):
+    units = {*p.prefix, *p.period}
+    if not zero_jumps_only(units):
         raise NotPgajs0Error("execution requires a program with only #0 jumps")
+    basics = basics_of(units)
     if alphabet is None:
-        alphabet = Alphabet.from_sequence(p)
-    elif not basics_of(p) <= set(alphabet.basics):
+        alphabet = Alphabet.from_basics(basics)
+    elif not basics <= set(alphabet.basics):
         raise AlphabetMismatchError("the program has basics outside the alphabet")
     return _explore(_control(alphabet), p, budget or Budget())
 

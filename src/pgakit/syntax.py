@@ -233,23 +233,24 @@ def contains_shift(s: InstructionSequence) -> bool:
     return SHIFT in s.prefix or SHIFT in s.period
 
 
-# Scans below visit each distinct instruction once: a set of instructions
-# is built in C, since they hash by identity.
+# The scans below visit each distinct instruction once: they read the set
+# `{*s.prefix, *s.period}`, built in C, since instructions hash by
+# identity, so a caller that needs both scans builds it once.
 
 
 def is_pgajs0(s: InstructionSequence) -> bool:
     """Whether every jump has offset zero (shifts are allowed)."""
-    return all(
-        u.offset == 0 for u in {*s.prefix, *s.period} if type(u) is Jump
-    )
+    return zero_jumps_only({*s.prefix, *s.period})
 
 
-def basics_of(s: InstructionSequence) -> set:
-    return {
-        u.basic
-        for u in {*s.prefix, *s.period}
-        if type(u) in (Plain, PosTest, NegTest)
-    }
+def zero_jumps_only(units) -> bool:
+    """Whether every jump among the instructions `units` has offset zero."""
+    return all(u.offset == 0 for u in units if type(u) is Jump)
+
+
+def basics_of(units) -> set:
+    """The basics of the plain and test instructions among `units`."""
+    return {u.basic for u in units if type(u) in (Plain, PosTest, NegTest)}
 
 
 # === term -> sequence ===

@@ -4,9 +4,11 @@ A thread is a rooted map from state names to bodies.  A body either stops,
 deadlocks, or performs one action and branches on the boolean reply.  The
 silent action tau ignores the reply, so tau bodies carry a single successor
 (enforced structurally by the Post constructor).  Large threads cost few
-Python steps per state: `Post` sets its fields through its slot descriptors,
-a spec checks all its references in one containment test, `bisimilar` walks
-to class roots inline, and a `Basic` stores its text when first made.
+Python steps per state: `parse_thread` reads a well-formed text in one
+regular expression pass, `Post` sets its fields through its slot
+descriptors, a spec checks all its references in one containment test,
+`bisimilar` walks to class roots inline, and a `Basic` stores its text when
+first made.
 """
 
 from __future__ import annotations
@@ -300,9 +302,43 @@ _LINE_RE = re.compile(
 )
 
 
+# One well-formed row: `name = body`, with only spaces and tabs around its
+# tokens and no comment.  Such a line holds none of the separators
+# `splitlines` knows, as they are all whitespace, outside `[ \t]` and \S.
+_ROW_RE = re.compile(
+    rf"^[ \t]*({_NAME})[ \t]*=[ \t]*(?:([SD])|tau[ \t]+<({_NAME})>"
+    rf"|<({_NAME})>[ \t]+({_NAME})\.(\S+)[ \t]+<({_NAME})>)[ \t]*$",
+    re.M,
+)
+
+
 def parse_thread(text: str) -> ThreadSpec:
     """Parse the one-state-per-line format.  The first state named is the
-    root.  `#` at line start or after whitespace begins a comment."""
+    root.  `#` at line start or after whitespace begins a comment.  A text
+    whose every line, split at newlines, is a well-formed row, with no name
+    twice, is read in one pass of `_ROW_RE`; any other text line by line,
+    and that reader alone defines comments, blank lines, the other line
+    separators and the errors."""
+    rows = _ROW_RE.findall(text)
+    if len(rows) == text.count("\n") + (not text.endswith("\n")):
+        states: Dict[str, Body] = {}
+        basics: Dict[tuple, Basic] = {}  # a hit makes no Basic call
+        for name, kind, tau, then, focus, method, else_ in rows:
+            if then:
+                key = focus, method
+                basic = basics.get(key) or basics.setdefault(key, Basic(focus, method))
+                states[name] = Post(basic, then, else_)
+            elif tau:
+                states[name] = Post(TAU, tau, tau)
+            else:
+                states[name] = STOP if kind == "S" else DEADLOCK
+        if len(states) == len(rows):
+            return ThreadSpec(states, rows[0][0])
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> ThreadSpec:
+    """`parse_thread` one line at a time, for any text."""
     states: Dict[str, Body] = {}
     basics: Dict[tuple, Basic] = {}  # a hit makes no Basic call
     for lineno, raw in enumerate(text.splitlines(), start=1):

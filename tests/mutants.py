@@ -67,6 +67,7 @@ _SHARED_CONTROL = "tests/test_execmech.py::test_shared_control_changes_no_output
 _EXTRACT_WALK = "tests/test_oracles.py::test_extraction_matches_per_jump_walk_and_relabel"
 _EXTRACT_CHAINS = "tests/test_oracles.py::test_extraction_matches_per_jump_walk_on_jump_chains"
 _PROJECTIONS = "tests/test_oracles.py::test_bisimilar_matches_projections_to_depth_n_plus_m"
+_BOTH_READERS = "tests/test_oracles.py::test_thread_reader_matches_the_per_line_reader"
 _EXTRACTION = "tests/test_extraction.py::"
 _THREADS = "tests/test_threads.py::"
 _COMPILER = "tests/test_compiler.py::"
@@ -493,7 +494,24 @@ MUTANTS = (
            (_THREADS + "test_parse_thread_says_what_is_wrong",)),
     Mutant("the last state named is the root", "threads.py",
            "return ThreadSpec(states, next(iter(states)))", "return ThreadSpec(states, name)",
-           (_THREADS + "test_parse_thread_first_line_is_root",)),
+           (_THREADS + "test_parse_thread_first_line_is_root", _BOTH_READERS)),
+    Mutant("a row may hold any whitespace before its body", "threads.py",
+           r'rf"^[ \t]*({_NAME})[ \t]*=[ \t]*(?:([SD])|tau[ \t]+<({_NAME})>"',
+           r'rf"^\s*({_NAME})\s*=\s*(?:([SD])|tau\s+<({_NAME})>"',
+           (_BOTH_READERS,)),
+    Mutant("a row may hold any whitespace in an action's body", "threads.py",
+           r'rf"|<({_NAME})>[ \t]+({_NAME})\.(\S+)[ \t]+<({_NAME})>)[ \t]*$"',
+           r'rf"|<({_NAME})>\s+({_NAME})\.(\S+)\s+<({_NAME})>)\s*$"',
+           (_BOTH_READERS,)),
+    Mutant("rows are read although a line is no row", "threads.py",
+           'if len(rows) == text.count("\\n") + (not text.endswith("\\n")):', "if rows:",
+           (_THREADS + "test_parse_thread_says_what_is_wrong", _BOTH_READERS)),
+    Mutant("rows are read although a name repeats", "threads.py",
+           "        if len(states) == len(rows):\n", "        if True:\n",
+           (_THREADS + "test_parse_thread_rejects_duplicates", _BOTH_READERS)),
+    Mutant("the last row is the root", "threads.py",
+           "return ThreadSpec(states, rows[0][0])", "return ThreadSpec(states, rows[-1][0])",
+           (_THREADS + "test_parse_thread_first_line_is_root", _BOTH_READERS)),
     Mutant("an undefined root is let through", "threads.py",
            "        if self.root not in states:\n", "        if False:\n",
            (_THREADS + "test_spec_refuses_undefined_root",)),

@@ -283,6 +283,16 @@ def test_thread_lines_with_long_whitespace_runs():
     assert str(failed.value) == f"line 1: cannot parse body {bad!r}"
 
 
+def test_thread_text_of_100k_commented_crlf_lines():
+    # a comment and a CRLF ending on every line: the text is read line by line
+    n = 10**5
+    spec = chain_spec(([a, b] * n)[: n - 1], STOP)
+    text = "".join(line + " # c\r\n" for line in print_thread(spec).split("\n"))
+    started = time.monotonic()
+    assert T(text) == spec
+    _report("thread text of 10^5 commented CRLF lines", started, limit=2.0)
+
+
 def test_rollback_of_100k_distinct_jumps():
     # a prefix equal to the period rolls into it whole, in one rotation
     units = tuple(Jump(i) for i in range(100_000))

@@ -52,6 +52,12 @@ length of a jump chain, so the 10^5-position ladder of `#2` jumps, whose
 chains run to its end, is not checked against it; `test_acceptance.py`
 pins its extraction.
 
+`parse_thread` reads a text of well-formed rows in one regular-expression
+pass, and any other text with `_parse_lines`, the per-line reader.  That
+reader is the reference of the one-pass route: on the thread corpus and on
+texts of odd line separators, spaces, trailing newlines and repeated
+names, both must give an equal spec that prints alike, or the same error.
+
 The corpora: every text of the parser corpus either parses to a sequence
 that a print/parse round trip keeps, or raises a `ProgramError` whose line
 and column fall inside the text.  Primitive roots repeat to their period
@@ -129,7 +135,7 @@ from pgakit import (
 )
 from pgakit.execmech import _CNT, _LEAF, _PGS, _SHOW, _explore, _landing, _tables
 from pgakit.extraction import _jump_collapse
-from pgakit.threads import Body, _breadth_first
+from pgakit.threads import Body, _breadth_first, _parse_lines
 from pgakit.corpus import random_program, random_spec
 from pgakit.properties import PROPERTIES, draw_cases
 from pgakit.syntax import (
@@ -1242,6 +1248,41 @@ def test_thread_corpus_reads_back_or_fails_with_a_known_message():
         "_: cannot parse body _", "no states defined", "state _ refers to undefined state _",
     }
     assert len(texts) - len(messages) > 1000
+
+
+# every line separator of `str.splitlines` but "\n", and whitespace that is
+# neither a space nor a tab
+_LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_ODD_SPACES = ("\xa0", "\u3000", "\x1f")
+
+
+def _texts_for_both_readers():
+    rng = random.Random(2049)
+    texts = _thread_corpus()
+    for spec in [random_spec(rng, max_states=5, allow_tau=True) for _ in range(300)]:
+        text = print_thread(spec)
+        lines = text.split("\n")
+        texts.append(rng.choice(_LINE_BREAKS).join(lines))
+        i = rng.choice([i for i, c in enumerate(text) if c == " "])
+        for c in _LINE_BREAKS + _ODD_SPACES + ("\t", "\t \t"):
+            texts.append(text[:i] + c + text[i + 1:])
+        texts.append(text + "\n" * rng.randint(1, 3))
+        texts.append(rng.choice(lines) + "\n" + text)  # a duplicate state
+        texts.append(text.replace("s0", "x\u00e9"))
+    texts += ["x\u00e9 = <y> f.hdeq:#0 <x\u00e9>\ny = <y> g.a.b <x\u00e9>",
+              "x = <x> pgs.hdeq:#0 <x>\n", "x = S\n\n", "\nx = S", "\n", "x = S\ny = D\nx = S"]
+    return texts
+
+
+def test_thread_reader_matches_the_per_line_reader():
+    # the one-pass read must give what the per-line reader gives: an equal
+    # spec with the same root and state order, or the same error
+    read = 0
+    for text in _texts_for_both_readers():
+        got = _result(parse_thread, text)
+        _assert_same_result(got, _result(_parse_lines, text), print_thread, text)
+        read += not isinstance(got, tuple)
+    assert read > 3000
 
 
 def _break_references(rng, spec):
