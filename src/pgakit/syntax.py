@@ -305,16 +305,24 @@ def to_canonical(term: Term) -> InstructionSequence:
 #
 # Between two `;` there is always a piece of the form "("*, an instruction,
 # then (")" "*")*, so `parse_program` splits the text at `;` and reads each
-# distinct piece once.  The text is checked for unexpected characters
-# before any other error is reported, and `//` comments count as
-# whitespace, except that end of input is placed where a comment on the
-# last line begins.
+# distinct piece once per process, up to a fixed bound (`_PIECES`).  The
+# text is checked for unexpected characters before any other error is
+# reported, and `//` comments count as whitespace, except that end of input
+# is placed where a comment on the last line begins.
 
 _PUNCT = frozenset(";()*!~#+-.")
 _COMMENT = re.compile(r"//[^\n]*")
 
 # kind, text and offset of a token; the kind of a punctuation mark is itself
 _Token = Tuple[str, str, int]
+
+# piece, after comment blanking -> (stars opened, instruction, stars closed)
+# for every piece any call has read without error.  A piece reads alike
+# wherever it stands, and at every depth where it closes no more stars than
+# are open; only its errors depend on its place.  A miss that finds the
+# table full empties it in place, so a call's alias to it stays valid.
+_PIECES: dict = {}
+_PIECES_MAX = 4096
 
 
 def _blank_comments(text: str) -> Tuple[str, int]:
@@ -454,7 +462,7 @@ def _read_piece(
 def parse_program(text: str) -> InstructionSequence:
     """The canonical sequence of a program text, read in one pass."""
     src, eof = _blank_comments(text)
-    read: dict = {}  # piece -> (stars opened, instruction, stars closed)
+    read = _PIECES
     prefix: List[Instruction] = []
     period = None
     stack: list = []
@@ -462,7 +470,10 @@ def parse_program(text: str) -> InstructionSequence:
     for piece in src.split(";"):
         r = read.get(piece)
         if r is None or r[2] > r[0] + len(stack):
-            r = read[piece] = _read_piece(src, eof, start, start + len(piece), len(stack))
+            r = _read_piece(src, eof, start, start + len(piece), len(stack))
+            if len(read) >= _PIECES_MAX:
+                read.clear()
+            read[piece] = r
         opens, u, closes = r
         while opens:
             stack.append((prefix, period))
@@ -481,6 +492,9 @@ def parse_program(text: str) -> InstructionSequence:
 
 def parse_instruction(text: str) -> Instruction:
     src, eof = _blank_comments(text)
+    r = _PIECES.get(src)
+    if r is not None and r[0] == r[2] == 0:
+        return r[1]
     toks = _tokens(src, 0, len(src), eof)
     u, i = _instruction(src, toks, 0)
     if i != len(toks) - 1:

@@ -79,6 +79,7 @@ _EXECMECH = "tests/test_execmech.py::"
 _TOKEN_TEXT = ("the kind of a punctuation token is its own text, and no other"
                " token's text is a punctuation mark")
 _PARSE_ERRORS = _SYNTAX + "test_parse_errors_name_what_was_found_and_where"
+_READ_AGAIN = _SYNTAX + "test_a_piece_read_in_an_earlier_call_is_checked_again"
 _SERVICES = "tests/test_services.py::"
 _NAMED_AS_RELABEL = _THREADS + "test_built_threads_are_named_as_relabel_names_them"
 
@@ -598,7 +599,15 @@ MUTANTS = (
            (_PARSE_ERRORS,)),
     Mutant("a cached piece is not read again", "syntax.py",
            "if r is None or r[2] > r[0] + len(stack):", "if r is None:",
-           (_PARSE_ERRORS,)),
+           (_PARSE_ERRORS, _READ_AGAIN)),
+    Mutant("the piece table is never emptied", "syntax.py",
+           "                read.clear()\n", "                pass\n",
+           ("tests/test_acceptance.py::"
+            "test_parse_of_100k_distinct_pieces_keeps_the_piece_table_bounded",)),
+    Mutant("an instruction is taken from a piece that opens or closes stars", "syntax.py",
+           "if r is not None and r[0] == r[2] == 0:", "if r is not None:",
+           (_READ_AGAIN, "tests/test_oracles.py::"
+            "test_parser_reads_alike_whatever_pieces_it_read_before")),
     Mutant("every piece is read again", "syntax.py",
            "if r is None or r[2] > r[0] + len(stack):", "if True:",
            (_PARSE_ERRORS, _SYNTAX + "test_print_parse_roundtrip"),

@@ -4,6 +4,7 @@ thread algebra with the bounded-projection oracle for bisimilarity, and a
 probe of the counter content the two-mode thread reaches."""
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Union
 
 from hypothesis import strategies as st
@@ -62,6 +63,18 @@ def programs(draw, max_len=12, with_shift=False, only_zero_jump=False):
         return InstructionSequence(tuple(units), ())
     cut = draw(st.integers(0, len(units) - 1))
     return InstructionSequence(tuple(units[:cut]), tuple(units[cut:]))
+
+
+def all_programs(units, max_len):
+    """Every canonical program of 1 to `max_len` instructions from `units`,
+    over every split into prefix and period, each once, in the order first
+    built."""
+    return list(dict.fromkeys(
+        InstructionSequence(word[:cut], word[cut:])
+        for n in range(1, max_len + 1)
+        for word in product(units, repeat=n)
+        for cut in range(n + 1)
+    ))
 
 
 @st.composite

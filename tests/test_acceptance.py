@@ -270,6 +270,18 @@ def test_print_parse_roundtrip_of_100k_instructions():
     _report("print-parse round trip 112,717 instructions", started, limit=2.0)
 
 
+def test_parse_of_100k_distinct_pieces_keeps_the_piece_table_bounded():
+    from pgakit.syntax import _PIECES, _PIECES_MAX
+
+    n = 10**5
+    text = "; ".join(f"#{i}" for i in range(1, n + 1))
+    started = time.monotonic()
+    s = P(text)
+    _report("parse of 10^5 distinct jumps", started, limit=3.0)
+    assert s == InstructionSequence(tuple(map(Jump, range(1, n + 1))), ())
+    assert len(_PIECES) <= _PIECES_MAX
+
+
 def test_thread_lines_with_long_whitespace_runs():
     run = " " * 10**5
     started = time.monotonic()

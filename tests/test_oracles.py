@@ -60,7 +60,10 @@ names, both must give an equal spec that prints alike, or the same error.
 
 The corpora: every text of the parser corpus either parses to a sequence
 that a print/parse round trip keeps, or raises a `ProgramError` whose line
-and column fall inside the text.  Primitive roots repeat to their period
+and column fall inside the text.  The parser keeps the pieces it has read
+in a table shared by every call; each text of the corpus and of the
+syntax error list reads alike, or fails alike, whatever the table holds
+when the text is read.  Primitive roots repeat to their period
 and are primitive; rolled-back sequences unfold as their input and roll
 in all they can.  Jump expansion raises exactly where its size or shifts
 call for it, and otherwise keeps the behaviour.  Both two-mode builders
@@ -148,6 +151,7 @@ from pgakit.syntax import (
     RESERVED_FOCI,
     ReservedFocusError,
     ShiftPresentError,
+    _PIECES,
     _primitive,
     contains_shift,
     instruction_at,
@@ -157,6 +161,7 @@ from pgakit.syntax import (
     print_program,
 )
 from strategies import BASICS, chain_spec, deep_spec, projections_agree, renamed_copy, spec_pair
+from test_syntax import _ERRORS
 
 
 def _old_abstract_tau(spec):
@@ -845,6 +850,26 @@ def test_parser_reads_its_corpus_back_or_fails_inside_the_text():
     assert outcomes.count(InstructionSequence) > len(outcomes) // 3
 
 
+def test_parser_reads_alike_whatever_pieces_it_read_before():
+    # the reference reads each text with the piece table empty; then the
+    # corpus is read in order from an empty table, again with the table
+    # warm from all of it, and in reverse order from an empty table
+    texts = _parser_corpus() + [e[0] for e in _ERRORS]
+    want = []
+    for text in texts:
+        _PIECES.clear()
+        u = _result(parse_instruction, text)
+        _PIECES.clear()
+        want.append((_result(parse_program, text), u))
+    forward = range(len(texts))
+    for order, empty in ((forward, True), (forward, False), (forward[::-1], True)):
+        if empty:
+            _PIECES.clear()
+        for i in order:
+            got = _result(parse_program, texts[i]), _result(parse_instruction, texts[i])
+            assert got == want[i], texts[i]
+
+
 def _is_primitive(units):
     """Whether no shorter root repeats to `units`: a word is primitive iff
     it occurs in its own square only at the start and the middle."""
@@ -999,9 +1024,12 @@ def _old_compile_spec(spec, auto_abstract=False):
 
 
 def _result(f, *args):
-    """What f returns, or the class and message of what it raises."""
+    """What f returns, or the class and message of what it raises, and the
+    line and column of a program syntax error."""
     try:
         return f(*args)
+    except ProgramSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.col
     except (CompileError, ProgramError, ThreadError) as exc:
         return type(exc), str(exc)
 
