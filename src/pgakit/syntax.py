@@ -305,8 +305,8 @@ def to_canonical(term: Term) -> InstructionSequence:
 #
 # Between two `;` there is always a piece of the form "("*, an instruction,
 # then (")" "*")*, so `parse_program` splits the text at `;` and reads each
-# distinct piece once per process, up to a fixed bound (`_PIECES`).  The
-# text is checked for unexpected characters before any other error is
+# distinct short piece once per process, up to a fixed bound (`_PIECES`).
+# The text is checked for unexpected characters before any other error is
 # reported, and `//` comments count as whitespace, except that end of input
 # is placed where a comment on the last line begins.
 
@@ -317,12 +317,13 @@ _COMMENT = re.compile(r"//[^\n]*")
 _Token = Tuple[str, str, int]
 
 # piece, after comment blanking -> (stars opened, instruction, stars closed)
-# for every piece any call has read without error.  A piece reads alike
-# wherever it stands, and at every depth where it closes no more stars than
-# are open; only its errors depend on its place.  A miss that finds the
-# table full empties it in place, so a call's alias to it stays valid.
+# for every piece of at most _PIECE_LEN characters that any call has read
+# without error.  A piece reads alike wherever it stands, and at every depth
+# where it closes no more stars than are open; only its errors depend on its
+# place.  A call that leaves more than _PIECES_MAX entries empties the table.
 _PIECES: dict = {}
 _PIECES_MAX = 4096
+_PIECE_LEN = 64
 
 
 def _blank_comments(text: str) -> Tuple[str, int]:
@@ -467,24 +468,27 @@ def parse_program(text: str) -> InstructionSequence:
     period = None
     stack: list = []
     start = 0
-    for piece in src.split(";"):
-        r = read.get(piece)
-        if r is None or r[2] > r[0] + len(stack):
-            r = _read_piece(src, eof, start, start + len(piece), len(stack))
-            if len(read) >= _PIECES_MAX:
-                read.clear()
-            read[piece] = r
-        opens, u, closes = r
-        while opens:
-            stack.append((prefix, period))
-            prefix, period = [], None
-            opens -= 1
-        if period is None:
-            prefix.append(u)
-        while closes:
-            prefix, period = _close_star(stack, prefix, period)
-            closes -= 1
-        start += len(piece) + 1
+    try:
+        for piece in src.split(";"):
+            r = read.get(piece)
+            if r is None or r[2] > r[0] + len(stack):
+                r = _read_piece(src, eof, start, start + len(piece), len(stack))
+                if len(piece) <= _PIECE_LEN:
+                    read[piece] = r
+            opens, u, closes = r
+            while opens:
+                stack.append((prefix, period))
+                prefix, period = [], None
+                opens -= 1
+            if period is None:
+                prefix.append(u)
+            while closes:
+                prefix, period = _close_star(stack, prefix, period)
+                closes -= 1
+            start += len(piece) + 1
+    finally:
+        if len(read) > _PIECES_MAX:
+            read.clear()
     if stack:
         raise _unexpected(src, ("EOF", "", eof), "')'")
     return InstructionSequence(tuple(prefix), tuple(period or ()))
@@ -492,9 +496,6 @@ def parse_program(text: str) -> InstructionSequence:
 
 def parse_instruction(text: str) -> Instruction:
     src, eof = _blank_comments(text)
-    r = _PIECES.get(src)
-    if r is not None and r[0] == r[2] == 0:
-        return r[1]
     toks = _tokens(src, 0, len(src), eof)
     u, i = _instruction(src, toks, 0)
     if i != len(toks) - 1:

@@ -601,13 +601,13 @@ MUTANTS = (
            "if r is None or r[2] > r[0] + len(stack):", "if r is None:",
            (_PARSE_ERRORS, _READ_AGAIN)),
     Mutant("the piece table is never emptied", "syntax.py",
-           "                read.clear()\n", "                pass\n",
+           "            read.clear()\n", "            pass\n",
            ("tests/test_acceptance.py::"
             "test_parse_of_100k_distinct_pieces_keeps_the_piece_table_bounded",)),
-    Mutant("an instruction is taken from a piece that opens or closes stars", "syntax.py",
-           "if r is not None and r[0] == r[2] == 0:", "if r is not None:",
-           (_READ_AGAIN, "tests/test_oracles.py::"
-            "test_parser_reads_alike_whatever_pieces_it_read_before")),
+    Mutant("a piece of any length is kept", "syntax.py",
+           "if len(piece) <= _PIECE_LEN:", "if True:",
+           ("tests/test_acceptance.py::"
+            "test_long_pieces_are_not_kept_after_their_call",)),
     Mutant("every piece is read again", "syntax.py",
            "if r is None or r[2] > r[0] + len(stack):", "if True:",
            (_PARSE_ERRORS, _SYNTAX + "test_print_parse_roundtrip"),

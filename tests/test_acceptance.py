@@ -282,6 +282,17 @@ def test_parse_of_100k_distinct_pieces_keeps_the_piece_table_bounded():
     assert len(_PIECES) <= _PIECES_MAX
 
 
+def test_long_pieces_are_not_kept_after_their_call():
+    from pgakit.syntax import _PIECES, _PIECES_MAX, _PIECE_LEN, Plain
+
+    run = " " * 10**5
+    started = time.monotonic()
+    for n in range(1, 21):
+        assert P(f"f.a;{run}#{n}") == InstructionSequence((Plain(a), Jump(n)), ())
+    _report("20 parses with a 10^5-space piece", started, limit=1.0)
+    assert sum(map(len, _PIECES)) <= _PIECES_MAX * _PIECE_LEN
+
+
 def test_thread_lines_with_long_whitespace_runs():
     run = " " * 10**5
     started = time.monotonic()

@@ -858,16 +858,13 @@ def test_parser_reads_alike_whatever_pieces_it_read_before():
     want = []
     for text in texts:
         _PIECES.clear()
-        u = _result(parse_instruction, text)
-        _PIECES.clear()
-        want.append((_result(parse_program, text), u))
+        want.append(_result(parse_program, text))
     forward = range(len(texts))
     for order, empty in ((forward, True), (forward, False), (forward[::-1], True)):
         if empty:
             _PIECES.clear()
         for i in order:
-            got = _result(parse_program, texts[i]), _result(parse_instruction, texts[i])
-            assert got == want[i], texts[i]
+            assert _result(parse_program, texts[i]) == want[i], texts[i]
 
 
 def _is_primitive(units):
