@@ -34,12 +34,18 @@ def _landings(s: InstructionSequence, units: tuple) -> List[int]:
     """land[i] for every unfolded index i up to len(s) + 1: the first
     non-jump position that the chain from i reaches, or the end position
     len(s) when the chain deadlocks by running off a finite sequence or
-    revisiting a position (offset zero at once).  Each chain is walked once."""
+    revisiting a position (offset zero at once).  A jump onto a landed
+    position, as most compiled jumps are, lands at once; others walk once."""
     end, p, n = len(units), len(s.prefix), len(s.period)
     land = [-1 if type(u) is Jump else i for i, u in enumerate(units)] + [end]
     for i in [i for i, r in enumerate(land) if r == -1]:
-        chain = []
-        j = i
+        j = i + units[i].offset
+        if j >= end:
+            j = p + (j - p) % n if n else end
+        if land[j] >= 0:
+            land[i] = land[j]
+            continue
+        chain = [i]  # i again, if the walk comes back to it
         while land[j] == -1:  # a jump not yet resolved; -2 while walked
             land[j] = -2
             chain.append(j)

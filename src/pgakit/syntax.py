@@ -304,8 +304,9 @@ def to_canonical(term: Term) -> InstructionSequence:
 #   basic       := IDENT "." name ("." name)*        name := IDENT | NAT
 #
 # Between two `;` there is always a piece of the form "("*, an instruction,
-# then (")" "*")*, so `parse_program` splits the text at `;` and reads each
-# distinct short piece once per process, up to a fixed bound (`_PIECES`).
+# then (")" "*")*, so `parse_program` splits the text at `;`, adds each run
+# of known star-free pieces at once, and reads each distinct short piece
+# once per process, up to a fixed bound (`_PIECES`).
 # The text is checked for unexpected characters before any other error is
 # reported, and `//` comments count as whitespace, except that end of input
 # is placed where a comment on the last line begins.
@@ -316,11 +317,12 @@ _COMMENT = re.compile(r"//[^\n]*")
 # kind, text and offset of a token; the kind of a punctuation mark is itself
 _Token = Tuple[str, str, int]
 
-# piece, after comment blanking -> (stars opened, instruction, stars closed)
-# for every piece of at most _PIECE_LEN characters that any call has read
-# without error.  A piece reads alike wherever it stands, and at every depth
-# where it closes no more stars than are open; only its errors depend on its
-# place.  A call that leaves more than _PIECES_MAX entries empties the table.
+# star-free piece, after comment blanking -> its instruction, and any other
+# piece plus ";", a key no piece is -> (stars opened, instruction, stars
+# closed), for every piece of at most _PIECE_LEN characters that any call has
+# read without error.  A piece reads alike wherever it stands, and at every
+# depth where it closes no more stars than are open; only its errors depend
+# on its place.  A call that leaves more than _PIECES_MAX entries empties it.
 _PIECES: dict = {}
 _PIECES_MAX = 4096
 _PIECE_LEN = 64
@@ -464,17 +466,32 @@ def parse_program(text: str) -> InstructionSequence:
     """The canonical sequence of a program text, read in one pass."""
     src, eof = _blank_comments(text)
     read = _PIECES
+    pieces = src.split(";")
+    # each known star-free piece's instruction, else None; None ends the list
+    us = [*map(read.get, pieces), None]
     prefix: List[Instruction] = []
     period = None
     stack: list = []
-    start = 0
+    start = done = i = 0  # pieces[done] begins at offset start
     try:
-        for piece in src.split(";"):
-            r = read.get(piece)
-            if r is None or r[2] > r[0] + len(stack):
+        while True:
+            j = us.index(None, i)
+            if period is None:
+                prefix += us[i:j]
+            if j == len(pieces):
+                break
+            piece = pieces[j]
+            # a star-free piece first read in this call is under its own text
+            r = read.get(piece + ";") or (0, read.get(piece), 0)
+            if r[1] is None or r[2] > r[0] + len(stack):
+                start += sum(map(len, pieces[done:j])) + j - done
+                done = j
                 r = _read_piece(src, eof, start, start + len(piece), len(stack))
                 if len(piece) <= _PIECE_LEN:
-                    read[piece] = r
+                    if r[0] or r[2]:
+                        read[piece + ";"] = r
+                    else:
+                        read[piece] = r[1]
             opens, u, closes = r
             while opens:
                 stack.append((prefix, period))
@@ -485,7 +502,7 @@ def parse_program(text: str) -> InstructionSequence:
             while closes:
                 prefix, period = _close_star(stack, prefix, period)
                 closes -= 1
-            start += len(piece) + 1
+            i = j + 1
     finally:
         if len(read) > _PIECES_MAX:
             read.clear()
@@ -519,17 +536,15 @@ def print_program(p: InstructionSequence) -> str:
 def _absorb(units: Iterable[Instruction]) -> List[Instruction]:
     """Fold each maximal shift run into what follows: a jump's offset grows
     by the run length, any other instruction swallows the run unchanged.
-    Callers arrange that no run reaches the end of the list."""
+    The one shift is found by identity, and only a jump that ends a run is
+    made anew.  Callers arrange that no run reaches the end of the list."""
     out: List[Instruction] = []
     run = 0
     for u in units:
-        if isinstance(u, Shift):
+        if u is SHIFT:
             run += 1
-        elif isinstance(u, Jump):
-            out.append(Jump(u.offset + run))
-            run = 0
         else:
-            out.append(u)
+            out.append(Jump(u.offset + run) if run and type(u) is Jump else u)
             run = 0
     return out
 

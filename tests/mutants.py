@@ -76,10 +76,14 @@ _SYNTAX = "tests/test_syntax.py::"
 _ALTSEM = "tests/test_altsem.py::"
 _EVERY_KIND = _ALTSEM + "test_two_mode_equations_of_every_kind"
 _EXECMECH = "tests/test_execmech.py::"
+# the first step of a jump, and each further step of a walk
+_FIRST_STEP = "j = i + units[i].offset\n        if j >= end:\n            "
+_NEXT_STEP = "j += units[j].offset\n            if j >= end:\n                "
 _TOKEN_TEXT = ("the kind of a punctuation token is its own text, and no other"
                " token's text is a punctuation mark")
 _PARSE_ERRORS = _SYNTAX + "test_parse_errors_name_what_was_found_and_where"
 _READ_AGAIN = _SYNTAX + "test_a_piece_read_in_an_earlier_call_is_checked_again"
+_BULK_ERRORS = _SYNTAX + "test_errors_after_a_bulk_run_are_placed_alike_with_any_table"
 _SERVICES = "tests/test_services.py::"
 _NAMED_AS_RELABEL = _THREADS + "test_built_threads_are_named_as_relabel_names_them"
 
@@ -223,11 +227,25 @@ MUTANTS = (
            "r = end if land[j] == -2 else land[j]", "r = j if land[j] == -2 else land[j]",
            (_EXTRACT_WALK, _EXTRACTION + "test_cyclic_jump_chain_deadlocks")),
     Mutant("a jump off a finite sequence lands on its start", "extraction.py",
-           "j = p + (j - p) % n if n else end", "j = p + (j - p) % n if n else 0",
+           _FIRST_STEP + "j = p + (j - p) % n if n else end",
+           _FIRST_STEP + "j = p + (j - p) % n if n else 0",
            (_EXTRACT_WALK, _EXTRACTION + "test_congruent_out_of_range_jumps")),
     Mutant("a jump wraps the period at most once", "extraction.py",
-           "j = p + (j - p) % n if n else end", "j = j - n if n else end",
+           _FIRST_STEP + "j = p + (j - p) % n if n else end",
+           _FIRST_STEP + "j = j - n if n else end",
            (_EXTRACT_WALK, _EXTRACTION + "test_jump_into_period_wraps")),
+    Mutant("a walked jump off a finite sequence lands on its start", "extraction.py",
+           _NEXT_STEP + "j = p + (j - p) % n if n else end",
+           _NEXT_STEP + "j = p + (j - p) % n if n else 0",
+           (_EXTRACT_WALK, _EXTRACT_CHAINS)),
+    Mutant("a walked jump wraps the period at most once", "extraction.py",
+           _NEXT_STEP + "j = p + (j - p) % n if n else end",
+           _NEXT_STEP + "j = j - n if n else end",
+           (_EXTRACT_WALK, _EXTRACT_CHAINS)),
+    Mutant("`#0` lands on itself at once", "extraction.py",
+           "        if land[j] >= 0:\n            land[i] = land[j]\n",
+           "        if land[j] >= 0 or j == i:\n            land[i] = i if j == i else land[j]\n",
+           (_LANDING, _EXTRACT_WALK)),
     Mutant("a negative test keeps the positive test's branches", "extraction.py",
            "then, else_ = else_, then", "then, else_ = then, else_",
            (_EXTRACT_WALK, _EXTRACTION + "test_tests_branch")),
@@ -598,7 +616,7 @@ MUTANTS = (
            "    if False:\n        raise _unexpected(",
            (_PARSE_ERRORS,)),
     Mutant("a cached piece is not read again", "syntax.py",
-           "if r is None or r[2] > r[0] + len(stack):", "if r is None:",
+           "if r[1] is None or r[2] > r[0] + len(stack):", "if r[1] is None:",
            (_PARSE_ERRORS, _READ_AGAIN)),
     Mutant("the piece table is never emptied", "syntax.py",
            "            read.clear()\n", "            pass\n",
@@ -609,10 +627,23 @@ MUTANTS = (
            ("tests/test_acceptance.py::"
             "test_long_pieces_are_not_kept_after_their_call",)),
     Mutant("every piece is read again", "syntax.py",
-           "if r is None or r[2] > r[0] + len(stack):", "if True:",
+           "if r[1] is None or r[2] > r[0] + len(stack):", "if True:",
            (_PARSE_ERRORS, _SYNTAX + "test_print_parse_roundtrip"),
            equivalent="reading a piece gives the same result every time; the"
            " cache only saves the work"),
+    Mutant("the offset does not advance over a bulk run", "syntax.py",
+           "start += sum(map(len, pieces[done:j])) + j - done", "start += j - done",
+           (_BULK_ERRORS,)),
+    Mutant("the offset counts again what it passed at the last read", "syntax.py",
+           "                done = j\n", "",
+           (_BULK_ERRORS,)),
+    Mutant("a piece that opens or closes stars is kept under its own text", "syntax.py",
+           'read[piece + ";"] = r', "read[piece] = r",
+           ("tests/test_small_scope.py::test_every_small_program_prints_and_parses_back",)),
+    Mutant("a bulk run is appended after its list's loop closed", "syntax.py",
+           "            if period is None:\n                prefix += us[i:j]\n",
+           "            prefix += us[i:j]\n",
+           (_SYNTAX + "test_pieces_after_a_loop_are_unreachable_however_many",)),
     Mutant("a loop after a loop takes its place", "syntax.py",
            "    prefix, period = stack.pop()\n    if period is None:\n",
            "    prefix, period = stack.pop()\n    if True:\n",
@@ -670,11 +701,10 @@ MUTANTS = (
            " sequence, or the first position of the period"),
     # --- shift normalization and jump expansion -------------------------------
     Mutant("a shift run adds nothing to the jump that ends it", "syntax.py",
-           "out.append(Jump(u.offset + run))", "out.append(Jump(u.offset))",
+           "Jump(u.offset + run) if run", "Jump(u.offset) if run",
            (_SYNTAX + "test_shift_boosts_following_jump",)),
     Mutant("a shift run carries on past a non-jump", "syntax.py",
-           "            out.append(u)\n            run = 0\n",
-           "            out.append(u)\n",
+           "            run = 0\n    return out", "    return out",
            (_SYNTAX + "test_shift_runs_fold_together",)),
     Mutant("a finite program's end gets no #0 to absorb its shifts", "syntax.py",
            "        prefix.append(Jump(0))\n", "",

@@ -817,7 +817,13 @@ def _parser_corpus():
     texts = []
     for t in base:
         texts += [t, _respace(rng, t), _comment(rng, t)]
-    return texts + [e for t in texts for e in _edits(rng, t, 3)]
+    # over 10^4 pieces each, so that known pieces are read a run at a time:
+    # with no loop, with loops, after a loop, and then a bad piece or a
+    # stray character further on
+    free = ";\n".join([t for t in base if "(" not in t] * 13)
+    loops = ";\n".join(base * 6)
+    long = [free, loops, "(f.a; f.b)*; " + free, free + "; f.a f.b", loops + "; #x;\n f.b; $"]
+    return texts + [e for t in texts for e in _edits(rng, t, 3)] + long
 
 
 def _inside(text, exc):

@@ -39,6 +39,7 @@ from pgakit.syntax import (
     Instr,
     ProgramError,
     Repeat,
+    _PIECES,
     contains_shift,
     position,
 )
@@ -206,6 +207,32 @@ def test_a_piece_read_in_an_earlier_call_is_checked_again():
     with pytest.raises(ProgramSyntaxError) as e:
         P("f.a; f.b)*")
     assert (str(e.value), e.value.line, e.value.col) == ("expected 'EOF', found ')'", 1, 9)
+
+
+# 10^4 pieces on 2,000 lines; once read, they are all one run of known pieces
+_KNOWN = ";\n".join(["f.a; +f.b; ~; #3; !"] * 2000)
+
+
+@pytest.mark.parametrize("tail, message, line, col", [
+    ("f.a f.b", "expected 'EOF', found 'f'", 2000, 26),
+    # the bad piece is read alone, then the rescan finds `$` further on
+    ("#x;\n f.b; $", "unexpected character '$'", 2001, 7),
+])
+def test_errors_after_a_bulk_run_are_placed_alike_with_any_table(tail, message, line, col):
+    text = _KNOWN + "; " + tail
+    for empty in (True, False):
+        if empty:
+            _PIECES.clear()
+        with pytest.raises(ProgramSyntaxError) as e:
+            P(text)
+        assert (str(e.value), e.value.line, e.value.col) == (message, line, col), empty
+
+
+def test_pieces_after_a_loop_are_unreachable_however_many():
+    text = "(f.a; f.b)*; " + _KNOWN
+    _PIECES.clear()
+    # read alone from an empty table, then as one run
+    assert P(text) == P(text) == loop(fa, fb)
 
 
 def test_names_may_start_with_an_underscore():
