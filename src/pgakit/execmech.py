@@ -73,6 +73,7 @@ from .syntax import (
 )
 from .threads import (
     DEADLOCK,
+    NAMES,
     STOP,
     Basic,
     Body,
@@ -560,7 +561,7 @@ def _explore(control: _Control, s: InstructionSequence, budget: Budget) -> Threa
     def name(cfg: tuple) -> str:
         got = names.get(cfg)
         if got is None:
-            got = names[cfg] = f"X{len(names)}"
+            got = names[cfg] = NAMES[len(names)]
             queue.append(cfg)
         return got
 
@@ -571,7 +572,7 @@ def _explore(control: _Control, s: InstructionSequence, budget: Budget) -> Threa
         if isinstance(got, tuple):
             m, v, c = got
             got = Post(bodies[m].action, name((thens[m], v, c)), name((elses[m], v, c)))
-        states[f"X{len(states)}"] = got
+        states[NAMES[len(states)]] = got
     return ThreadSpec(states, "X0")
 
 

@@ -23,6 +23,7 @@ from .syntax import (
 )
 from .threads import (
     DEADLOCK,
+    NAMES,
     STOP,
     Body,
     Post,
@@ -64,15 +65,17 @@ def _landings(s: InstructionSequence, units: tuple) -> List[int]:
 def extract(s: InstructionSequence) -> ThreadSpec:
     """Thread of a Shift-free sequence: one state per non-jump position the
     start position reaches, plus a deadlock state at the end position when
-    reached.  States are named X0, X1, ... in breadth-first discovery order
-    from the start, `then` before `else_`, as `relabel` names them."""
+    reached.  States are numbered 0, 1, ... in breadth-first discovery order
+    from the start, `then` before `else_`, and named X0, X1, ... from the
+    names table, as `relabel` names them."""
     if contains_shift(s):
         raise ShiftPresentError("extraction requires a Shift-free sequence")
     units = s.prefix + s.period
     end = len(units)
     land = _landings(s, units)
     order = [land[0]]  # positions in discovery order; grows while read
-    names = {order[0]: "X0"}
+    index = [-1] * (end + 1)  # position -> its state's number, once found
+    index[order[0]] = 0
     states: Dict[str, Body] = {}
     for pos in order:
         u = units[pos] if pos < end else None
@@ -87,12 +90,14 @@ def extract(s: InstructionSequence) -> ThreadSpec:
                 then, else_ = else_, then
             elif type(u) is Plain:
                 else_ = then
-            for t in (then, else_):
-                if t not in names:
-                    names[t] = f"X{len(order)}"
-                    order.append(t)
-            body = Post(u.basic, names[then], names[else_])
-        states[names[pos]] = body
+            if index[then] < 0:
+                index[then] = len(order)
+                order.append(then)
+            if index[else_] < 0:
+                index[else_] = len(order)
+                order.append(else_)
+            body = Post(u.basic, NAMES[index[then]], NAMES[index[else_]])
+        states[NAMES[index[pos]]] = body
     return ThreadSpec(states, "X0")
 
 

@@ -16,6 +16,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from .threads import (
     DEADLOCK,
+    NAMES,
     TAU,
     Body,
     Post,
@@ -121,7 +122,7 @@ def compose(
                 raise BudgetExceededError(
                     f"service product exceeded {budget.max_states} states"
                 )
-            name = names[key] = f"X{len(names)}"
+            name = names[key] = NAMES[len(names)]
             queue.append((sid, service))
         return name
 
@@ -144,7 +145,7 @@ def compose(
                 else:
                     then = visit(body.then if reply is Reply.TRUE else body.else_, nxt)
                     body = Post(TAU, then, then)
-        states[f"X{len(states)}"] = body
+        states[NAMES[len(states)]] = body
     return ThreadSpec(states, "X0")
 
 

@@ -318,11 +318,12 @@ _COMMENT = re.compile(r"//[^\n]*")
 _Token = Tuple[str, str, int]
 
 # star-free piece, after comment blanking -> its instruction, and any other
-# piece plus ";", a key no piece is -> (stars opened, instruction, stars
-# closed), for every piece of at most _PIECE_LEN characters that any call has
-# read without error.  A piece reads alike wherever it stands, and at every
-# depth where it closes no more stars than are open; only its errors depend
-# on its place.  A call that leaves more than _PIECES_MAX entries empties it.
+# piece in a 1-tuple, a key no piece is that makes no new string -> (stars
+# opened, instruction, stars closed), for every piece of at most _PIECE_LEN
+# characters that any call has read without error.  A piece reads alike
+# wherever it stands, and at every depth where it closes no more stars than
+# are open; only its errors depend on its place.  A call that leaves more
+# than _PIECES_MAX entries empties it.
 _PIECES: dict = {}
 _PIECES_MAX = 4096
 _PIECE_LEN = 64
@@ -482,14 +483,14 @@ def parse_program(text: str) -> InstructionSequence:
                 break
             piece = pieces[j]
             # a star-free piece first read in this call is under its own text
-            r = read.get(piece + ";") or (0, read.get(piece), 0)
+            r = read.get((piece,)) or (0, read.get(piece), 0)
             if r[1] is None or r[2] > r[0] + len(stack):
                 start += sum(map(len, pieces[done:j])) + j - done
                 done = j
                 r = _read_piece(src, eof, start, start + len(piece), len(stack))
                 if len(piece) <= _PIECE_LEN:
                     if r[0] or r[2]:
-                        read[piece + ";"] = r
+                        read[(piece,)] = r
                     else:
                         read[piece] = r[1]
             opens, u, closes = r

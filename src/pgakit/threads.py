@@ -7,8 +7,10 @@ silent action tau ignores the reply, so tau bodies carry a single successor
 Python steps per state: `parse_thread` reads a well-formed text in one
 regular expression pass, `Post` sets its fields through its slot
 descriptors, a spec checks all its references in one containment test,
-`bisimilar` walks to class roots inline, and a `Basic` stores its text when
-first made.
+`bisimilar` does one union per popped pair with class roots walked inline,
+and a `Basic` stores its text when first made.  Every thread the library
+builds takes its state names X0, X1, ... from one process-wide table,
+`NAMES`, which keeps the first few thousand.
 """
 
 from __future__ import annotations
@@ -190,10 +192,29 @@ def validate(spec: ThreadSpec) -> ThreadSpec:
     return ThreadSpec(states, spec.root)
 
 
+class _Names(dict):
+    """State number i -> its name `Xi`, made when first asked for.  Names
+    below _NAMES_MAX are kept, so every thread the library builds shares
+    them; a larger number gets a fresh name each time."""
+
+    __slots__ = ()
+
+    def __missing__(self, i: int) -> str:
+        name = f"X{i}"
+        if i < _NAMES_MAX:
+            self[i] = name
+        return name
+
+
+# about 0.5 MB of keys, names and table at the bound
+_NAMES_MAX = 4096
+NAMES = _Names()
+
+
 def relabel(spec: ThreadSpec) -> ThreadSpec:
     """Rename states to X0, X1, ... in breadth-first discovery order from
     the root.  Deterministic, so printed output is reproducible."""
-    names = {name: f"X{i}" for name, i in _breadth_first(spec).items()}
+    names = {name: NAMES[i] for name, i in _breadth_first(spec).items()}
     states: Dict[str, Body] = {}
     for old, new in names.items():
         body = spec.states[old]
@@ -210,39 +231,38 @@ def bisimilar(a: ThreadSpec, b: ThreadSpec) -> bool:
     """Whether the two roots are bisimilar.  Threads are deterministic (one
     action and one successor per reply), so this is equivalence of
     deterministic automata, decided by Hopcroft & Karp's union-find pair
-    walk (1971): merge the classes of the roots, then of every pair of
-    successors reached through matching bodies.  The roots are bisimilar
-    iff no merged pair differs in body kind or action.  Each walk to a
-    class root halves its path on the way, and a merge links one root under
-    the other with no rank, which takes O(n log n) for n states in both
-    specs (Tarjan & van Leeuwen 1984)."""
+    walk (1971) in its textbook form: pop a pair, starting with the roots;
+    skip it if its states are in one class already, else merge the two
+    classes, check that the bodies agree in kind and action, and push the
+    pairs of successors.  The roots are bisimilar iff no merged pair
+    differs.  Each walk to a class root halves its path on the way, and a
+    merge links one root under the other with no rank, which takes
+    O(n log n) for n states in both specs (Tarjan & van Leeuwen 1984)."""
     # states of a are 0..len(a)-1, states of b follow, since names may clash
     n = len(a.states)
     ids_a = dict(zip(a.states, range(n)))
     ids_b = dict(zip(b.states, range(n, n + len(b.states))))
     parent = list(range(n + len(b.states)))
-    parent[ids_a[a.root]] = ids_b[b.root]
     stack = [(a.root, b.root)]
     while stack:
         sa, sb = stack.pop()
+        ra = ids_a[sa]
+        while (up := parent[ra]) != ra:
+            parent[ra] = ra = parent[up]
+        rb = ids_b[sb]
+        while (up := parent[rb]) != rb:
+            parent[rb] = rb = parent[up]
+        if ra == rb:
+            continue
+        parent[ra] = rb
         ba = a.states[sa]
         bb = b.states[sb]
-        if type(ba) is not type(bb):
+        if type(ba) is Post:
+            if type(bb) is not Post or (ba.action is not bb.action and ba.action != bb.action):
+                return False
+            stack += (ba.then, bb.then), (ba.else_, bb.else_)
+        elif type(ba) is not type(bb):
             return False
-        if not isinstance(ba, Post):
-            continue
-        if ba.action != bb.action:
-            return False
-        for ta, tb in ((ba.then, bb.then), (ba.else_, bb.else_)):
-            ra = ids_a[ta]
-            while (up := parent[ra]) != ra:
-                parent[ra] = ra = parent[up]
-            rb = ids_b[tb]
-            while (up := parent[rb]) != rb:
-                parent[rb] = rb = parent[up]
-            if ra != rb:
-                parent[ra] = rb
-                stack.append((ta, tb))
     return True
 
 
@@ -371,18 +391,18 @@ def _parse_lines(text: str) -> ThreadSpec:
 
 def print_thread(spec: ThreadSpec) -> str:
     """Render in the parse_thread format, root state first."""
-    names = [spec.root] + [n for n in spec.states if n != spec.root]
     lines = []
-    for name in names:
-        body = spec.states[name]
-        if isinstance(body, Stop):
+    for name, body in spec.states.items():
+        if type(body) is Post and type(body.action) is not Tau:
+            lines.append(f"{name} = <{body.then}> {body.action._text} <{body.else_}>")
+        elif isinstance(body, Stop):
             lines.append(f"{name} = S")
         elif isinstance(body, Deadlock):
             lines.append(f"{name} = D")
-        elif isinstance(body.action, Tau):
-            lines.append(f"{name} = tau <{body.then}>")
         else:
-            lines.append(f"{name} = <{body.then}> {body.action._text} <{body.else_}>")
+            lines.append(f"{name} = tau <{body.then}>")
+    if next(iter(spec.states)) != spec.root:
+        lines.insert(0, lines.pop([*spec.states].index(spec.root)))
     return "\n".join(lines)
 
 

@@ -76,6 +76,19 @@ _SYNTAX = "tests/test_syntax.py::"
 _ALTSEM = "tests/test_altsem.py::"
 _EVERY_KIND = _ALTSEM + "test_two_mode_equations_of_every_kind"
 _EXECMECH = "tests/test_execmech.py::"
+# extraction numbers the then target before the else target
+_FIND_THEN = ("            if index[then] < 0:\n                index[then] = len(order)\n"
+              "                order.append(then)\n")
+_FIND_ELSE = ("            if index[else_] < 0:\n                index[else_] = len(order)\n"
+              "                order.append(else_)\n")
+# bisimilar's check of one popped pair, after the merge
+_CHECK_PAIR = ("        ba = a.states[sa]\n        bb = b.states[sb]\n"
+               "        if type(ba) is Post:\n"
+               "            if type(bb) is not Post or (ba.action is not bb.action"
+               " and ba.action != bb.action):\n"
+               "                return False\n"
+               "            stack += (ba.then, bb.then), (ba.else_, bb.else_)\n"
+               "        elif type(ba) is not type(bb):\n            return False\n")
 # the first step of a jump, and each further step of a walk
 _FIRST_STEP = "j = i + units[i].offset\n        if j >= end:\n            "
 _NEXT_STEP = "j += units[j].offset\n            if j >= end:\n                "
@@ -257,13 +270,13 @@ MUTANTS = (
            "body: Body = DEADLOCK", "body: Body = STOP",
            (_EXTRACT_WALK, _EXTRACTION + "test_missing_termination_deadlocks")),
     Mutant("states are named else first", "extraction.py",
-           "for t in (then, else_):", "for t in (else_, then):",
+           _FIND_THEN + _FIND_ELSE, _FIND_ELSE + _FIND_THEN,
            (_EXTRACT_WALK, "tests/test_acceptance.py::test_extraction_of_a_100k_jump_ladder")),
     Mutant("states are numbered by the names given", "extraction.py",
-           'names[t] = f"X{len(order)}"', 'names[t] = f"X{len(names)}"',
+           "states[NAMES[index[pos]]] = body", "states[NAMES[len(states)]] = body",
            (_EXTRACT_WALK, _EXTRACT_CHAINS),
-           equivalent="every name goes into both `names` and `order`, so the"
-           " two always have the same length"),
+           equivalent="states leave `order` in the order they were numbered,"
+           " so a state's number is the count of states named before it"),
     # --- the compiler --------------------------------------------------------
     Mutant("equal branches compile as a positive test", "compiler.py",
            "            if body.then == body.else_:\n", "            if False:\n",
@@ -289,30 +302,31 @@ MUTANTS = (
            " reaches the third slot"),
     # --- bisimilarity --------------------------------------------------------
     Mutant("bisimilar ignores actions", "threads.py",
-           "        if ba.action != bb.action:\n", "        if ba.action is None:\n",
+           "ba.action is not bb.action and ba.action != bb.action", "False",
            (_PROJECTIONS, _THREADS + "test_bisimilar_distinguishes_actions")),
+    Mutant("bisimilar compares actions by identity alone", "threads.py",
+           "ba.action is not bb.action and ba.action != bb.action", "ba.action is not bb.action",
+           (_THREADS + "test_bisimilar_takes_every_tau_value_as_one_action",)),
     Mutant("bisimilar ignores else branches", "threads.py",
-           "for ta, tb in ((ba.then, bb.then), (ba.else_, bb.else_)):",
-           "for ta, tb in ((ba.then, bb.then),):",
+           "stack += (ba.then, bb.then), (ba.else_, bb.else_)",
+           "stack += (ba.then, bb.then),",
            (_PROJECTIONS, _THREADS + "test_bisimilarity_agrees_with_bounded_projections")),
     Mutant("bisimilar crosses then and else", "threads.py",
-           "for ta, tb in ((ba.then, bb.then), (ba.else_, bb.else_)):",
-           "for ta, tb in ((ba.then, bb.else_), (ba.else_, bb.then)):",
+           "stack += (ba.then, bb.then), (ba.else_, bb.else_)",
+           "stack += (ba.then, bb.else_), (ba.else_, bb.then)",
            (_PROJECTIONS, _THREADS + "test_bisimilar_branch_sensitive")),
     Mutant("bisimilar takes stop for deadlock", "threads.py",
-           "        if type(ba) is not type(bb):\n            return False\n"
-           "        if not isinstance(ba, Post):\n            continue\n"
-           "        if ba.action != bb.action:\n",
-           "        if isinstance(ba, Post) is not isinstance(bb, Post):\n"
-           "            return False\n"
-           "        if not isinstance(ba, Post):\n            continue\n"
-           "        if ba.action != bb.action:\n",
+           "        elif type(ba) is not type(bb):\n", "        elif type(bb) is Post:\n",
            (_PROJECTIONS, _THREADS + "test_bisimilar_distinguishes_leaves")),
+    # the first pop merges the roots before it checks them
     Mutant("bisimilar does not merge the roots first", "threads.py",
-           "parent[ids_a[a.root]] = ids_b[b.root]", "parent[ids_a[a.root]] = ids_a[a.root]",
+           "        parent[ra] = rb\n" + _CHECK_PAIR, _CHECK_PAIR + "        parent[ra] = rb\n",
            (_PROJECTIONS, "tests/test_acceptance.py::test_bisimilar_chains_of_100k_states"),
-           equivalent="the root pair is on the stack, so it is checked anyway;"
-           " reached again, it is merged and checked once more"),
+           equivalent="the check of a pair reads no class, and a pair that fails"
+           " it ends the walk, so a merge after it merges the same classes"),
+    Mutant("a name past the table's bound is kept", "threads.py",
+           "        if i < _NAMES_MAX:\n", "        if True:\n",
+           (_THREADS + "test_built_threads_past_the_names_table_bound",)),
     # --- silent steps and services -------------------------------------------
     Mutant("a cycle of silent steps stops instead of deadlocking", "threads.py",
            "            if cur in chain:\n                body = DEADLOCK\n",
@@ -638,7 +652,7 @@ MUTANTS = (
            "                done = j\n", "",
            (_BULK_ERRORS,)),
     Mutant("a piece that opens or closes stars is kept under its own text", "syntax.py",
-           'read[piece + ";"] = r', "read[piece] = r",
+           "read[(piece,)] = r", "read[piece] = r",
            ("tests/test_small_scope.py::test_every_small_program_prints_and_parses_back",)),
     Mutant("a bulk run is appended after its list's loop closed", "syntax.py",
            "            if period is None:\n                prefix += us[i:j]\n",

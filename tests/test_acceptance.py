@@ -290,7 +290,9 @@ def test_long_pieces_are_not_kept_after_their_call():
     for n in range(1, 21):
         assert P(f"f.a;{run}#{n}") == InstructionSequence((Plain(a), Jump(n)), ())
     _report("20 parses with a 10^5-space piece", started, limit=1.0)
-    assert sum(map(len, _PIECES)) <= _PIECES_MAX * _PIECE_LEN
+    # a piece that opens or closes a star is kept under a 1-tuple of its text
+    kept = (k[0] if type(k) is tuple else k for k in _PIECES)
+    assert sum(map(len, kept)) <= _PIECES_MAX * _PIECE_LEN
 
 
 def test_thread_lines_with_long_whitespace_runs():

@@ -35,6 +35,7 @@ from pgakit import (
     validate,
 )
 from pgakit.properties import PROPERTIES, draw_cases
+from pgakit.threads import _NAMES_MAX, NAMES
 from strategies import Branch, chain_spec, project, projections_agree, specs
 
 a = Basic("f", "a")
@@ -165,6 +166,34 @@ def test_built_threads_are_named_as_relabel_names_them():
         assert relabel(t) == t, print_thread(t)
 
 
+def _built(spec, focus="cnt"):
+    """The threads that relabel, extraction, the service product with a
+    counter on `focus` and the explorer build from spec."""
+    p = corollary1_pipeline(spec)
+    return relabel(spec), extract_pgajs(p), compose(spec, focus, counter_new(0)), run_exec(p)
+
+
+def test_built_threads_name_a_state_and_its_targets_by_one_string():
+    spec = T("x = <y> f.inc <y>\ny = <z> g.a <w>\nz = <w> f.dec <x>\n"
+             "w = <x> f.isz <v>\nv = S")
+    for t in _built(spec, "f"):
+        assert len(t.states) > 4
+        keys = {name: name for name in t.states}
+        for body in t.states.values():
+            if isinstance(body, Post):
+                assert keys[body.then] is body.then and keys[body.else_] is body.else_
+
+
+def test_built_threads_past_the_names_table_bound():
+    # names past the table's bound are made anew each time, and not kept
+    n = _NAMES_MAX + 10
+    spec = chain_spec([a, b] * (n // 2), STOP)
+    for t in _built(spec):
+        assert list(t.states) == [f"X{i}" for i in range(n + 1)]
+        assert relabel(t) == t and bisimilar(t, spec)
+    assert len(NAMES) <= _NAMES_MAX
+
+
 # finite projections
 def test_projection_depth_zero_is_deadlock():
     spec = validate(ThreadSpec({"x": STOP}, "x"))
@@ -245,6 +274,14 @@ def test_bisimilar_branch_sensitive():
     s1 = validate(ThreadSpec({"x": Post(a, "s", "d"), "s": STOP, "d": DEADLOCK}, "x"))
     s2 = validate(ThreadSpec({"x": Post(a, "d", "s"), "s": STOP, "d": DEADLOCK}, "x"))
     assert not bisimilar(s1, s2)
+
+
+def test_bisimilar_takes_every_tau_value_as_one_action():
+    # Tau() makes a new object, equal to TAU but not the same one
+    s1 = ThreadSpec({"x": Post(Tau(), "y", "y"), "y": STOP}, "x")
+    s2 = ThreadSpec({"x": Post(TAU, "y", "y"), "y": STOP}, "x")
+    assert s1.states["x"].action is not TAU
+    assert bisimilar(s1, s2)
 
 
 @given(specs(max_states=6), specs(max_states=6))
